@@ -2,11 +2,11 @@ GO ?= go
 
 # BENCHTIME scales the bench-json micro-benchmarks; ci overrides it to 1x
 # so the harness is smoke-tested without paying for stable numbers.
-# PIPELINE_BENCHTIME scales the end-to-end discovery benchmark
-# separately: at over a second per op, the default -benchtime 1s runs it
-# for exactly one iteration, so the recorded number carries first-run
-# noise (pool/page-cache warm-up). 5x keeps the recording honest without
-# making bench-json take minutes.
+# PIPELINE_BENCHTIME scales the end-to-end discovery and clustering
+# benchmarks separately: at a large fraction of a second per op, the
+# default -benchtime 1s runs them for one or two iterations, so the
+# recorded number carries first-run noise (pool/page-cache warm-up). 5x
+# keeps the recording honest without making bench-json take minutes.
 # BENCH_OUT is where bench-json writes its JSON; the ci smoke discards it
 # so a ci run never clobbers the committed performance trajectory.
 BENCHTIME ?= 1s
@@ -14,16 +14,17 @@ PIPELINE_BENCHTIME ?= 5x
 BENCH_OUT ?= BENCH_pipeline.json
 
 .PHONY: ci fmt-check vet lint lint-smoke build test-short test test-race \
-	test-persist test-dist test-obs test-sweep test-purego bench bench-json \
-	bench-json-smoke bench-diff
+	test-persist test-dist test-obs test-sweep test-purego fuzz-kmeans bench \
+	bench-json bench-json-smoke bench-diff
 
 # ci is the tier-1 gate: formatting, static checks (go vet plus the
 # project's own bpvet analyzers), build, fast tests, the race detector
 # over the whole tree, the persistence suite, the distributed-execution
 # suite, the observability suite, the batch-sweep suite, the
-# scalar-fallback kernel leg, and a 1x smoke of the bench-json harness so
-# it cannot bit-rot.
-ci: fmt-check vet lint build test-short test-race test-persist test-dist test-obs test-sweep test-purego bench-json-smoke
+# scalar-fallback kernel leg, a short fuzz of the accelerated k-means
+# against its plain-Lloyd oracle, and a 1x smoke of the bench-json
+# harness so it cannot bit-rot.
+ci: fmt-check vet lint build test-short test-race test-persist test-dist test-obs test-sweep test-purego fuzz-kmeans bench-json-smoke
 
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -122,17 +123,25 @@ test-purego:
 	$(GO) test -tags purego -count=1 ./internal/cpu/ ./internal/sigvec/ ./internal/core/
 	BP_PUREGO=1 $(GO) test -count=1 ./internal/cpu/ ./internal/sigvec/
 
+# fuzz-kmeans feeds simpoint's bounded k-means raw float64 bit patterns
+# (NaN, ±Inf, subnormals, wild scale mixes) for 10 s and fails on the
+# first call that differs from the plain Lloyd loop by a single bit.
+fuzz-kmeans:
+	$(GO) test -run '^$$' -fuzz '^FuzzKMeansExact$$' -fuzztime 10s ./internal/simpoint
+
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ .
 
 # bench-json records the signature-pipeline performance trajectory: the
 # mem/pin/sigvec micro-benchmarks, the sweep-planner compile benchmark,
-# plus end-to-end discovery, parsed into BENCH_pipeline.json (fails if any benchmark fails or produces no
-# results). Each invocation APPENDS a run entry to the trajectory, so the
-# history across PRs is preserved; see cmd/benchjson. The end-to-end
-# discovery benchmark runs in its own invocation at PIPELINE_BENCHTIME
-# iterations (see the variable's comment); if either invocation fails,
-# benchjson sees the FAIL line and refuses to record.
+# end-to-end discovery, and SimPoint clustering on synthetic and on real
+# HPCG signature vectors, parsed into BENCH_pipeline.json (fails if any
+# benchmark fails or produces no results). Each invocation APPENDS a run
+# entry to the trajectory, so the history across PRs is preserved; see
+# cmd/benchjson. The discovery and clustering benchmarks run in their own
+# invocation at PIPELINE_BENCHTIME iterations (see the variable's
+# comment); if either invocation fails, benchjson sees the FAIL line and
+# refuses to record.
 bench-json:
 	{ $(GO) test -run '^$$' -benchmem -benchtime $(BENCHTIME) \
 		-bench 'StackDist|^BenchmarkStream|BuildReference|BuilderSparse|BuilderDense' \
@@ -140,7 +149,7 @@ bench-json:
 	  $(GO) test -run '^$$' -benchmem -benchtime $(BENCHTIME) \
 		-bench 'SweepPlanner' ./internal/sched; \
 	  $(GO) test -run '^$$' -benchmem -benchtime $(PIPELINE_BENCHTIME) \
-		-bench 'DiscoveryPipeline' .; } \
+		-bench 'DiscoveryPipeline|KMeansClustering|ClusterHPCG' .; } \
 		| $(GO) run ./cmd/benchjson -out $(BENCH_OUT)
 
 # bench-json-smoke is the ci wiring: one iteration per benchmark, just to

@@ -12,6 +12,7 @@ package barrierpoint_test
 
 import (
 	"io"
+	"sync"
 	"testing"
 
 	"barrierpoint"
@@ -176,7 +177,8 @@ func BenchmarkDiscoveryPipeline(b *testing.B) {
 }
 
 // BenchmarkKMeansClustering measures SimPoint-style clustering of 1000
-// signature points.
+// synthetic signature points. The seed is fixed so every iteration does
+// the same work.
 func BenchmarkKMeansClustering(b *testing.B) {
 	rng := xrand.New(1)
 	points := make([]simpoint.Point, 1000)
@@ -190,7 +192,51 @@ func BenchmarkKMeansClustering(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := simpoint.Cluster(points, simpoint.DefaultConfig(uint64(i))); err != nil {
+		if _, err := simpoint.Cluster(points, simpoint.DefaultConfig(1)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// hpcgPoints holds the canonical HPCG 8-thread discovery run's signature
+// vectors, built once for BenchmarkClusterHPCG.
+var hpcgPoints = sync.OnceValues(func() ([]simpoint.Point, error) {
+	app, err := barrierpoint.AppByName("HPCG")
+	if err != nil {
+		return nil, err
+	}
+	v := isa.Variant{ISA: isa.X8664()}
+	prog, err := app.Build(8, v)
+	if err != nil {
+		return nil, err
+	}
+	// Composed as core's canonical discovery run composes them: full
+	// BBV+LDV instrumentation, projected by one reusable Builder.
+	cfg := omp.Config{Machine: machine.ForISA(v.ISA), Variant: v, Threads: 8, WarmCaches: true}
+	builder := sigvec.NewBuilder(sigvec.Options{Dim: sigvec.DefaultDim, UseBBV: true, UseLDV: true, Seed: 42})
+	var points []simpoint.Point
+	err = pin.Stream(prog, cfg, pin.Options{}, func(s pin.Signature) {
+		vec := make([]float64, builder.Dims())
+		builder.BuildSparseInto(vec, s.BBVSparse.Idx, s.BBVSparse.Val, s.LDVSparse.Idx, s.LDVSparse.Val)
+		points = append(points, simpoint.Point{Vec: vec, Weight: s.Instructions})
+	})
+	return points, err
+})
+
+// BenchmarkClusterHPCG measures clustering on real signature vectors: the
+// canonical HPCG 8-thread discovery run at the paper's SimPoint settings
+// (MaxK 20, 5 restarts per k). Building the vectors is not timed.
+func BenchmarkClusterHPCG(b *testing.B) {
+	points, err := hpcgPoints()
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := simpoint.DefaultConfig(xrand.Derive(42, "kmeans-0").Uint64())
+	cfg.MaxK = 20
+	b.ReportMetric(float64(len(points)), "points")
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := simpoint.Cluster(points, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}

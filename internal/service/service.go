@@ -818,12 +818,31 @@ func (s *Server) Handler() http.Handler {
 	return obs.InstrumentHandler(s.reg, "bp_http_request_seconds", mux)
 }
 
+// maxSubmitBytes bounds a POST /studies or POST /studies:batch body. A
+// batch at MaxSweepStudies' default of 64 members is a few KiB, so 1 MiB
+// rejects nothing legitimate while stopping an oversized body before it
+// is decoded.
+const maxSubmitBytes = 1 << 20
+
+// decodeSubmission decodes a submission body into v, rejecting unknown
+// fields and bodies over maxSubmitBytes. On failure it returns the status
+// to answer with: 413 for an oversized body, 400 otherwise.
+func decodeSubmission(w http.ResponseWriter, r *http.Request, v any) (int, error) {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBytes))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		if tooBig := (*http.MaxBytesError)(nil); errors.As(err, &tooBig) {
+			return http.StatusRequestEntityTooLarge, err
+		}
+		return http.StatusBadRequest, err
+	}
+	return 0, nil
+}
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req SubmitRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		s.writeError(w, http.StatusBadRequest, fmt.Errorf("service: decoding submission: %w", err))
+	if code, err := decodeSubmission(w, r, &req); err != nil {
+		s.writeError(w, code, fmt.Errorf("service: decoding submission: %w", err))
 		return
 	}
 	status, code, err := s.submit(req)

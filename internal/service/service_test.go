@@ -104,12 +104,22 @@ func getHealth(t *testing.T, ts *httptest.Server) Health {
 // exists for, then re-submits the same study and checks the cache
 // absorbed the repeat.
 func TestSubmitPollReportRoundTrip(t *testing.T) {
-	_, ts := newTestServer(t)
+	// The only executor is held by a running blocker, so the submission
+	// is still queued when its 202 reply is built: an idle executor could
+	// otherwise start it between the enqueue and the reply's snapshot.
+	s := mustNew(t, Config{Workers: 4, Executors: 1, QueueDepth: 8, CacheSize: 64})
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(func() { ts.Close(); s.Close() })
+	blocker := postStudy(t, ts, longStudy)
+	waitState(t, ts, blocker.ID, StateRunning)
 	body := `{"app":"MCB","threads":2,"runs":3,"reps":5,"seed":11}`
 
 	st := postStudy(t, ts, body)
 	if st.ID == "" || st.State != StateQueued {
 		t.Fatalf("unexpected initial status: %+v", st)
+	}
+	if _, code := doDelete(t, ts, blocker.ID); code != http.StatusAccepted {
+		t.Fatalf("cancelling blocker: status %d", code)
 	}
 
 	done := waitDone(t, ts, st.ID)
@@ -174,6 +184,24 @@ func TestSubmitValidation(t *testing.T) {
 		if resp.StatusCode != tc.want {
 			t.Errorf("submit %q: status %d, want %d", tc.body, resp.StatusCode, tc.want)
 		}
+	}
+}
+
+// TestSubmitRejectsOversizedBody: a submission body past maxSubmitBytes
+// is refused with 413 instead of being decoded.
+func TestSubmitRejectsOversizedBody(t *testing.T) {
+	s, ts := newTestServer(t)
+	body := `{"app":"` + strings.Repeat("A", maxSubmitBytes) + `","threads":2}`
+	resp, err := http.Post(ts.URL+"/studies", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized submission: status %d, want 413", resp.StatusCode)
+	}
+	if jobs := s.snapshotJobs(); len(jobs) != 0 {
+		t.Errorf("oversized submission leaked %d jobs", len(jobs))
 	}
 }
 

@@ -2,7 +2,6 @@ package service
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -641,10 +640,8 @@ func (s *Server) cancelSweep(sw *sweep) (SweepStatus, int, error) {
 
 func (s *Server) handleBatchSubmit(w http.ResponseWriter, r *http.Request) {
 	var req BatchRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		s.writeError(w, http.StatusBadRequest, fmt.Errorf("service: decoding batch submission: %w", err))
+	if code, err := decodeSubmission(w, r, &req); err != nil {
+		s.writeError(w, code, fmt.Errorf("service: decoding batch submission: %w", err))
 		return
 	}
 	status, code, err := s.submitSweep(req)

@@ -153,7 +153,9 @@ func TestBatchSweepEndToEnd(t *testing.T) {
 	s, ts := newTestServer(t)
 
 	sw := postBatch(t, ts, batchBody(members))
-	if sw.ID == "" || sw.State != StateQueued {
+	// submitSweep snapshots after queueing the sweep, so an idle executor
+	// may already have started it: any non-terminal state is correct.
+	if sw.ID == "" || (sw.State != StateQueued && sw.State != StateRunning) {
 		t.Fatalf("batch submit returned %+v", sw)
 	}
 	if len(sw.Studies) != members {
@@ -268,6 +270,22 @@ func TestBatchSweepFleet(t *testing.T) {
 		if !bytes.Equal(getReportBytes(t, ts, m.ID), getReportBytes(t, ts2, serial.ID)) {
 			t.Errorf("fleet member %d report differs from local serial submission", i)
 		}
+	}
+}
+
+// TestBatchSubmitRejectsOversizedBody: a batch body past maxSubmitBytes is
+// refused with 413 while it is read, before the member-count bound could
+// look at a decoded request.
+func TestBatchSubmitRejectsOversizedBody(t *testing.T) {
+	s, ts := newTestServer(t)
+	member := `{"app":"MCB","threads":2},`
+	n := maxSubmitBytes/len(member) + 1
+	body := `{"studies":[` + strings.Repeat(member, n) + `{"app":"MCB","threads":2}]}`
+	if _, code := postBatchCode(t, ts, body); code != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized batch of %d members: status %d, want 413", n+1, code)
+	}
+	if jobs := s.snapshotJobs(); len(jobs) != 0 {
+		t.Errorf("oversized batch leaked %d jobs", len(jobs))
 	}
 }
 

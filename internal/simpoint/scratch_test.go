@@ -75,6 +75,10 @@ func TestScratchReuseBitIdentical(t *testing.T) {
 		{3, 120, 15, 2, 6}, // bigger n after smaller: forces regrow
 		{4, 25, 30, 5, 8},  // smaller again: stale tail cells present
 		{5, 25, 30, 5, 8},  // same shape, different data
+		// A large study fills n*maxK lower bounds; the smaller one after it
+		// reads its bounds at stride k out of that stale array.
+		{6, 300, 12, 7, 20},
+		{7, 45, 12, 6, 9},
 	}
 	reused := NewScratch()
 	for _, st := range studies {

@@ -76,13 +76,14 @@ func sqDist(a, b []float64) float64 {
 	return ss
 }
 
-// Scratch is the reusable working set for Cluster: Lloyd-iteration state
-// and the per-k best-candidate store, all in flat one-slice backings
-// (centroid c of a k-clustering lives at [c*dim:(c+1)*dim] of its block).
-// A Scratch may be reused across studies of any size — grow reslices when
-// capacity suffices and every cell is overwritten before it is read, so a
-// reused Scratch produces bit-identical results to a fresh one (the
-// property test in scratch_test.go holds this). A Scratch is not safe for
+// Scratch is the reusable working set for Cluster: Lloyd-iteration state,
+// the distance bounds of the accelerated assignment step, and the per-k
+// best-restart record, all in flat one-slice backings (centroid c lives at
+// [c*dim:(c+1)*dim], point i's bounds at [i*k:(i+1)*k]). A Scratch may be
+// reused across studies of any size — grow reslices when capacity
+// suffices and every cell is overwritten before it is read, so a reused
+// Scratch produces bit-identical results to a fresh one (the property
+// test in scratch_test.go holds this). A Scratch is not safe for
 // concurrent use; Cluster draws from an internal pool, ClusterWith takes
 // an explicit one.
 type Scratch struct {
@@ -91,114 +92,113 @@ type Scratch struct {
 	counts  []int     // per-cluster member counts, k
 	minDist []float64 // k-means++ seeding state, n
 
-	// Best candidate per k, kept across restarts. candAssign row k-1 is
-	// that k's assignment; candCent packs the k*dim centroid blocks
-	// back-to-back (offset dim*k*(k-1)/2); candBIC[k-1] is its score.
-	candAssign []int
-	candCent   []float64
-	candBIC    []float64
+	// Elkan bounds for the current k-means run. upper[i] bounds point i's
+	// distance to its assigned centroid from above and lower[i*k+c] its
+	// distance to centroid c from below; gap[a*k+c] is half the distance
+	// between centroids a and c, near[a] the smallest of a's gaps; prev
+	// holds the centroids before the last update and drift how far each
+	// one moved.
+	upper []float64 // n
+	lower []float64 // n*k
+	gap   []float64 // k*k
+	near  []float64 // k
+	prev  []float64 // k*dim
+	drift []float64 // k
+
+	// Best restart per k: candBIC[k-1] is its score and candRng[k-1] the
+	// rng state it started from, enough to replay it exactly.
+	candBIC []float64
+	candRng []xrand.Rand
 }
 
 // NewScratch returns an empty Scratch; ClusterWith sizes it on first use.
 func NewScratch() *Scratch { return &Scratch{} }
 
-func growFloats(s []float64, n int) []float64 {
+func resize[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]float64, n)
-	}
-	return s[:n]
-}
-
-func growInts(s []int, n int) []int {
-	if cap(s) < n {
-		return make([]int, n)
+		return make([]T, n)
 	}
 	return s[:n]
 }
 
 func (s *Scratch) grow(n, dim, maxK int) {
-	s.cent = growFloats(s.cent, maxK*dim)
-	s.assign = growInts(s.assign, n)
-	s.counts = growInts(s.counts, maxK)
-	s.minDist = growFloats(s.minDist, n)
-	s.candAssign = growInts(s.candAssign, maxK*n)
-	s.candCent = growFloats(s.candCent, dim*maxK*(maxK+1)/2)
-	s.candBIC = growFloats(s.candBIC, maxK)
+	s.cent = resize(s.cent, maxK*dim)
+	s.assign = resize(s.assign, n)
+	s.counts = resize(s.counts, maxK)
+	s.minDist = resize(s.minDist, n)
+	s.upper = resize(s.upper, n)
+	s.lower = resize(s.lower, n*maxK)
+	s.gap = resize(s.gap, maxK*maxK)
+	s.near = resize(s.near, maxK)
+	s.prev = resize(s.prev, maxK*dim)
+	s.drift = resize(s.drift, maxK)
+	s.candBIC = resize(s.candBIC, maxK)
+	s.candRng = resize(s.candRng, maxK)
 }
-
-// candCentOff is the offset of k's centroid block in candCent: blocks for
-// 1..k-1 clusters precede it, dim*(1+2+...+(k-1)) floats.
-func candCentOff(k, dim int) int { return dim * (k * (k - 1) / 2) }
 
 var scratchPool = sync.Pool{New: func() any { return &Scratch{} }}
 
+// boundMargin returns τ, the slack every bound test in kmeansOnce adds
+// before it may skip a distance: 1e-9 × the largest distance of a point
+// from the first one. Rounding makes a computed distance off by a
+// relative ~dim·2⁻⁵³ of itself, so the error a bound gathers over the
+// Lloyd iterations stays orders of magnitude below τ while distances
+// neither overflow nor sink into subnormals and the coordinates do not
+// dwarf the spread (centroid sums round relative to the coordinates).
+// Outside that range, and whenever a coordinate is NaN or ±Inf, τ is
+// +Inf: every bound test then fails and each step scans all centroids.
+func boundMargin(points []Point) float64 {
+	var r2, m2 float64
+	for i := range points {
+		r2 = math.Max(r2, sqDist(points[i].Vec, points[0].Vec))
+		var norm float64
+		for _, v := range points[i].Vec {
+			norm += v * v
+		}
+		m2 = math.Max(m2, norm)
+	}
+	r, m := math.Sqrt(r2), math.Sqrt(m2)
+	if !(r >= 1e-100 && m <= 1e100 && m <= 1e9*r) {
+		return math.Inf(1)
+	}
+	return 1e-9 * r
+}
+
 // kmeansOnce runs one seeded k-means++ / Lloyd pass into s.assign and
 // s.cent[:k*dim] and returns the distortion (sum of squared distances).
-// Stale scratch contents never leak into the result: seeding overwrites
-// cent and minDist, the first Lloyd iteration overwrites every assign
-// cell before the update step reads it, and counts are zeroed before
-// accumulation.
+//
+// It is Lloyd's algorithm with Elkan's triangle-inequality bounds (Elkan,
+// ICML 2003) and computes exactly what the plain loop (lloydOracle in
+// kmeans_test.go) computes: every assignment step takes, per point, the
+// lowest-index centroid with the smallest sqDist under strict <, but
+// calls sqDist only for centroids the bounds cannot exclude. A centroid
+// is excluded only when the bounds put it more than τ (see boundMargin)
+// farther than the assigned one, so the plain loop could not have picked
+// it either. Iteration 0 starts from the seeding's nearest-seed argmin and
+// its exact distances, so it re-measures near-ties only. The centroid
+// update, the empty-cluster reseed and the distortion are the plain
+// loop's own code. Stale scratch contents never leak into the result:
+// seeding overwrites cent, minDist, assign and every bound, moveBounds
+// overwrites drift and the gaps before they are read, and counts are
+// zeroed before accumulation.
 //
 //bp:noalloc
-func (s *Scratch) kmeansOnce(points []Point, k, dim int, rng *xrand.Rand, maxIter int) float64 {
+func (s *Scratch) kmeansOnce(points []Point, k, dim int, rng *xrand.Rand, maxIter int, tau float64) float64 {
 	n := len(points)
 	cent := s.cent[:k*dim]
-
-	// k-means++ seeding.
-	first := rng.Intn(n)
-	copy(cent[:dim], points[first].Vec)
-	minDist := s.minDist[:n]
-	for i := range minDist {
-		minDist[i] = sqDist(points[i].Vec, cent[:dim])
-	}
-	for nc := 1; nc < k; nc++ {
-		var total float64
-		for _, d := range minDist {
-			total += d
-		}
-		var next int
-		if total <= 0 {
-			next = rng.Intn(n)
-		} else {
-			r := rng.Float64() * total
-			acc := 0.0
-			next = n - 1
-			for i, d := range minDist {
-				acc += d
-				if acc >= r {
-					next = i
-					break
-				}
-			}
-		}
-		c := cent[nc*dim : (nc+1)*dim]
-		copy(c, points[next].Vec)
-		for i := range minDist {
-			if d := sqDist(points[i].Vec, c); d < minDist[i] {
-				minDist[i] = d
-			}
-		}
-	}
+	s.seed(points, k, dim, rng, tau)
 
 	assign := s.assign[:n]
 	counts := s.counts[:k]
 	for iter := 0; iter < maxIter; iter++ {
-		changed := false
-		for i := range points {
-			best, bestD := 0, math.Inf(1)
-			for c := 0; c < k; c++ {
-				if d := sqDist(points[i].Vec, cent[c*dim:(c+1)*dim]); d < bestD {
-					best, bestD = c, d
-				}
-			}
-			if assign[i] != best || iter == 0 {
-				changed = changed || assign[i] != best
-				assign[i] = best
-			}
+		if iter > 0 {
+			s.moveBounds(n, k, dim)
 		}
+		changed := s.reassign(points, k, dim, tau)
 		if iter > 0 && !changed {
 			break
 		}
+		copy(s.prev[:k*dim], cent)
 		for c := 0; c < k; c++ {
 			for j := c * dim; j < (c+1)*dim; j++ {
 				cent[j] = 0
@@ -235,6 +235,196 @@ func (s *Scratch) kmeansOnce(points []Point, k, dim int, rng *xrand.Rand, maxIte
 		distortion += sqDist(points[i].Vec, cent[a*dim:(a+1)*dim])
 	}
 	return distortion
+}
+
+// seed places the k-means++ seeds in s.cent and leaves each point's
+// nearest seed (strict <, lowest index) in s.assign, its exact distance
+// to it in s.upper, and a lower bound on its distance to every seed in
+// s.lower — the state Lloyd iteration 0 starts from. A new seed c is not
+// measured against a point x whose nearest seed so far, c_a at distance
+// u, proves it farther: d(x, c) ≥ d(c, c_a) − u > u + τ, so c could not
+// have lowered minDist. minDist therefore holds exactly the plain
+// seeding's values, and the weighted draws pick the same seeds.
+//
+//bp:noalloc
+func (s *Scratch) seed(points []Point, k, dim int, rng *xrand.Rand, tau float64) {
+	n := len(points)
+	cent := s.cent[:k*dim]
+	minDist := s.minDist[:n]
+	assign := s.assign[:n]
+	upper := s.upper[:n]
+	lower := s.lower[:n*k]
+	gap := s.gap[:k*k]
+
+	first := rng.Intn(n)
+	copy(cent[:dim], points[first].Vec)
+	for i := range minDist {
+		d := sqDist(points[i].Vec, cent[:dim])
+		minDist[i] = d
+		assign[i] = 0
+		upper[i] = math.Sqrt(d)
+		lower[i*k] = upper[i]
+	}
+	for nc := 1; nc < k; nc++ {
+		var total float64
+		for _, d := range minDist {
+			total += d
+		}
+		var next int
+		if total <= 0 {
+			next = rng.Intn(n)
+		} else {
+			r := rng.Float64() * total
+			acc := 0.0
+			next = n - 1
+			for i, d := range minDist {
+				acc += d
+				if acc >= r {
+					next = i
+					break
+				}
+			}
+		}
+		c := cent[nc*dim : (nc+1)*dim]
+		copy(c, points[next].Vec)
+		s.gapRow(nc, k, dim)
+		g := gap[nc*k : (nc+1)*k]
+		for i := range minDist {
+			u := upper[i]
+			if lb := 2*g[assign[i]] - u; lb > u+tau {
+				lower[i*k+nc] = lb
+				continue
+			}
+			d := sqDist(points[i].Vec, c)
+			lower[i*k+nc] = math.Sqrt(d)
+			if d < minDist[i] {
+				minDist[i] = d
+				assign[i] = nc
+				upper[i] = lower[i*k+nc]
+			}
+		}
+	}
+	s.nearest(k)
+}
+
+// reassign is one Lloyd assignment step over the bounds and reports
+// whether any assignment changed. A point keeps its centroid a without a
+// single distance when its upper bound u plus τ stays below every other
+// centroid's lower bound or half-gap to a: d(x, c) ≥ 2·gap(a, c) − u. Any
+// other point gets its bound on a tightened to the exact distance and
+// scans the centroids in index order with strict <, as the plain loop
+// does, measuring only those the tightened bounds cannot exclude.
+//
+//bp:noalloc
+func (s *Scratch) reassign(points []Point, k, dim int, tau float64) bool {
+	n := len(points)
+	cent := s.cent[:k*dim]
+	assign := s.assign[:n]
+	upper := s.upper[:n]
+	lower := s.lower[:n*k]
+	gap := s.gap[:k*k]
+	near := s.near[:k]
+	changed := false
+	for i := range points {
+		a := assign[i]
+		ut := upper[i] + tau
+		if ut < near[a] {
+			continue
+		}
+		lo := lower[i*k : (i+1)*k]
+		g := gap[a*k : (a+1)*k]
+		open := false
+		for c := range lo {
+			if c != a && !(ut < lo[c]) && !(ut < g[c]) {
+				open = true
+				break
+			}
+		}
+		if !open {
+			continue
+		}
+		x := points[i].Vec
+		da := sqDist(x, cent[a*dim:(a+1)*dim])
+		lo[a] = math.Sqrt(da)
+		ut = lo[a] + tau
+		best, bestD := 0, math.Inf(1)
+		for c := 0; c < k; c++ {
+			d := da
+			if c != a {
+				if ut < lo[c] || ut < g[c] {
+					continue
+				}
+				d = sqDist(x, cent[c*dim:(c+1)*dim])
+				lo[c] = math.Sqrt(d)
+			}
+			if d < bestD {
+				best, bestD = c, d
+			}
+		}
+		upper[i] = math.Sqrt(bestD)
+		if best != a {
+			assign[i] = best
+			changed = true
+		}
+	}
+	return changed
+}
+
+// moveBounds carries the bounds across a centroid update: a centroid's
+// drift from s.prev widens the upper bound of every point assigned to it
+// and narrows every point's lower bound to it (triangle inequality), and
+// the gaps are remeasured between the moved centroids.
+//
+//bp:noalloc
+func (s *Scratch) moveBounds(n, k, dim int) {
+	cent, prev := s.cent[:k*dim], s.prev[:k*dim]
+	drift := s.drift[:k]
+	for c := range drift {
+		drift[c] = math.Sqrt(sqDist(prev[c*dim:(c+1)*dim], cent[c*dim:(c+1)*dim]))
+	}
+	upper := s.upper[:n]
+	lower := s.lower[:n*k]
+	for i, a := range s.assign[:n] {
+		upper[i] += drift[a]
+		row := lower[i*k : (i+1)*k]
+		for c, d := range drift {
+			row[c] -= d
+		}
+	}
+	for c := 1; c < k; c++ {
+		s.gapRow(c, k, dim)
+	}
+	s.nearest(k)
+}
+
+// gapRow sets the half-distances between centroid c and every
+// lower-index centroid, both ways round.
+//
+//bp:noalloc
+func (s *Scratch) gapRow(c, k, dim int) {
+	cent := s.cent[:k*dim]
+	gap := s.gap[:k*k]
+	cc := cent[c*dim : (c+1)*dim]
+	for a := 0; a < c; a++ {
+		h := 0.5 * math.Sqrt(sqDist(cc, cent[a*dim:(a+1)*dim]))
+		gap[c*k+a], gap[a*k+c] = h, h
+	}
+}
+
+// nearest sets near[a] to the smallest gap between centroid a and any
+// other (+Inf for a lone centroid, NaN if any of its gaps is NaN).
+//
+//bp:noalloc
+func (s *Scratch) nearest(k int) {
+	for a, row := 0, s.gap[:k*k]; a < k; a++ {
+		m := math.Inf(1)
+		for c, h := range row[a*k : (a+1)*k] {
+			if c != a {
+				m = math.Min(m, h)
+			}
+		}
+		s.near[a] = m
+	}
 }
 
 // bic scores a clustering with the X-means spherical-Gaussian BIC
@@ -324,18 +514,16 @@ func ClusterWith(points []Point, cfg Config, s *Scratch) (*Result, error) {
 	dim := len(points[0].Vec)
 	s.grow(n, dim, maxK)
 	rng := xrand.Derive(cfg.Seed, "simpoint-kmeans")
+	tau := boundMargin(points)
 
 	for k := 1; k <= maxK; k++ {
-		bestSet := false
 		for r := 0; r < cfg.Restarts; r++ {
-			distortion := s.kmeansOnce(points, k, dim, rng, cfg.MaxIterations)
+			start := *rng
+			distortion := s.kmeansOnce(points, k, dim, rng, cfg.MaxIterations, tau)
 			score := bic(points, s.assign[:n], k, dim, distortion, s.counts)
-			if !bestSet || score > s.candBIC[k-1] {
-				bestSet = true
+			if r == 0 || score > s.candBIC[k-1] {
 				s.candBIC[k-1] = score
-				copy(s.candAssign[(k-1)*n:k*n], s.assign[:n])
-				off := candCentOff(k, dim)
-				copy(s.candCent[off:off+k*dim], s.cent[:k*dim])
+				s.candRng[k-1] = start
 			}
 		}
 	}
@@ -354,11 +542,12 @@ func ClusterWith(points []Point, cfg Config, s *Scratch) (*Result, error) {
 			break
 		}
 	}
-	off := candCentOff(chosen, dim)
-	return buildResult(points, chosen, dim,
-		s.candAssign[(chosen-1)*n:chosen*n],
-		s.candCent[off:off+chosen*dim],
-		s.candBIC[chosen-1]), nil
+	// kmeansOnce is a function of its arguments alone, so replaying the
+	// winning restart from its saved rng state rebuilds its assignment and
+	// centroids bit for bit; no k needs its candidate kept meanwhile.
+	replay := s.candRng[chosen-1]
+	s.kmeansOnce(points, chosen, dim, &replay, cfg.MaxIterations, tau)
+	return buildResult(points, chosen, dim, s.assign[:n], s.cent[:chosen*dim], s.candBIC[chosen-1]), nil
 }
 
 // scoreReaches implements SimPoint's "within threshold of the best BIC"
