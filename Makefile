@@ -7,24 +7,28 @@ GO ?= go
 # default -benchtime 1s runs them for one or two iterations, so the
 # recorded number carries first-run noise (pool/page-cache warm-up). 5x
 # keeps the recording honest without making bench-json take minutes.
+# BENCH_COUNT repeats that invocation; cmd/benchjson records the median
+# of the counts, since GC-driven pool misses swing a single count's B/op.
 # BENCH_OUT is where bench-json writes its JSON; the ci smoke discards it
 # so a ci run never clobbers the committed performance trajectory.
 BENCHTIME ?= 1s
 PIPELINE_BENCHTIME ?= 5x
+BENCH_COUNT ?= 5
 BENCH_OUT ?= BENCH_pipeline.json
 
 .PHONY: ci fmt-check vet lint lint-smoke build test-short test test-race \
-	test-persist test-dist test-obs test-sweep test-purego fuzz-kmeans bench \
-	bench-json bench-json-smoke bench-diff
+	test-persist test-dist test-obs test-sweep test-purego fuzz-kmeans \
+	fuzz-cache bench bench-json bench-json-smoke bench-diff
 
 # ci is the tier-1 gate: formatting, static checks (go vet plus the
 # project's own bpvet analyzers), build, fast tests, the race detector
 # over the whole tree, the persistence suite, the distributed-execution
 # suite, the observability suite, the batch-sweep suite, the
-# scalar-fallback kernel leg, a short fuzz of the accelerated k-means
-# against its plain-Lloyd oracle, and a 1x smoke of the bench-json
-# harness so it cannot bit-rot.
-ci: fmt-check vet lint build test-short test-race test-persist test-dist test-obs test-sweep test-purego fuzz-kmeans bench-json-smoke
+# scalar-fallback kernel leg, short fuzzes of the accelerated k-means
+# against its plain-Lloyd oracle and of the recency-ordered cache against
+# its timestamped-LRU oracle, and a 1x smoke of the bench-json harness so
+# it cannot bit-rot.
+ci: fmt-check vet lint build test-short test-race test-persist test-dist test-obs test-sweep test-purego fuzz-kmeans fuzz-cache bench-json-smoke
 
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -129,27 +133,34 @@ test-purego:
 fuzz-kmeans:
 	$(GO) test -run '^$$' -fuzz '^FuzzKMeansExact$$' -fuzztime 10s ./internal/simpoint
 
+# fuzz-cache feeds mem.Cache fuzzer-chosen Access/Fill/Contains/Reset
+# sequences for 10 s and fails on the first result or counter that
+# differs from the timestamped true-LRU oracle.
+fuzz-cache:
+	$(GO) test -run '^$$' -fuzz '^FuzzCacheExact$$' -fuzztime 10s ./internal/mem
+
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ .
 
 # bench-json records the signature-pipeline performance trajectory: the
 # mem/pin/sigvec micro-benchmarks, the sweep-planner compile benchmark,
-# end-to-end discovery, and SimPoint clustering on synthetic and on real
-# HPCG signature vectors, parsed into BENCH_pipeline.json (fails if any
-# benchmark fails or produces no results). Each invocation APPENDS a run
-# entry to the trajectory, so the history across PRs is preserved; see
-# cmd/benchjson. The discovery and clustering benchmarks run in their own
-# invocation at PIPELINE_BENCHTIME iterations (see the variable's
-# comment); if either invocation fails, benchjson sees the FAIL line and
-# refuses to record.
+# end-to-end discovery, SimPoint clustering on synthetic and on real
+# HPCG signature vectors, and native Step 3 collection of HPCG on both
+# ISAs, parsed into BENCH_pipeline.json (fails if any benchmark fails or
+# produces no results). Each invocation APPENDS a run entry to the
+# trajectory, so the history across PRs is preserved; see cmd/benchjson.
+# The discovery, clustering and collection benchmarks run in their own
+# invocation at PIPELINE_BENCHTIME iterations, BENCH_COUNT times (see the
+# variables' comments); if any invocation fails, benchjson sees the FAIL
+# line and refuses to record.
 bench-json:
 	{ $(GO) test -run '^$$' -benchmem -benchtime $(BENCHTIME) \
 		-bench 'StackDist|^BenchmarkStream|BuildReference|BuilderSparse|BuilderDense' \
 		./internal/mem ./internal/pin ./internal/sigvec; \
 	  $(GO) test -run '^$$' -benchmem -benchtime $(BENCHTIME) \
 		-bench 'SweepPlanner' ./internal/sched; \
-	  $(GO) test -run '^$$' -benchmem -benchtime $(PIPELINE_BENCHTIME) \
-		-bench 'DiscoveryPipeline|KMeansClustering|ClusterHPCG' .; } \
+	  $(GO) test -run '^$$' -benchmem -benchtime $(PIPELINE_BENCHTIME) -count $(BENCH_COUNT) \
+		-bench 'DiscoveryPipeline|KMeansClustering|ClusterHPCG|^BenchmarkCollect$$' .; } \
 		| $(GO) run ./cmd/benchjson -out $(BENCH_OUT)
 
 # bench-json-smoke is the ci wiring: one iteration per benchmark, just to
@@ -157,6 +168,7 @@ bench-json:
 # discarded rather than overwriting the recorded trajectory.
 bench-json-smoke: BENCHTIME = 1x
 bench-json-smoke: PIPELINE_BENCHTIME = 1x
+bench-json-smoke: BENCH_COUNT = 1
 bench-json-smoke: BENCH_OUT = /dev/null
 bench-json-smoke: bench-json
 

@@ -12,6 +12,7 @@ package barrierpoint_test
 
 import (
 	"io"
+	"strings"
 	"sync"
 	"testing"
 
@@ -112,24 +113,25 @@ func BenchmarkFutureWorkISADiff(b *testing.B) { benchExperiment(b, "fw-isadiff")
 
 // --- substrate micro-benchmarks ---
 
-// BenchmarkNativeRunHPCG measures one full native (uninstrumented) machine
-// run of HPCG on the Intel model with 8 threads.
-func BenchmarkNativeRunHPCG(b *testing.B) {
+// BenchmarkCollect measures Step 3 collection of HPCG at the paper's
+// configuration (8 threads, 20 repetitions) on each ISA's native machine:
+// one native run through the Table II cache hierarchy, under the Intel
+// next-line prefetcher or the X-Gene stream prefetcher, then PAPI
+// sampling of every barrier point and thread.
+func BenchmarkCollect(b *testing.B) {
 	app, err := barrierpoint.AppByName("HPCG")
 	if err != nil {
 		b.Fatal(err)
 	}
-	v := isa.Variant{ISA: isa.X8664()}
-	prog, err := app.Build(8, v)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := omp.Config{Machine: machine.IntelI7(), Variant: v, Threads: 8, WarmCaches: true}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := omp.Run(prog, cfg); err != nil {
-			b.Fatal(err)
-		}
+	for _, a := range []*isa.ISA{isa.X8664(), isa.ARMv8()} {
+		cfg := barrierpoint.CollectConfig{Variant: isa.Variant{ISA: a}, Threads: 8, Reps: 20, Seed: 42}
+		b.Run(strings.ToLower(a.Name), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := barrierpoint.Collect(app.Build, cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

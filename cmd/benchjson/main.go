@@ -13,7 +13,9 @@
 // Only benchmark result lines (and the pkg:/cpu: context lines) are
 // consumed; everything else — PASS, ok, warm-up output — is ignored, and
 // failing input (no benchmark lines, or a FAIL line) exits non-zero so CI
-// wiring cannot silently record an empty trajectory.
+// wiring cannot silently record an empty trajectory. The repeated lines
+// `go test -count N` prints for one benchmark fold into one entry holding
+// their median ns/op, B/op and allocs/op, with count N.
 //
 // -diff compares the trajectory's newest run against the one before it
 // (`benchjson -diff BENCH_pipeline.json`), printing per-benchmark deltas
@@ -31,6 +33,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -47,7 +50,7 @@ func gitCommit() string {
 	return strings.TrimSpace(string(out))
 }
 
-// Result is one parsed benchmark line.
+// Result is one benchmark's parsed result, folded across -count runs.
 type Result struct {
 	Package    string  `json:"package,omitempty"`
 	Name       string  `json:"name"`
@@ -57,6 +60,9 @@ type Result struct {
 	// BytesPerOp/AllocsPerOp are present only under -benchmem.
 	BytesPerOp  *float64 `json:"bytes_per_op,omitempty"`
 	AllocsPerOp *float64 `json:"allocs_per_op,omitempty"`
+	// Count is the number of result lines (-count runs) folded into this
+	// entry; Iterations and the per-op figures are their medians.
+	Count int `json:"count,omitempty"`
 }
 
 // Document is one recorded benchmark run.
@@ -316,7 +322,53 @@ func parse(sc *bufio.Scanner) (Document, bool, error) {
 			}
 		}
 	}
+	doc.Benchmarks = fold(doc.Benchmarks)
 	return doc, failed, sc.Err()
+}
+
+// fold merges the results of one (package, name) — the lines
+// `go test -count N` repeats — into a single Result carrying the median
+// of each figure and the number of lines merged, in order of first
+// appearance. A median of an even count averages the middle two.
+func fold(results []Result) []Result {
+	var order []benchKey
+	groups := make(map[benchKey][]Result)
+	for _, r := range results {
+		k := benchKey{r.Package, r.Name}
+		if groups[k] == nil {
+			order = append(order, k)
+		}
+		groups[k] = append(groups[k], r)
+	}
+	out := make([]Result, 0, len(order))
+	for _, k := range order {
+		g := groups[k]
+		r := g[0]
+		r.Count = len(g)
+		r.Iterations = int64(*median(g, func(r Result) *float64 { v := float64(r.Iterations); return &v }))
+		r.NsPerOp = *median(g, func(r Result) *float64 { return &r.NsPerOp })
+		r.BytesPerOp = median(g, func(r Result) *float64 { return r.BytesPerOp })
+		r.AllocsPerOp = median(g, func(r Result) *float64 { return r.AllocsPerOp })
+		out = append(out, r)
+	}
+	return out
+}
+
+// median returns the median of field over the results that report it,
+// or nil when none does.
+func median(g []Result, field func(Result) *float64) *float64 {
+	var vs []float64
+	for _, r := range g {
+		if v := field(r); v != nil {
+			vs = append(vs, *v)
+		}
+	}
+	if len(vs) == 0 {
+		return nil
+	}
+	sort.Float64s(vs)
+	m := (vs[(len(vs)-1)/2] + vs[len(vs)/2]) / 2
+	return &m
 }
 
 // parseBench parses one result line, e.g.

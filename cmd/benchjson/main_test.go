@@ -242,3 +242,77 @@ func TestWriteTrajectoryRoundTrip(t *testing.T) {
 		t.Errorf("directory holds %d entries after write, want just the trajectory", len(entries))
 	}
 }
+
+// countSample is `go test -count` output: three lines of one benchmark,
+// four of another, and a same-named benchmark in a second package.
+const countSample = `pkg: barrierpoint
+cpu: test-cpu
+BenchmarkOdd-2   	5	 300 ns/op	  30 B/op	 3 allocs/op
+BenchmarkOdd-2   	5	 100 ns/op	  10 B/op	 1 allocs/op
+BenchmarkOdd-2   	5	 200 ns/op	  20 B/op	 2 allocs/op
+BenchmarkEven-2  	4	 100 ns/op	1000 B/op	 1 allocs/op
+BenchmarkEven-2  	6	 400 ns/op	4000 B/op	 2 allocs/op
+BenchmarkEven-2  	8	 200 ns/op	2000 B/op	 2 allocs/op
+BenchmarkEven-2  	10	 300 ns/op	9000 B/op	 9 allocs/op
+pkg: barrierpoint/internal/mem
+BenchmarkOdd-2   	5	 900 ns/op
+PASS
+`
+
+// TestParseFoldsCounts: repeated lines of one (package, name) fold into
+// one entry holding the median of every figure — the middle value of an
+// odd count, the mean of the middle two of an even one — in order of
+// first appearance, and the same name in another package stays apart.
+func TestParseFoldsCounts(t *testing.T) {
+	doc, failed, err := parse(bufio.NewScanner(strings.NewReader(countSample)))
+	if err != nil || failed {
+		t.Fatalf("err=%v failed=%v", err, failed)
+	}
+	if len(doc.Benchmarks) != 3 {
+		t.Fatalf("folded into %d entries, want 3: %+v", len(doc.Benchmarks), doc.Benchmarks)
+	}
+	odd, even, other := doc.Benchmarks[0], doc.Benchmarks[1], doc.Benchmarks[2]
+	if odd.Name != "BenchmarkOdd" || odd.Package != "barrierpoint" || odd.Count != 3 ||
+		odd.Iterations != 5 || odd.NsPerOp != 200 || *odd.BytesPerOp != 20 || *odd.AllocsPerOp != 2 {
+		t.Errorf("odd count folded as %+v", odd)
+	}
+	if even.Name != "BenchmarkEven" || even.Count != 4 || even.Iterations != 7 ||
+		even.NsPerOp != 250 || *even.BytesPerOp != 3000 || *even.AllocsPerOp != 2 {
+		t.Errorf("even count folded as %+v", even)
+	}
+	if other.Package != "barrierpoint/internal/mem" || other.Count != 1 || other.NsPerOp != 900 ||
+		other.BytesPerOp != nil || other.AllocsPerOp != nil {
+		t.Errorf("single line in another package folded as %+v", other)
+	}
+}
+
+// TestDiffOverFoldedCounts: -diff compares the medians of -count runs,
+// so one slow count does not flag a benchmark whose median held, and a
+// median that moved more than the threshold still does.
+func TestDiffOverFoldedCounts(t *testing.T) {
+	parseRun := func(lines string) Document {
+		t.Helper()
+		doc, _, err := parse(bufio.NewScanner(strings.NewReader("cpu: cpu0\n" + lines)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return doc
+	}
+	prev := parseRun("BenchmarkX 5 100 ns/op\nBenchmarkX 5 102 ns/op\nBenchmarkX 5 98 ns/op\n")
+	outlier := parseRun("BenchmarkX 5 101 ns/op\nBenchmarkX 5 99 ns/op\nBenchmarkX 5 400 ns/op\n")
+	report, flagged, err := diff(Trajectory{Runs: []Document{prev, outlier}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if flagged || strings.Count(report, "BenchmarkX") != 1 {
+		t.Errorf("a slow last count flagged a held median:\n%s", report)
+	}
+	slower := parseRun("BenchmarkX 5 120 ns/op\nBenchmarkX 5 99 ns/op\nBenchmarkX 5 125 ns/op\n")
+	report, flagged, err = diff(Trajectory{Runs: []Document{prev, slower}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !flagged || !strings.Contains(report, "+20.0%") {
+		t.Errorf("a 20%% median regression not flagged:\n%s", report)
+	}
+}

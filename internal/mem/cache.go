@@ -36,14 +36,16 @@ func (l Level) String() string {
 }
 
 // Cache is a set-associative, write-allocate cache with true-LRU
-// replacement, operating at cache-line granularity.
+// replacement, operating at cache-line granularity. Each set keeps its
+// ways most recently used first: a hit moves its line to way 0, and a
+// miss or fill shifts the set down one way and writes way 0, so the LRU
+// victim is always the last way and invalid ways always form the tail.
+// LRU's stack property makes this exact true LRU, with no timestamps.
 type Cache struct {
-	name  string
-	sets  uint64
-	ways  int
-	tags  []uint64 // sets*ways entries; 0 means invalid (tags stored +1)
-	stamp []uint64 // LRU timestamps parallel to tags
-	clock uint64
+	name string
+	mask uint64 // sets-1 (sets is a power of two)
+	ways int
+	tags []uint64 // sets*ways entries, each set MRU first; 0 means invalid (tags stored +1)
 
 	// Hits and Misses count accesses (not fills) since the last Reset.
 	Hits, Misses uint64
@@ -65,11 +67,10 @@ func NewCache(name string, sizeBytes, ways int) *Cache {
 		panic(fmt.Sprintf("mem: cache %q set count %d not a power of two", name, sets))
 	}
 	return &Cache{
-		name:  name,
-		sets:  uint64(sets),
-		ways:  ways,
-		tags:  make([]uint64, sets*ways),
-		stamp: make([]uint64, sets*ways),
+		name: name,
+		mask: uint64(sets - 1),
+		ways: ways,
+		tags: make([]uint64, sets*ways),
 	}
 }
 
@@ -77,65 +78,61 @@ func NewCache(name string, sizeBytes, ways int) *Cache {
 func (c *Cache) Name() string { return c.name }
 
 // Sets returns the number of sets.
-func (c *Cache) Sets() int { return int(c.sets) }
+func (c *Cache) Sets() int { return int(c.mask) + 1 }
 
 // Ways returns the associativity.
 func (c *Cache) Ways() int { return c.ways }
 
 // SizeBytes returns the total capacity.
-func (c *Cache) SizeBytes() int { return int(c.sets) * c.ways * 64 }
+func (c *Cache) SizeBytes() int { return c.Sets() * c.ways * 64 }
+
+// set returns the ways line maps to, most recently used first.
+func (c *Cache) set(line uint64) []uint64 {
+	base := int(line&c.mask) * c.ways
+	return c.tags[base : base+c.ways : base+c.ways]
+}
 
 // Access looks line up, fills it on a miss, and reports whether it hit.
+// line must be below 2^64-1, whose tag would read as invalid (programs
+// number lines from 2^20 up; see trace.Program.Finalise).
+//
+//bp:noalloc
 func (c *Cache) Access(line uint64) bool {
-	c.clock++
-	set := line % c.sets
-	base := int(set) * c.ways
-	enc := line + 1
-	victim, oldest := base, c.stamp[base]
-	for i := base; i < base+c.ways; i++ {
-		if c.tags[i] == enc {
-			c.stamp[i] = c.clock
-			c.Hits++
-			return true
-		}
-		if c.stamp[i] < oldest {
-			victim, oldest = i, c.stamp[i]
-		}
+	if c.Fill(line) {
+		c.Hits++
+		return true
 	}
 	c.Misses++
-	c.tags[victim] = enc
-	c.stamp[victim] = c.clock
 	return false
 }
 
-// Fill inserts line without counting a demand access (used by the
-// prefetcher). An already-present line just has its recency refreshed.
-func (c *Cache) Fill(line uint64) {
-	c.clock++
-	set := line % c.sets
-	base := int(set) * c.ways
+// Fill makes line the most recently used in its set, without counting a
+// demand access (the prefetcher and warming use it), and reports whether
+// it was already present. An absent line evicts the set's last way.
+//
+//bp:noalloc
+func (c *Cache) Fill(line uint64) bool {
+	set := c.set(line)
 	enc := line + 1
-	victim, oldest := base, c.stamp[base]
-	for i := base; i < base+c.ways; i++ {
-		if c.tags[i] == enc {
-			c.stamp[i] = c.clock
-			return
-		}
-		if c.stamp[i] < oldest {
-			victim, oldest = i, c.stamp[i]
-		}
+	i := 0
+	for i < len(set)-1 && set[i] != enc {
+		i++
 	}
-	c.tags[victim] = enc
-	c.stamp[victim] = c.clock
+	hit := set[i] == enc
+	for ; i > 0; i-- {
+		set[i] = set[i-1]
+	}
+	set[0] = enc
+	return hit
 }
 
 // Contains reports whether line is resident, without disturbing LRU state.
+//
+//bp:noalloc
 func (c *Cache) Contains(line uint64) bool {
-	set := line % c.sets
-	base := int(set) * c.ways
 	enc := line + 1
-	for i := base; i < base+c.ways; i++ {
-		if c.tags[i] == enc {
+	for _, tag := range c.set(line) {
+		if tag == enc {
 			return true
 		}
 	}
@@ -144,11 +141,7 @@ func (c *Cache) Contains(line uint64) bool {
 
 // Reset invalidates all contents and clears counters.
 func (c *Cache) Reset() {
-	for i := range c.tags {
-		c.tags[i] = 0
-		c.stamp[i] = 0
-	}
-	c.clock = 0
+	clear(c.tags)
 	c.Hits = 0
 	c.Misses = 0
 }

@@ -92,25 +92,29 @@ func (h *Hierarchy) DrainPrefetchStats(thread int) PrefetchStats {
 
 // prefetch pulls degree lines behind `line` into the caches serving the
 // given thread, counting fills that were absent from L2/L3 as miss events
-// attributed to the thread.
+// attributed to the thread. Fill reports presence, so each level is
+// probed once per line.
+//
+//bp:noalloc
 func (h *Hierarchy) prefetch(thread, l1dom, l2dom int, line uint64) {
+	l1, l2 := h.l1[l1dom], h.l2[l2dom]
 	for d := 1; d <= h.cfg.PrefetchDegree; d++ {
 		next := line + uint64(d)
-		h.l1[l1dom].Fill(next)
-		if !h.l2[l2dom].Contains(next) {
+		l1.Fill(next)
+		if inL2, inL3 := l2.Fill(next), h.l3.Fill(next); !inL2 {
 			h.pfL2[thread]++
-			if !h.l3.Contains(next) {
+			if !inL3 {
 				h.pfL3[thread]++
 			}
 		}
-		h.l2[l2dom].Fill(next)
-		h.l3.Fill(next)
 	}
 }
 
 // Access performs one data reference by thread and returns the level that
 // satisfied it. Misses allocate at every level on the way down, and the
 // configured prefetcher fills ahead of detected access streams.
+//
+//bp:noalloc
 func (h *Hierarchy) Access(thread int, line uint64) Level {
 	l1dom, l2dom := h.cfg.L1Of[thread], h.cfg.L2Of[thread]
 	l1 := h.l1[l1dom]

@@ -6,7 +6,7 @@ import (
 )
 
 // Run-lifetime simulation state is the discovery pipeline's largest
-// allocation source: a cache hierarchy is megabytes of tag/stamp arrays
+// allocation source: a cache hierarchy is megabytes of tag arrays
 // and a StackDist carries its grown hash table and Fenwick tree. Both
 // types already guarantee that Reset restores the exact cold state (the
 // per-region generation-bump reuse inside a run depends on it), which is
