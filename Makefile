@@ -7,8 +7,10 @@ GO ?= go
 # default -benchtime 1s runs them for one or two iterations, so the
 # recorded number carries first-run noise (pool/page-cache warm-up). 5x
 # keeps the recording honest without making bench-json take minutes.
-# BENCH_COUNT repeats that invocation; cmd/benchjson records the median
-# of the counts, since GC-driven pool misses swing a single count's B/op.
+# BENCH_COUNT repeats every invocation; cmd/benchjson records the median
+# of the counts, since GC-driven pool misses swing a single count's B/op
+# and a single 1 s count of a micro-benchmark swings its ns/op on a
+# shared machine.
 # BENCH_OUT is where bench-json writes its JSON; the ci smoke discards it
 # so a ci run never clobbers the committed performance trajectory.
 BENCHTIME ?= 1s
@@ -145,22 +147,26 @@ bench:
 # bench-json records the signature-pipeline performance trajectory: the
 # mem/pin/sigvec micro-benchmarks, the sweep-planner compile benchmark,
 # end-to-end discovery, SimPoint clustering on synthetic and on real
-# HPCG signature vectors, and native Step 3 collection of HPCG on both
-# ISAs, parsed into BENCH_pipeline.json (fails if any benchmark fails or
-# produces no results). Each invocation APPENDS a run entry to the
-# trajectory, so the history across PRs is preserved; see cmd/benchjson.
-# The discovery, clustering and collection benchmarks run in their own
-# invocation at PIPELINE_BENCHTIME iterations, BENCH_COUNT times (see the
-# variables' comments); if any invocation fails, benchjson sees the FAIL
-# line and refuses to record.
+# HPCG signature vectors, native Step 3 collection of HPCG on both ISAs,
+# and single-study latency at the paper configuration, parsed into
+# BENCH_pipeline.json (fails if any benchmark fails or produces no
+# results). Each invocation APPENDS a run entry to the trajectory, so the
+# history across PRs is preserved; see cmd/benchjson. Every invocation
+# runs BENCH_COUNT times (see the variables' comments). The discovery,
+# clustering and collection benchmarks run in their own invocation at
+# PIPELINE_BENCHTIME iterations, and BenchmarkStudy in another at one
+# iteration per count, since one cold study takes seconds. If any
+# invocation fails, benchjson sees the FAIL line and refuses to record.
 bench-json:
-	{ $(GO) test -run '^$$' -benchmem -benchtime $(BENCHTIME) \
+	{ $(GO) test -run '^$$' -benchmem -benchtime $(BENCHTIME) -count $(BENCH_COUNT) \
 		-bench 'StackDist|^BenchmarkStream|BuildReference|BuilderSparse|BuilderDense' \
 		./internal/mem ./internal/pin ./internal/sigvec; \
-	  $(GO) test -run '^$$' -benchmem -benchtime $(BENCHTIME) \
+	  $(GO) test -run '^$$' -benchmem -benchtime $(BENCHTIME) -count $(BENCH_COUNT) \
 		-bench 'SweepPlanner' ./internal/sched; \
 	  $(GO) test -run '^$$' -benchmem -benchtime $(PIPELINE_BENCHTIME) -count $(BENCH_COUNT) \
-		-bench 'DiscoveryPipeline|KMeansClustering|ClusterHPCG|^BenchmarkCollect$$' .; } \
+		-bench 'DiscoveryPipeline|KMeansClustering|ClusterHPCG|^BenchmarkCollect$$' .; \
+	  $(GO) test -run '^$$' -benchmem -benchtime 1x -count $(BENCH_COUNT) \
+		-bench '^BenchmarkStudy$$' .; } \
 		| $(GO) run ./cmd/benchjson -out $(BENCH_OUT)
 
 # bench-json-smoke is the ci wiring: one iteration per benchmark, just to

@@ -11,17 +11,20 @@
 package barrierpoint_test
 
 import (
+	"context"
 	"io"
 	"strings"
 	"sync"
 	"testing"
 
 	"barrierpoint"
+	"barrierpoint/internal/core"
 	"barrierpoint/internal/experiments"
 	"barrierpoint/internal/isa"
 	"barrierpoint/internal/machine"
 	"barrierpoint/internal/omp"
 	"barrierpoint/internal/pin"
+	"barrierpoint/internal/sched"
 	"barrierpoint/internal/sigvec"
 	"barrierpoint/internal/simpoint"
 	"barrierpoint/internal/xrand"
@@ -128,6 +131,28 @@ func BenchmarkCollect(b *testing.B) {
 		b.Run(strings.ToLower(a.Name), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := barrierpoint.Collect(app.Build, cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkStudy measures single-study latency: each iteration runs one
+// cold sched.Run at the paper's configuration (8 threads, 10 discovery
+// runs, 20 repetitions, seed 42) on two unit workers with no result
+// cache, so every unit of the study executes.
+func BenchmarkStudy(b *testing.B) {
+	for _, name := range []string{"HPCG", "LULESH", "MCB"} {
+		app, err := barrierpoint.AppByName(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		req := sched.StudyRequest{App: name, Build: app.Build,
+			Config: core.StudyConfig{Threads: 8, Runs: 10, Reps: 20, Seed: 42}}
+		b.Run(name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := sched.Run(context.Background(), req, sched.Options{Workers: 2}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -223,9 +223,9 @@ var ErrFingerprintMismatch = errors.New("sched: unit program fingerprint does no
 
 // LocalExecutor computes units in-process, memoising discovery and
 // collection artifacts through an optional result cache. It is the
-// executor the scheduler has always been: the bounded worker pool around
-// it lives in Run/Discover/Collect, which fan unit requests out against
-// it. The zero value is valid (no cache, apps-registry resolution).
+// default executor: the bounded worker pool around it is SweepPlan's,
+// which Run and Discover execute through. The zero value is valid (no
+// cache, apps-registry resolution).
 type LocalExecutor struct {
 	// Cache memoises discovery baselines, jittered sets and collections;
 	// nil computes everything.

@@ -1,12 +1,18 @@
 // Package sched executes BarrierPoint studies concurrently.
 //
-// A study decomposes into independent units — the jittered discovery runs
-// behind one canonical baseline run, the per-variant native collections,
-// and the per-set validations. The scheduler fans those units out across
-// a bounded worker pool with context cancellation, memoises expensive
-// intermediates through internal/resultcache, and assembles results in
+// A study decomposes into typed units — the canonical discovery run, the
+// jittered re-runs behind it, the per-variant native collections, and
+// the per-set validations. CompileSweep plans one or many studies as a
+// single dependency DAG of those units, deduplicated by content-addressed
+// key, and SweepPlan.Execute releases each unit onto a bounded worker
+// pool the moment its dependencies land. Run is a one-member plan and
+// Discover a one-member plan of discovery units only, so there is one
+// executor for a study and for a sweep. Expensive intermediates are
+// memoised through internal/resultcache, and every member assembles in
 // deterministic unit order: the same request produces a byte-identical
-// core.StudyResult whether it runs on one worker or many.
+// core.StudyResult whether it runs on one worker or many, alone or in a
+// sweep. A failing member reports its lowest-ranked failing unit in
+// planning order, whatever order units finish in.
 package sched
 
 import (
@@ -46,49 +52,6 @@ type Options struct {
 	Progress func(done, total int)
 }
 
-// progress counts completed units and fans the count out to an optional
-// callback. A nil *progress is inert, so call sites need not branch.
-type progress struct {
-	mu    sync.Mutex
-	done  int
-	total int
-	fn    func(done, total int)
-}
-
-// newProgress returns a tracker for total units, or nil when there is no
-// callback to feed.
-func newProgress(fn func(done, total int), total int) *progress {
-	if fn == nil {
-		return nil
-	}
-	return &progress{total: total, fn: fn}
-}
-
-// unit records one completed unit and reports the new count.
-func (p *progress) unit() {
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	p.done++
-	done, total := p.done, p.total
-	p.mu.Unlock()
-	p.fn(done, total)
-}
-
-// finish reports the tracker as fully complete (used when a cached result
-// short-circuits the remaining units).
-func (p *progress) finish() {
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	p.done = p.total
-	done, total := p.done, p.total
-	p.mu.Unlock()
-	p.fn(done, total)
-}
-
 // executor resolves the effective unit executor.
 func (o Options) executor() Executor {
 	if o.Executor != nil {
@@ -105,12 +68,26 @@ func (o Options) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// indexedErr pairs a unit index with its failure, so fan-outs report the
+// indexedErr pairs a unit index (a ForEach index, or a unit's rank in a
+// plan member) with its failure, so ForEach and plan members report the
 // lowest-indexed error regardless of completion order (the unit a serial
 // loop would have failed on first).
 type indexedErr struct {
 	idx int
 	err error
+}
+
+// preferErr folds unit idx's failure into the recorded one and returns
+// the error to keep. A context.Canceled is collateral damage from a
+// cancellation (a nested fan-out winding down, say), not the cause, so it
+// never replaces a recorded error, whatever the indexes; any other error
+// replaces a recorded cancellation, and otherwise the lower index wins.
+func preferErr(first *indexedErr, idx int, err error) *indexedErr {
+	if first != nil && (errors.Is(err, context.Canceled) ||
+		!errors.Is(first.err, context.Canceled) && idx >= first.idx) {
+		return first
+	}
+	return &indexedErr{idx: idx, err: err}
 }
 
 // ForEach runs fn(0) … fn(n-1) with at most `workers` concurrent calls and
@@ -133,22 +110,8 @@ func ForEach(ctx context.Context, n, workers int, fn func(ctx context.Context, i
 		first *indexedErr
 	)
 	fail := func(i int, err error) {
-		// A unit that reports context.Canceled after another unit failed is
-		// collateral damage from our own cancellation (e.g. a nested
-		// ForEach winding down), not the cause — it must never mask the
-		// real error, whatever the indexes.
-		collateral := errors.Is(err, context.Canceled)
 		mu.Lock()
-		switch {
-		case first == nil:
-			first = &indexedErr{idx: i, err: err}
-		case collateral:
-			// Never replace anything with a collateral cancellation.
-		case errors.Is(first.err, context.Canceled):
-			first = &indexedErr{idx: i, err: err}
-		case i < first.idx:
-			first = &indexedErr{idx: i, err: err}
-		}
+		first = preferErr(first, i, err)
 		mu.Unlock()
 		cancel()
 	}

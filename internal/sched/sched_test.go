@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+	"time"
 
 	"barrierpoint/internal/apps"
 	"barrierpoint/internal/core"
@@ -63,6 +64,146 @@ func TestRunMatchesSerialReference(t *testing.T) {
 	}
 	if !reflect.DeepEqual(want, got) {
 		t.Error("sched.Run diverges from the serial core.RunStudy reference")
+	}
+}
+
+// TestDiscoverMatchesCoreDiscover pins sched.Discover to the serial
+// core.Discover at several worker counts, with and without a cache, and
+// its progress to end at Runs/Runs.
+func TestDiscoverMatchesCoreDiscover(t *testing.T) {
+	base := testRequest(t)
+	req := DiscoverRequest{App: base.App, Build: base.Build, Config: base.Config.Discovery()}
+	want, err := core.Discover(req.Build, req.Config)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs := req.Config.WithDefaults().Runs
+	for _, workers := range []int{1, 2, 8} {
+		for _, cache := range []*resultcache.Cache{nil, resultcache.New(64)} {
+			var mu sync.Mutex
+			var last [2]int
+			got, err := Discover(context.Background(), req, Options{Workers: workers, Cache: cache,
+				Progress: func(done, total int) {
+					mu.Lock()
+					if done > last[0] {
+						last = [2]int{done, total}
+					}
+					mu.Unlock()
+				}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(want, got) {
+				t.Errorf("Workers:%d cache:%v: sched.Discover diverges from core.Discover", workers, cache != nil)
+			}
+			if last != [2]int{runs, runs} {
+				t.Errorf("Workers:%d cache:%v: progress ended at %d/%d, want %d/%d",
+					workers, cache != nil, last[0], last[1], runs, runs)
+			}
+		}
+	}
+}
+
+// jitterFirstExecutor holds every collect unit until a jittered discovery
+// unit has started, and fails the collection if none starts within 10 s.
+type jitterFirstExecutor struct {
+	inner    Executor
+	once     sync.Once
+	jittered chan struct{}
+}
+
+func (e *jitterFirstExecutor) ExecuteUnit(ctx context.Context, req UnitRequest) (any, error) {
+	switch req.Kind {
+	case UnitDiscoverJittered:
+		e.once.Do(func() { close(e.jittered) })
+	case UnitCollect:
+		select {
+		case <-e.jittered:
+		case <-time.After(10 * time.Second):
+			return nil, errors.New("no jittered discovery run started within 10s of a collection")
+		}
+	}
+	return e.inner.ExecuteUnit(ctx, req)
+}
+
+// TestRunReleasesJitteredBeforeCollections: a jittered discovery run
+// needs only the baseline, so it starts while both collections are still
+// running. At Workers:3 the baseline and both collections start at once
+// and the collections wait for a jittered run; a pipeline that barriers
+// the jittered runs behind the collections would time them out.
+func TestRunReleasesJitteredBeforeCollections(t *testing.T) {
+	req := testRequest(t)
+	want, err := core.RunStudy(req.App, req.Build, req.Config)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := &jitterFirstExecutor{inner: &LocalExecutor{}, jittered: make(chan struct{})}
+	got, err := Run(context.Background(), req, Options{Workers: 3, Executor: e})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(want, got) {
+		t.Error("sched.Run diverges from the serial core.RunStudy reference")
+	}
+}
+
+var (
+	errSlowBaseline = errors.New("baseline failed after 50ms")
+	errARMCollect   = errors.New("ARMv8 collection failed at once")
+)
+
+// precedenceExecutor fails one app's baseline after 50 ms and its ARMv8
+// collection at once; every other unit runs normally.
+type precedenceExecutor struct {
+	inner Executor
+	app   string
+}
+
+func (e *precedenceExecutor) ExecuteUnit(ctx context.Context, req UnitRequest) (any, error) {
+	if req.App == e.app {
+		switch {
+		case req.Kind == UnitDiscoverBaseline:
+			time.Sleep(50 * time.Millisecond)
+			return nil, errSlowBaseline
+		case req.Kind == UnitCollect && req.Collect.Variant.ISA.Name == isa.ARMv8().Name:
+			return nil, errARMCollect
+		}
+	}
+	return e.inner.ExecuteUnit(ctx, req)
+}
+
+// TestRunErrorPrecedence: a study whose ARMv8 collection fails first and
+// whose baseline fails later reports the baseline's error — the unit a
+// serial loop fails on first — at every worker count, and the same study
+// as a sweep member reports the same error beside a healthy sibling.
+func TestRunErrorPrecedence(t *testing.T) {
+	req := testRequest(t)
+	pe := &precedenceExecutor{inner: &LocalExecutor{}, app: req.App}
+	var runErr error
+	for _, workers := range []int{1, 2, 3, 8} {
+		for i := 0; i < 5; i++ {
+			_, runErr = Run(context.Background(), req, Options{Workers: workers, Executor: pe})
+			if !errors.Is(runErr, errSlowBaseline) {
+				t.Fatalf("Workers:%d attempt %d: err = %v, want the baseline's error", workers, i, runErr)
+			}
+		}
+	}
+
+	healthy := sweepRequest(t, "CoMD", 2, 2, 3)
+	plan, err := CompileSweep(context.Background(), []StudyRequest{req, healthy},
+		Options{Workers: 2, Executor: pe})
+	if err != nil {
+		t.Fatal(err)
+	}
+	outs, err := plan.Execute(context.Background(), SweepOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if outs[0].Err == nil || outs[0].Err.Error() != runErr.Error() {
+		t.Errorf("failing sweep member err = %v, want Run's %v", outs[0].Err, runErr)
+	}
+	if outs[1].Err != nil {
+		t.Errorf("healthy sibling failed: %v", outs[1].Err)
 	}
 }
 
@@ -169,10 +310,10 @@ func TestFanOutOrderIndependence(t *testing.T) {
 	}
 }
 
-// TestFanOutRealErrorBeatsCollateralCancellation reproduces sched.Run's
-// nested shape: a long-running unit 0 that reports context.Canceled once
-// a sibling fails must not mask the sibling's real error, even though it
-// has the lower index.
+// TestFanOutRealErrorBeatsCollateralCancellation reproduces a nested
+// fan-out's shape: a long-running unit 0 that reports context.Canceled
+// once a sibling fails must not mask the sibling's real error, even
+// though it has the lower index.
 func TestFanOutRealErrorBeatsCollateralCancellation(t *testing.T) {
 	boom := errors.New("collection failed")
 	err := ForEach(context.Background(), 2, 2, func(ctx context.Context, i int) error {

@@ -7,7 +7,6 @@ import (
 	"barrierpoint/internal/core"
 	"barrierpoint/internal/isa"
 	"barrierpoint/internal/machine"
-	"barrierpoint/internal/obs"
 	"barrierpoint/internal/resultcache"
 )
 
@@ -96,29 +95,22 @@ func collectKey(fp string, cfg core.CollectConfig) resultcache.Key {
 // persistent store go stale (and recompute) when the workload or
 // configuration changes instead of silently serving old results.
 func StudyKey(req StudyRequest) (resultcache.Key, error) {
-	key, _, _, err := studyKeyFingerprints(req)
-	return key, err
-}
-
-// studyKeyFingerprints computes the whole-study key and the two per-variant
-// program fingerprints it is built from; Run reuses the fingerprints for
-// the study's unit requests (the discovery variant equals the x86_64
-// collection variant), so each program is built once for keying.
-func studyKeyFingerprints(req StudyRequest) (key resultcache.Key, fpX86, fpARM string, err error) {
 	cfg := req.Config.WithDefaults()
 	colCfgs := cfg.Collections()
-	if fpX86, err = fingerprint(req.App, req.Build, cfg.Threads, colCfgs[0].Variant); err != nil {
-		return "", "", "", err
+	fpX86, err := fingerprint(req.App, req.Build, cfg.Threads, colCfgs[0].Variant)
+	if err != nil {
+		return "", err
 	}
-	if fpARM, err = fingerprint(req.App, req.Build, cfg.Threads, colCfgs[1].Variant); err != nil {
-		return "", "", "", err
+	fpARM, err := fingerprint(req.App, req.Build, cfg.Threads, colCfgs[1].Variant)
+	if err != nil {
+		return "", err
 	}
-	return studyKeyFrom(fpX86, fpARM, cfg), fpX86, fpARM, nil
+	return studyKeyFrom(fpX86, fpARM, cfg), nil
 }
 
 // studyKeyFrom builds the whole-study cache key from precomputed
-// fingerprints; studyKeyFingerprints and the sweep compiler share it so
-// batch and serial submission address identical cache entries.
+// fingerprints; StudyKey and the sweep compiler share it so batch and
+// serial submission address identical cache entries.
 func studyKeyFrom(fpX86, fpARM string, cfg core.StudyConfig) resultcache.Key {
 	return resultcache.NewKey("study", fpX86, fpARM, fmt.Sprintf("%#v", cfg))
 }
@@ -136,141 +128,28 @@ func StudyUnits(cfg core.StudyConfig) int {
 // Run executes the full Section V workflow for one workload. It runs the
 // same per-unit primitives as core.RunStudy — the canonical discovery
 // run, the jittered re-runs, both native collections, and the per-set
-// validations — but decomposes them into typed UnitRequests resolved by
-// opts' Executor (in-process by default, a remote worker fleet with
-// RemoteExecutor), fanning independent units across opts.Workers
-// goroutines and memoising whole studies in opts.Cache. Results are
+// validations — as a one-member sweep plan: CompileSweep decomposes the
+// request into typed UnitRequests resolved by opts' Executor (in-process
+// by default, a remote worker fleet with RemoteExecutor) and answers a
+// whole-study hit from opts.Cache, and Execute releases each unit across
+// opts.Workers goroutines as soon as its dependencies land. Results are
 // assembled in unit order, so the same request yields a byte-identical
-// *core.StudyResult for any worker count and any executor backend.
+// *core.StudyResult for any worker count and any executor backend; a
+// failing study reports its lowest-ranked failing unit.
 func Run(ctx context.Context, req StudyRequest, opts Options) (*core.StudyResult, error) {
-	if req.Build == nil {
-		return nil, fmt.Errorf("sched: study %s has no program builder", req.App)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	cfg := req.Config.WithDefaults()
-	cache := opts.Cache
-	discCfg := cfg.Discovery()
-	colCfgs := cfg.Collections()
-	// One unit per discovery run, one per collection, one per validation.
-	prog := newProgress(opts.Progress, StudyUnits(cfg))
-
-	// Fingerprints cost a program build per variant; they only matter
-	// when something addresses units by content — the cache, or an
-	// executor that may ship them to another process.
-	var studyKey resultcache.Key
-	var fpX86, fpARM string
-	if cache != nil || opts.Executor != nil {
-		var err error
-		studyKey, fpX86, fpARM, err = studyKeyFingerprints(req)
-		if err != nil {
-			return nil, err
-		}
-	}
-	if cache != nil {
-		if v, ok := cache.Get(studyKey); ok {
-			obs.SpanFromContext(ctx).SetAttr("study_cache", "hit")
-			prog.finish()
-			return v.(*core.StudyResult), nil
-		}
-	}
-	exec := instrument(ctx, opts.executor(), opts.Metrics)
-
-	// The study runs as flat stages so at most `workers` units are ever
-	// in flight (nesting fan-outs would transiently exceed the bound).
-	// Stage 1: the canonical baseline discovery run and the two native
-	// collections are mutually independent. Stage 2: the jittered
-	// discovery runs, which need only the baseline's LDVs. Stage 3: the
-	// per-set validations.
-	sets := make([]core.BarrierPointSet, cfg.Runs)
-	cols := make([]*core.Collection, len(colCfgs))
-	workers := opts.workers()
-
-	var base *core.LDVBaseline
-	top := []func(ctx context.Context) error{
-		func(ctx context.Context) error {
-			ur := UnitRequest{
-				Kind: UnitDiscoverBaseline, App: req.App, FP: fpX86,
-				Discovery: &discCfg, Build: req.Build,
-			}
-			art, err := executeBaseline(ctx, exec, ur)
-			if err != nil {
-				return fmt.Errorf("sched: study %s: %w", req.App, err)
-			}
-			sets[0], base = art.set, art.base
-			prog.unit()
-			return nil
-		},
-		func(ctx context.Context) error {
-			col, err := executeCollect(ctx, exec, UnitRequest{
-				Kind: UnitCollect, App: req.App, FP: fpX86,
-				Collect: &colCfgs[0], Build: req.Build,
-			})
-			if err != nil {
-				return fmt.Errorf("sched: study %s x86_64 collection: %w", req.App, err)
-			}
-			cols[0] = col
-			prog.unit()
-			return nil
-		},
-		func(ctx context.Context) error {
-			col, err := executeCollect(ctx, exec, UnitRequest{
-				Kind: UnitCollect, App: req.App, FP: fpARM,
-				Collect: &colCfgs[1], Build: req.Build,
-			})
-			if err != nil {
-				return fmt.Errorf("sched: study %s ARMv8 collection: %w", req.App, err)
-			}
-			cols[1] = col
-			prog.unit()
-			return nil
-		},
-	}
-	if err := ForEach(ctx, len(top), workers, func(ctx context.Context, i int) error {
-		return top[i](ctx)
-	}); err != nil {
-		return nil, err
-	}
-	if err := executeJittered(ctx, exec, req.App, req.Build, discCfg, fpX86, workers, sets, base, prog); err != nil {
-		return nil, err
-	}
-
-	// Step 4+5: every discovered set validates independently against the
-	// two collections.
-	evals := make([]core.SetEvaluation, len(sets))
-	err := ForEach(ctx, len(sets), workers, func(ctx context.Context, i int) error {
-		v, err := exec.ExecuteUnit(ctx, UnitRequest{
-			Kind: UnitValidate, App: req.App, FP: fpX86, FPARM: fpARM,
-			Discovery: &discCfg, Run: i, Collections: &colCfgs,
-			Build: req.Build, Set: &sets[i], Cols: [2]*core.Collection{cols[0], cols[1]},
-		})
-		if err != nil {
-			return err
-		}
-		eval, ok := v.(core.SetEvaluation)
-		if !ok {
-			return fmt.Errorf("sched: validate unit returned %T, want core.SetEvaluation", v)
-		}
-		evals[i] = eval
-		prog.unit()
-		return nil
-	})
+	plan, err := CompileSweep(ctx, []StudyRequest{req}, opts)
 	if err != nil {
 		return nil, err
 	}
-
-	res := core.AssembleStudy(req.App, cfg, evals, cols[0], cols[1])
-	if cache != nil {
-		cache.Put(studyKey, res)
-	}
-	return res, nil
+	out := plan.executeMember(ctx)
+	return out.Result, out.Err
 }
 
-// Discover runs (or recalls) Step 2: the canonical baseline run, then the
-// jittered runs fanned out with bounded concurrency. Results are in
-// discovery-run order and byte-identical to core.Discover's for any
-// worker count or executor backend.
+// Discover runs (or recalls) Step 2 as a one-member plan of discovery
+// units: the canonical baseline run, then the jittered runs released
+// behind it with bounded concurrency. Results are in discovery-run order
+// and byte-identical to core.Discover's for any worker count or executor
+// backend.
 func Discover(ctx context.Context, req DiscoverRequest, opts Options) ([]core.BarrierPointSet, error) {
 	if req.Build == nil {
 		return nil, fmt.Errorf("sched: discovery for %s has no program builder", req.App)
@@ -279,34 +158,32 @@ func Discover(ctx context.Context, req DiscoverRequest, opts Options) ([]core.Ba
 		return nil, err
 	}
 	cfg := req.Config.WithDefaults()
-	var fp string
-	if opts.Cache != nil || opts.Executor != nil {
-		var err error
-		fp, err = fingerprint(req.App, req.Build, cfg.Threads,
-			isa.Variant{ISA: isa.X8664(), Vectorised: cfg.Vectorised})
-		if err != nil {
-			return nil, err
-		}
-	}
-	exec := instrument(ctx, opts.executor(), opts.Metrics)
-	sets := make([]core.BarrierPointSet, cfg.Runs)
-	prog := newProgress(opts.Progress, cfg.Runs)
-	art, err := executeBaseline(ctx, exec, UnitRequest{
-		Kind: UnitDiscoverBaseline, App: req.App, FP: fp,
-		Discovery: &cfg, Build: req.Build,
-	})
+	fp, err := fingerprint(req.App, req.Build, cfg.Threads,
+		isa.Variant{ISA: isa.X8664(), Vectorised: cfg.Vectorised})
 	if err != nil {
-		return nil, fmt.Errorf("sched: study %s: %w", req.App, err)
-	}
-	sets[0] = art.set
-	prog.unit()
-	if err := executeJittered(ctx, exec, req.App, req.Build, cfg, fp, opts.workers(), sets, art.base, prog); err != nil {
 		return nil, err
 	}
-	return sets, nil
+	st := &sweepStudy{app: req.App, build: req.Build, discCfg: cfg, discover: true,
+		total: cfg.Runs, sets: make([]core.BarrierPointSet, cfg.Runs)}
+	p := &SweepPlan{opts: opts, studies: []*sweepStudy{st}, byKey: map[resultcache.Key]*plannedUnit{}}
+	baseline, err := p.addUnit(st, 0, UnitRequest{
+		Kind: UnitDiscoverBaseline, App: req.App, FP: fp,
+		Discovery: &st.discCfg, Build: req.Build,
+	}, nil)
+	if err == nil {
+		_, err = p.planJittered(st, fp, baseline)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if out := p.executeMember(ctx); out.Err != nil {
+		return nil, out.Err
+	}
+	return st.sets, nil
 }
 
-// Collect runs (or recalls) one native counter collection (Step 3).
+// Collect runs (or recalls) one native counter collection (Step 3): a
+// single unit, resolved by opts' Executor without a plan.
 func Collect(ctx context.Context, req CollectRequest, opts Options) (*core.Collection, error) {
 	if req.Build == nil {
 		return nil, fmt.Errorf("sched: collection for %s has no program builder", req.App)
@@ -319,73 +196,24 @@ func Collect(ctx context.Context, req CollectRequest, opts Options) (*core.Colle
 		// the cache key renders the variant.
 		return nil, fmt.Errorf("core: collection needs a binary variant")
 	}
-	var fp string
-	if opts.Cache != nil || opts.Executor != nil {
-		var err error
-		fp, err = fingerprint(req.App, req.Build, req.Config.Threads, req.Config.Variant)
-		if err != nil {
-			return nil, err
-		}
+	fp, err := fingerprint(req.App, req.Build, req.Config.Threads, req.Config.Variant)
+	if err != nil {
+		return nil, err
 	}
-	prog := newProgress(opts.Progress, 1)
-	col, err := executeCollect(ctx, instrument(ctx, opts.executor(), opts.Metrics), UnitRequest{
+	v, err := instrument(ctx, opts.executor(), opts.Metrics).ExecuteUnit(ctx, UnitRequest{
 		Kind: UnitCollect, App: req.App, FP: fp,
 		Collect: &req.Config, Build: req.Build,
 	})
+	if err == nil {
+		err = artifactError(UnitCollect, v)
+	}
 	if err != nil {
 		return nil, err
 	}
-	prog.unit()
-	return col, nil
-}
-
-// executeJittered fans the runs ≥ 1 out over the pool, passing the
-// canonical run's LDV baseline in-band. Sets land in sets[run],
-// preserving discovery-run order.
-func executeJittered(ctx context.Context, exec Executor, app string, build core.ProgramBuilder, cfg core.DiscoveryConfig, fp string, workers int, sets []core.BarrierPointSet, base *core.LDVBaseline, prog *progress) error {
-	return ForEach(ctx, len(sets)-1, workers, func(ctx context.Context, i int) error {
-		run := i + 1
-		v, err := exec.ExecuteUnit(ctx, UnitRequest{
-			Kind: UnitDiscoverJittered, App: app, FP: fp,
-			Discovery: &cfg, Run: run, Build: build, Base: base,
-		})
-		if err != nil {
-			return fmt.Errorf("sched: study %s: %w", app, err)
-		}
-		set, ok := v.(core.BarrierPointSet)
-		if !ok {
-			return fmt.Errorf("sched: discovery unit returned %T, want core.BarrierPointSet", v)
-		}
-		sets[run] = set
-		prog.unit()
-		return nil
-	})
-}
-
-// executeBaseline resolves a discover-baseline unit to its artifact.
-func executeBaseline(ctx context.Context, exec Executor, req UnitRequest) (baselineArtifact, error) {
-	v, err := exec.ExecuteUnit(ctx, req)
-	if err != nil {
-		return baselineArtifact{}, err
+	if opts.Progress != nil {
+		opts.Progress(1, 1)
 	}
-	art, ok := v.(baselineArtifact)
-	if !ok {
-		return baselineArtifact{}, fmt.Errorf("sched: baseline unit returned %T", v)
-	}
-	return art, nil
-}
-
-// executeCollect resolves a collect unit to its artifact.
-func executeCollect(ctx context.Context, exec Executor, req UnitRequest) (*core.Collection, error) {
-	v, err := exec.ExecuteUnit(ctx, req)
-	if err != nil {
-		return nil, err
-	}
-	col, ok := v.(*core.Collection)
-	if !ok {
-		return nil, fmt.Errorf("sched: collect unit returned %T, want *core.Collection", v)
-	}
-	return col, nil
+	return v.(*core.Collection), nil
 }
 
 // machineKeyPart renders a Machine override by value for cache keying.

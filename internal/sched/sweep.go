@@ -58,17 +58,21 @@ type SweepOptions struct {
 	Progress func(study, done, total int)
 }
 
-// unitConsumer names one member study waiting on a unit's artifact and
-// the slot (run or collection index) the artifact lands in.
+// unitConsumer names one member study waiting on a unit's artifact, the
+// slot (run or collection index) the artifact lands in, and the unit's
+// rank in the member's planning order, which decides which of several
+// failures the member reports.
 type unitConsumer struct {
 	st   *sweepStudy
 	slot int
+	rank int
 }
 
 // plannedUnit is one node of the merged DAG: a unit request, the units it
 // depends on, the units waiting on it, and every member study consuming
-// its artifact. result/err are written by the executing worker before the
-// unit's dependents are released, so dependents read them without locks.
+// its artifact. result is written by the executing worker before the
+// unit's dependents are released, so dependents read it without locks;
+// it stays nil when the unit failed or was skipped.
 type plannedUnit struct {
 	req  UnitRequest
 	key  resultcache.Key
@@ -85,11 +89,11 @@ type plannedUnit struct {
 	waiting int
 
 	result any
-	err    error
 }
 
 // sweepStudy is one member study's assembly state: artifact slots filled
-// by completing units, in unit order, exactly as Run fills them.
+// by completing units, in unit order, and the member's lowest-ranked
+// failure.
 type sweepStudy struct {
 	idx     int
 	app     string
@@ -99,14 +103,22 @@ type sweepStudy struct {
 	colCfgs [2]core.CollectConfig
 	key     resultcache.Key
 	cached  *core.StudyResult
+	// discover marks a Discover member: it plans discovery units only and
+	// finishes with its sets, never assembled into a study.
+	discover bool
+	// total is the member's progress denominator.
+	total int
 
-	mu        sync.Mutex
-	sets      []core.BarrierPointSet
-	cols      [2]*core.Collection
-	evals     []core.SetEvaluation
+	mu    sync.Mutex
+	sets  []core.BarrierPointSet
+	cols  [2]*core.Collection
+	evals []core.SetEvaluation
+	// remaining counts the member's units that have not surfaced yet.
+	// While planning it counts the units requested so far, which ranks
+	// each new one.
 	remaining int
 	done      int
-	total     int
+	failed    *indexedErr
 	cancelled bool
 	finalized bool
 	outcome   StudyOutcome
@@ -129,13 +141,13 @@ type SweepPlan struct {
 }
 
 // CompileSweep plans a whole sweep of studies as one global unit DAG
-// before any execution: every member decomposes into the same typed
-// UnitRequests Run issues, units are deduplicated across members by their
+// before any execution: every member decomposes into typed UnitRequests
+// (Run is a sweep of one), units are deduplicated across members by their
 // content-addressed keys, discovery runs shared between different run
 // counts are subsumed into the superset, and members already answered by
 // opts.Cache are marked cached and plan nothing. The DAG preserves each
 // member's assembly order, so Execute renders every member byte-identical
-// to serial one-at-a-time Run calls against the same Options.
+// to core.RunStudy's serial composition of the same request.
 //
 // Program fingerprints are memoised per (app, threads, variant) across
 // the sweep, mirroring LocalExecutor's wire-path memo — builders must be
@@ -198,7 +210,6 @@ func CompileSweep(ctx context.Context, reqs []StudyRequest, opts Options) (*Swee
 				continue
 			}
 		}
-		st.remaining = st.total
 		st.sets = make([]core.BarrierPointSet, st.cfg.Runs)
 		st.evals = make([]core.SetEvaluation, st.cfg.Runs)
 		if err := p.planStudy(st, fpX86, fpARM); err != nil {
@@ -208,10 +219,11 @@ func CompileSweep(ctx context.Context, reqs []StudyRequest, opts Options) (*Swee
 	return p, nil
 }
 
-// planStudy appends one member's units to the DAG: the canonical baseline
-// run, both native collections, the jittered runs (behind the baseline),
-// and the per-set validations (behind their run and both collections) —
-// the exact decomposition Run executes.
+// planStudy appends one member's units to the DAG, in the order that
+// ranks them: the canonical baseline run, both native collections, the
+// jittered runs (behind the baseline), and the per-set validations
+// (behind their run and both collections) — core.RunStudy's steps as a
+// dependency graph.
 func (p *SweepPlan) planStudy(st *sweepStudy, fpX86, fpARM string) error {
 	baseline, err := p.addUnit(st, 0, UnitRequest{
 		Kind: UnitDiscoverBaseline, App: st.app, FP: fpX86,
@@ -234,17 +246,9 @@ func (p *SweepPlan) planStudy(st *sweepStudy, fpX86, fpARM string) error {
 	if err != nil {
 		return err
 	}
-	disc := make([]*plannedUnit, st.cfg.Runs)
-	disc[0] = baseline
-	for run := 1; run < st.cfg.Runs; run++ {
-		u, err := p.addUnit(st, run, UnitRequest{
-			Kind: UnitDiscoverJittered, App: st.app, FP: fpX86,
-			Discovery: &st.discCfg, Run: run, Build: st.build,
-		}, []*plannedUnit{baseline})
-		if err != nil {
-			return err
-		}
-		disc[run] = u
+	disc, err := p.planJittered(st, fpX86, baseline)
+	if err != nil {
+		return err
 	}
 	for run := 0; run < st.cfg.Runs; run++ {
 		if _, err := p.addUnit(st, run, UnitRequest{
@@ -256,6 +260,24 @@ func (p *SweepPlan) planStudy(st *sweepStudy, fpX86, fpARM string) error {
 		}
 	}
 	return nil
+}
+
+// planJittered appends the member's jittered discovery runs behind its
+// baseline and returns every discovery unit in run order.
+func (p *SweepPlan) planJittered(st *sweepStudy, fp string, baseline *plannedUnit) ([]*plannedUnit, error) {
+	disc := make([]*plannedUnit, st.discCfg.Runs)
+	disc[0] = baseline
+	for run := 1; run < st.discCfg.Runs; run++ {
+		u, err := p.addUnit(st, run, UnitRequest{
+			Kind: UnitDiscoverJittered, App: st.app, FP: fp,
+			Discovery: &st.discCfg, Run: run, Build: st.build,
+		}, []*plannedUnit{baseline})
+		if err != nil {
+			return nil, err
+		}
+		disc[run] = u
+	}
+	return disc, nil
 }
 
 // addUnit requests one unit for st, merging with an already-planned unit
@@ -289,7 +311,8 @@ func (p *SweepPlan) addUnit(st *sweepStudy, slot int, req UnitRequest, deps []*p
 	} else {
 		p.stats.DedupedUnits++
 	}
-	u.consumers = append(u.consumers, unitConsumer{st: st, slot: slot})
+	u.consumers = append(u.consumers, unitConsumer{st: st, slot: slot, rank: st.remaining})
+	st.remaining++
 	return u, nil
 }
 
@@ -309,17 +332,6 @@ func subsumesRequest(planned, req *UnitRequest) bool {
 // Stats returns the compiler's dedup/subsumption accounting.
 func (p *SweepPlan) Stats() PlanStats {
 	return p.stats
-}
-
-// Studies returns the number of member studies in the plan.
-func (p *SweepPlan) Studies() int {
-	return len(p.studies)
-}
-
-// StudyTotalUnits returns member i's progress denominator: StudyUnits of
-// its configuration, or 0 for a whole-study cache hit.
-func (p *SweepPlan) StudyTotalUnits(i int) int {
-	return p.studies[i].total
 }
 
 // CancelStudy cancels one member study. Before Execute it marks the
@@ -348,11 +360,15 @@ func (p *SweepPlan) CancelStudy(i int) {
 // releasing each unit as its dependencies complete and assembling every
 // member study the moment its last unit lands — results are written into
 // per-member slots in unit order, so each member's StudyResult is
-// byte-identical to a serial Run of the same request. Member failures are
-// isolated: a failing unit finalises only the members consuming it, and
-// units no live member still needs are skipped. Execute returns one
-// outcome per member (submission order) and a non-nil error only for
-// sweep-level cancellation via ctx. It must be called at most once.
+// byte-identical to core.RunStudy of the same request. Member failures
+// are isolated and deterministic: a member reports its lowest-ranked
+// failing unit (planStudy's order), whatever order units finish in.
+// After a member records a failure its later-ranked units are skipped
+// while earlier-ranked ones still run, and it finalises once all its
+// units have surfaced; a cancellation never replaces a unit's own error.
+// Execute returns one outcome per member (submission order) and a
+// non-nil error only for sweep-level cancellation via ctx. It must be
+// called at most once.
 func (p *SweepPlan) Execute(ctx context.Context, sopts SweepOptions) ([]StudyOutcome, error) {
 	p.mu.Lock()
 	if p.executing {
@@ -406,8 +422,8 @@ func (p *SweepPlan) Execute(ctx context.Context, sopts SweepOptions) ([]StudyOut
 		wg.Wait()
 	}
 
-	// Safety net: anything still unfinalised (only reachable under ctx
-	// cancellation races) resolves to the context's error.
+	// Safety net: every member finalises as its last unit surfaces; one
+	// that somehow did not resolves to an error, never to a nil result.
 	ctxErr := ctx.Err()
 	for _, st := range p.studies {
 		err := ctxErr
@@ -425,62 +441,63 @@ func (p *SweepPlan) Execute(ctx context.Context, sopts SweepOptions) ([]StudyOut
 	return outs, ctxErr
 }
 
-// runUnit executes one ready unit: attach in-band dependency artifacts,
-// execute, deliver the artifact to every consuming member. Units whose
-// consumers are all finalised (failed or cancelled members) are skipped —
-// the cancellation pruning that keeps a cancelled member from costing
+// executeMember executes a one-member plan, forwarding the member's
+// progress to Options.Progress, and returns the member's outcome.
+func (p *SweepPlan) executeMember(ctx context.Context) StudyOutcome {
+	var sopts SweepOptions
+	if progress := p.opts.Progress; progress != nil {
+		sopts.Progress = func(_, done, total int) { progress(done, total) }
+	}
+	// A fresh plan executes once, and the member's outcome carries any
+	// cancellation, so Execute's own error adds nothing.
+	outs, _ := p.Execute(ctx, sopts)
+	return outs[0]
+}
+
+// runUnit executes one ready unit, unless no member needs it or one of its
+// dependencies produced no artifact (those members have recorded a
+// failure), and surfaces the outcome to every consuming member. Skipping
+// is the pruning that keeps a failed or cancelled member from costing
 // compute it exclusively owns.
 func (p *SweepPlan) runUnit(ctx context.Context, exec Executor, u *plannedUnit) {
 	defer p.unitDone(u)
-	if err := ctx.Err(); err != nil {
-		p.failUnit(u, err)
-		return
+	var v any
+	var err error
+	if p.unitNeeded(u) {
+		v, err = p.executeUnit(ctx, exec, u)
 	}
-	if !p.unitLive(u) {
-		return
+	u.result = v
+	p.settle(u, v, err)
+}
+
+// executeUnit attaches the unit's in-band dependency artifacts, which
+// artifactError typed when they landed, and resolves the unit.
+func (p *SweepPlan) executeUnit(ctx context.Context, exec Executor, u *plannedUnit) (any, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
 	req := u.req
-	// Attach in-band dependency artifacts. A live unit's dependencies all
-	// succeeded (a failed or skipped dependency finalises every member
-	// that could need this unit), and their results were published before
-	// this unit was released.
 	switch req.Kind {
 	case UnitDiscoverJittered:
-		art, ok := u.depBaseline.result.(baselineArtifact)
-		if !ok {
-			p.failUnit(u, fmt.Errorf("sched: baseline artifact for %s has type %T", req.App, u.depBaseline.result))
-			return
-		}
-		req.Base = art.base
+		req.Base = u.depBaseline.result.(baselineArtifact).base
 	case UnitValidate:
-		set, err := dependencySet(u.depDisc, req.App)
-		if err != nil {
-			p.failUnit(u, err)
-			return
+		set, ok := u.depDisc.result.(core.BarrierPointSet)
+		if !ok {
+			set = u.depDisc.result.(baselineArtifact).set
 		}
-		req.Set = set
+		req.Set = &set
 		for i, d := range u.depCols {
-			col, ok := d.result.(*core.Collection)
-			if !ok {
-				p.failUnit(u, fmt.Errorf("sched: collection artifact for %s has type %T", req.App, d.result))
-				return
-			}
-			req.Cols[i] = col
+			req.Cols[i] = d.result.(*core.Collection)
 		}
 	}
 	v, err := exec.ExecuteUnit(ctx, req)
 	if err != nil {
-		p.failUnit(u, wrapUnitError(u, err))
-		return
+		return nil, wrapUnitError(u, err)
 	}
 	if err := artifactError(req.Kind, v); err != nil {
-		p.failUnit(u, err)
-		return
+		return nil, err
 	}
-	u.result = v
-	for _, c := range u.consumers {
-		p.deliver(c.st, c.slot, req.Kind, v)
-	}
+	return v, nil
 }
 
 // unitDone releases the finished unit's dependents and, when it was the
@@ -509,67 +526,83 @@ func (p *SweepPlan) unitDone(u *plannedUnit) {
 	}
 }
 
-// unitLive reports whether any member still needs the unit's artifact.
-func (p *SweepPlan) unitLive(u *plannedUnit) bool {
+// unitNeeded reports whether the unit should execute: every dependency
+// produced its artifact, and some member is neither finalised nor failed
+// at a unit ranked before this one.
+func (p *SweepPlan) unitNeeded(u *plannedUnit) bool {
+	for _, d := range u.deps {
+		if d.result == nil {
+			return false
+		}
+	}
 	for _, c := range u.consumers {
 		c.st.mu.Lock()
-		finalized := c.st.finalized
+		needed := !c.st.finalized && (c.st.failed == nil || c.rank < c.st.failed.idx)
 		c.st.mu.Unlock()
-		if !finalized {
+		if needed {
 			return true
 		}
 	}
 	return false
 }
 
-// failUnit records the unit's failure and finalises every member that
-// consumes it. Members already finalised are untouched; members sharing
-// only this unit's dependencies keep running.
-func (p *SweepPlan) failUnit(u *plannedUnit, err error) {
-	u.err = err
+// settle surfaces a unit to every consuming member: its artifact lands in
+// the member's slot (v non-nil), its failure is ranked against the
+// member's others (err non-nil), or, skipped, it only counts. A member
+// finalises once its last unit has surfaced: with its lowest-ranked
+// failure if it recorded one, otherwise assembled (a Discover member
+// keeps just its sets).
+func (p *SweepPlan) settle(u *plannedUnit, v any, err error) {
 	for _, c := range u.consumers {
-		p.finalizeStudy(c.st, nil, err)
-	}
-}
-
-// deliver writes the unit's artifact into one member's slot and, when it
-// was the member's last unit, assembles and finalises the study.
-func (p *SweepPlan) deliver(st *sweepStudy, slot int, kind UnitKind, v any) {
-	st.mu.Lock()
-	if st.finalized {
-		st.mu.Unlock()
-		return
-	}
-	switch kind {
-	case UnitDiscoverBaseline:
-		st.sets[0] = v.(baselineArtifact).set
-	case UnitDiscoverJittered:
-		st.sets[slot] = v.(core.BarrierPointSet)
-	case UnitCollect:
-		st.cols[slot] = v.(*core.Collection)
-	case UnitValidate:
-		st.evals[slot] = v.(core.SetEvaluation)
-	}
-	st.done++
-	st.remaining--
-	done, total := st.done, st.total
-	assemble := st.remaining == 0
-	st.mu.Unlock()
-	if p.sopts.Progress != nil {
-		p.sopts.Progress(st.idx, done, total)
-	}
-	if assemble {
-		res := core.AssembleStudy(st.app, st.cfg, st.evals, st.cols[0], st.cols[1])
-		if p.opts.Cache != nil {
-			p.opts.Cache.Put(st.key, res)
+		st := c.st
+		st.mu.Lock()
+		if st.finalized {
+			st.mu.Unlock()
+			continue
 		}
-		p.finalizeStudy(st, res, nil)
+		if err != nil {
+			st.failed = preferErr(st.failed, c.rank, err)
+		}
+		delivered := v != nil && st.failed == nil
+		if delivered {
+			switch u.req.Kind {
+			case UnitDiscoverBaseline:
+				st.sets[0] = v.(baselineArtifact).set
+			case UnitDiscoverJittered:
+				st.sets[c.slot] = v.(core.BarrierPointSet)
+			case UnitCollect:
+				st.cols[c.slot] = v.(*core.Collection)
+			case UnitValidate:
+				st.evals[c.slot] = v.(core.SetEvaluation)
+			}
+			st.done++
+		}
+		st.remaining--
+		done, last, failed := st.done, st.remaining == 0, st.failed
+		st.mu.Unlock()
+		if delivered && p.sopts.Progress != nil {
+			p.sopts.Progress(st.idx, done, st.total)
+		}
+		if !last {
+			continue
+		}
+		switch {
+		case failed != nil:
+			p.finalizeStudy(st, nil, failed.err)
+		case st.discover:
+			p.finalizeStudy(st, nil, nil)
+		default:
+			res := core.AssembleStudy(st.app, st.cfg, st.evals, st.cols[0], st.cols[1])
+			if p.opts.Cache != nil {
+				p.opts.Cache.Put(st.key, res)
+			}
+			p.finalizeStudy(st, res, nil)
+		}
 	}
 }
 
 // finalizeStudy records one member's outcome exactly once and streams it
-// through OnStudy. A cached member reports full progress first, matching
-// Run's whole-study cache hit.
+// through OnStudy. A cached member reports full progress first.
 func (p *SweepPlan) finalizeStudy(st *sweepStudy, res *core.StudyResult, err error) {
 	st.mu.Lock()
 	if st.finalized {
@@ -588,23 +621,8 @@ func (p *SweepPlan) finalizeStudy(st *sweepStudy, res *core.StudyResult, err err
 	}
 }
 
-// dependencySet extracts a validate unit's BarrierPointSet from its
-// discovery dependency (the baseline artifact for run 0, the jittered
-// run's set otherwise).
-func dependencySet(dep *plannedUnit, app string) (*core.BarrierPointSet, error) {
-	switch v := dep.result.(type) {
-	case baselineArtifact:
-		set := v.set
-		return &set, nil
-	case core.BarrierPointSet:
-		set := v
-		return &set, nil
-	}
-	return nil, fmt.Errorf("sched: discovery artifact for %s has type %T", app, dep.result)
-}
-
-// artifactError verifies a unit artifact's type, mirroring the checks
-// Run's execute helpers perform.
+// artifactError verifies a unit artifact's type before any member or
+// dependent reads it.
 func artifactError(kind UnitKind, v any) error {
 	switch kind {
 	case UnitDiscoverBaseline:
@@ -627,9 +645,8 @@ func artifactError(kind UnitKind, v any) error {
 	return nil
 }
 
-// wrapUnitError wraps a unit execution failure the way Run's per-stage
-// wrappers do, so member errors read the same under batch and serial
-// submission.
+// wrapUnitError names the failing unit's step in the member's error, so
+// member errors read the same under batch and serial submission.
 func wrapUnitError(u *plannedUnit, err error) error {
 	switch u.req.Kind {
 	case UnitDiscoverBaseline, UnitDiscoverJittered:

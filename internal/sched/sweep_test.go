@@ -31,6 +31,18 @@ func sweepRequest(t *testing.T, app string, threads, runs, reps int) StudyReques
 	}
 }
 
+// serialStudy is the equivalence reference for sweep members:
+// core.RunStudy, the serial composition TestRunMatchesSerialReference pins
+// Run to.
+func serialStudy(t *testing.T, req StudyRequest) *core.StudyResult {
+	t.Helper()
+	res, err := core.RunStudy(req.App, req.Build, req.Config)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 // executeSweep compiles and executes reqs, failing the test on any
 // compile or member error.
 func executeSweep(t *testing.T, reqs []StudyRequest, opts Options) ([]StudyOutcome, PlanStats) {
@@ -58,10 +70,7 @@ func TestSweepPlanDedup(t *testing.T) {
 		t.Skip("executes full studies; covered by make test-sweep")
 	}
 	req := sweepRequest(t, "MCB", 2, 4, 5)
-	serial, err := Run(context.Background(), req, Options{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	serial := serialStudy(t, req)
 	ce := &countingExecutor{inner: &LocalExecutor{}}
 	outs, stats := executeSweep(t, []StudyRequest{req, req}, Options{Workers: 4, Executor: ce})
 
@@ -81,7 +90,7 @@ func TestSweepPlanDedup(t *testing.T) {
 	}
 	for i, out := range outs {
 		if !reflect.DeepEqual(serial, out.Result) {
-			t.Errorf("member %d diverges from serial Run", i)
+			t.Errorf("member %d diverges from core.RunStudy", i)
 		}
 	}
 }
@@ -95,14 +104,7 @@ func TestSweepPlanSubsumption(t *testing.T) {
 	}
 	big := sweepRequest(t, "MCB", 2, 4, 5)
 	small := sweepRequest(t, "MCB", 2, 2, 5)
-	serialBig, err := Run(context.Background(), big, Options{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	serialSmall, err := Run(context.Background(), small, Options{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	serialBig, serialSmall := serialStudy(t, big), serialStudy(t, small)
 	outs, stats := executeSweep(t, []StudyRequest{big, small}, Options{Workers: 4})
 
 	// The subset study reuses the baseline and run 1 (subsumed: key-equal
@@ -120,10 +122,10 @@ func TestSweepPlanSubsumption(t *testing.T) {
 		t.Errorf("PlanStats = %+v, want %+v", stats, want)
 	}
 	if !reflect.DeepEqual(serialBig, outs[0].Result) {
-		t.Error("superset member diverges from serial Run")
+		t.Error("superset member diverges from core.RunStudy")
 	}
 	if !reflect.DeepEqual(serialSmall, outs[1].Result) {
-		t.Error("subsumed member diverges from serial Run")
+		t.Error("subsumed member diverges from core.RunStudy")
 	}
 }
 
@@ -159,12 +161,8 @@ func TestSweepSharedBaselineExecutesOnce(t *testing.T) {
 		t.Errorf("DedupedUnits = %d, want %d", stats.DedupedUnits, want)
 	}
 	for i, out := range outs {
-		serial, err := Run(context.Background(), reqs[i], Options{Workers: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(studyJSON(t, serial), studyJSON(t, out.Result)) {
-			t.Errorf("member %d report is not byte-identical to serial submission", i)
+		if !bytes.Equal(studyJSON(t, serialStudy(t, reqs[i])), studyJSON(t, out.Result)) {
+			t.Errorf("member %d report is not byte-identical to core.RunStudy's", i)
 		}
 	}
 }
@@ -179,8 +177,8 @@ func studyJSON(t *testing.T, res *core.StudyResult) []byte {
 }
 
 // TestSweepGoldenEquivalence: a mixed sweep — different apps, thread
-// counts and run counts — renders every member byte-identical to serial
-// one-at-a-time submission.
+// counts and run counts — renders every member byte-identical to the
+// serial core.RunStudy reference.
 func TestSweepGoldenEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("executes full studies; covered by make test-sweep")
@@ -194,12 +192,8 @@ func TestSweepGoldenEquivalence(t *testing.T) {
 	}
 	outs, _ := executeSweep(t, reqs, Options{Workers: 8})
 	for i, req := range reqs {
-		serial, err := Run(context.Background(), req, Options{Workers: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(studyJSON(t, serial), studyJSON(t, outs[i].Result)) {
-			t.Errorf("member %d (%s/%dt) report is not byte-identical to serial submission",
+		if !bytes.Equal(studyJSON(t, serialStudy(t, req)), studyJSON(t, outs[i].Result)) {
+			t.Errorf("member %d (%s/%dt) report is not byte-identical to core.RunStudy's",
 				i, req.App, req.Config.Threads)
 		}
 	}
@@ -336,12 +330,8 @@ func TestSweepCancelStudyMidExecution(t *testing.T) {
 	if outs[0].Err != nil {
 		t.Fatalf("sibling of a mid-execution-cancelled member failed: %v", outs[0].Err)
 	}
-	serial, err := Run(context.Background(), keep, Options{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(serial, outs[0].Result) {
-		t.Error("sibling result diverges from serial Run after a cancellation")
+	if !reflect.DeepEqual(serialStudy(t, keep), outs[0].Result) {
+		t.Error("sibling result diverges from core.RunStudy after a cancellation")
 	}
 	if !errors.Is(outs[1].Err, context.Canceled) {
 		t.Errorf("cancelled member Err = %v, want context.Canceled", outs[1].Err)
@@ -463,7 +453,8 @@ func TestSweepExecuteTwice(t *testing.T) {
 	}
 }
 
-// TestSweepNilBuilder mirrors Run's guard.
+// TestSweepNilBuilder: the compiler rejects a member without a builder;
+// Run reports the same error through it.
 func TestSweepNilBuilder(t *testing.T) {
 	_, err := CompileSweep(context.Background(),
 		[]StudyRequest{{App: "MCB", Config: core.StudyConfig{Threads: 2}}}, Options{})

@@ -456,11 +456,17 @@ func (s *Server) runSweep(sw *sweep) {
 	planStart := time.Now()
 	plan, err := sched.CompileSweep(ctx, reqs, s.opts)
 	if err != nil {
-		for _, j := range sw.members {
-			s.terminalizeMember(j, StateFailed, err)
+		// A DELETE or shutdown that lands mid-compile stopped the sweep;
+		// it did not fail.
+		st := StateFailed
+		if errors.Is(err, context.Canceled) && ctx.Err() != nil {
+			st = StateCancelled
 		}
-		final, finalErr = StateFailed, err
-		s.finishSweep(sw, s.now(), StateFailed, err)
+		for _, j := range sw.members {
+			s.terminalizeMember(j, st, err)
+		}
+		final, finalErr = st, err
+		s.finishSweep(sw, s.now(), st, err)
 		return
 	}
 	planSeconds := time.Since(planStart).Seconds()
