@@ -41,15 +41,6 @@ type Options struct {
 	// histograms by kind, error counts, inflight gauge) for every unit
 	// the scheduler executes. Create once per process with NewMetrics.
 	Metrics *Metrics
-	// Progress, when non-nil, is called after each completed unit of work
-	// (a discovery run, a collection, a set validation) with the number of
-	// units finished so far and the total for the execution. Calls may
-	// arrive from concurrent workers; done values are issued in increasing
-	// order but may be *observed* out of order, so consumers that need
-	// monotonic display should keep a running maximum. A whole-study cache
-	// hit reports total/total once. Progress must not block: it runs on
-	// the worker that finished the unit.
-	Progress func(done, total int)
 }
 
 // executor resolves the effective unit executor.

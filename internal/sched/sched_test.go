@@ -68,8 +68,7 @@ func TestRunMatchesSerialReference(t *testing.T) {
 }
 
 // TestDiscoverMatchesCoreDiscover pins sched.Discover to the serial
-// core.Discover at several worker counts, with and without a cache, and
-// its progress to end at Runs/Runs.
+// core.Discover at several worker counts, with and without a cache.
 func TestDiscoverMatchesCoreDiscover(t *testing.T) {
 	base := testRequest(t)
 	req := DiscoverRequest{App: base.App, Build: base.Build, Config: base.Config.Discovery()}
@@ -77,28 +76,14 @@ func TestDiscoverMatchesCoreDiscover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runs := req.Config.WithDefaults().Runs
 	for _, workers := range []int{1, 2, 8} {
 		for _, cache := range []*resultcache.Cache{nil, resultcache.New(64)} {
-			var mu sync.Mutex
-			var last [2]int
-			got, err := Discover(context.Background(), req, Options{Workers: workers, Cache: cache,
-				Progress: func(done, total int) {
-					mu.Lock()
-					if done > last[0] {
-						last = [2]int{done, total}
-					}
-					mu.Unlock()
-				}})
+			got, err := Discover(context.Background(), req, Options{Workers: workers, Cache: cache})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(want, got) {
 				t.Errorf("Workers:%d cache:%v: sched.Discover diverges from core.Discover", workers, cache != nil)
-			}
-			if last != [2]int{runs, runs} {
-				t.Errorf("Workers:%d cache:%v: progress ended at %d/%d, want %d/%d",
-					workers, cache != nil, last[0], last[1], runs, runs)
 			}
 		}
 	}
@@ -328,21 +313,36 @@ func TestFanOutRealErrorBeatsCollateralCancellation(t *testing.T) {
 	}
 }
 
-// TestRunReportsProgress pins the progress contract: with one worker the
-// callback sees every count 1..total in order, total equals StudyUnits,
-// and the last report is total/total.
+// executeOne compiles req as a one-member plan and executes it with the
+// member's progress reported to progress, returning the member's outcome.
+func executeOne(t *testing.T, ctx context.Context, req StudyRequest, opts Options,
+	progress func(done, total int)) StudyOutcome {
+	t.Helper()
+	plan, err := CompileSweep(ctx, []StudyRequest{req}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	outs, _ := plan.Execute(ctx, SweepOptions{
+		Progress: func(_, done, total int) { progress(done, total) },
+	})
+	return outs[0]
+}
+
+// TestRunReportsProgress pins the progress contract of a one-member plan:
+// with one worker the callback sees every count 1..total in order, total
+// equals StudyUnits, and the last report is total/total.
 func TestRunReportsProgress(t *testing.T) {
 	req := testRequest(t)
 	wantTotal := StudyUnits(req.Config)
 	var got []int
-	opts := Options{Workers: 1, Progress: func(done, total int) {
+	out := executeOne(t, context.Background(), req, Options{Workers: 1}, func(done, total int) {
 		if total != wantTotal {
 			t.Errorf("progress total = %d, want %d", total, wantTotal)
 		}
 		got = append(got, done)
-	}}
-	if _, err := Run(context.Background(), req, opts); err != nil {
-		t.Fatal(err)
+	})
+	if out.Err != nil {
+		t.Fatal(out.Err)
 	}
 	if len(got) != wantTotal {
 		t.Fatalf("got %d progress reports, want %d: %v", len(got), wantTotal, got)
@@ -364,10 +364,10 @@ func TestRunCachedStudyReportsFullProgress(t *testing.T) {
 		t.Fatal(err)
 	}
 	var reports [][2]int
-	_, err := Run(context.Background(), req, Options{Workers: 4, Cache: cache,
-		Progress: func(done, total int) { reports = append(reports, [2]int{done, total}) }})
-	if err != nil {
-		t.Fatal(err)
+	out := executeOne(t, context.Background(), req, Options{Workers: 4, Cache: cache},
+		func(done, total int) { reports = append(reports, [2]int{done, total}) })
+	if out.Err != nil {
+		t.Fatal(out.Err)
 	}
 	total := StudyUnits(req.Config)
 	if len(reports) != 1 || reports[0] != [2]int{total, total} {
@@ -376,19 +376,19 @@ func TestRunCachedStudyReportsFullProgress(t *testing.T) {
 }
 
 // TestRunCancelledMidStudy cancels from inside a progress callback, so
-// the cancellation lands between units; Run must wind down with
+// the cancellation lands between units; the member must wind down with
 // context.Canceled rather than completing.
 func TestRunCancelledMidStudy(t *testing.T) {
 	req := testRequest(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	opts := Options{Workers: 1, Progress: func(done, total int) {
+	out := executeOne(t, ctx, req, Options{Workers: 1}, func(done, total int) {
 		if done == 1 {
 			cancel()
 		}
-	}}
-	if _, err := Run(ctx, req, opts); !errors.Is(err, context.Canceled) {
-		t.Errorf("want context.Canceled after mid-study cancel, got %v", err)
+	})
+	if !errors.Is(out.Err, context.Canceled) {
+		t.Errorf("want context.Canceled after mid-study cancel, got %v", out.Err)
 	}
 }
 

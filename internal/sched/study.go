@@ -117,9 +117,9 @@ func studyKeyFrom(fpX86, fpARM string, cfg core.StudyConfig) resultcache.Key {
 
 // StudyUnits returns how many units of work a study decomposes into: one
 // per discovery run, one per native collection, one per set validation.
-// It is the denominator of Options.Progress reports for Run, computed from
-// the request alone so callers can display a total before execution
-// starts.
+// It is the denominator of a member's SweepOptions.Progress reports,
+// computed from the request alone so callers can display a total before
+// execution starts.
 func StudyUnits(cfg core.StudyConfig) int {
 	cfg = cfg.WithDefaults()
 	return 2*cfg.Runs + 2
@@ -209,9 +209,6 @@ func Collect(ctx context.Context, req CollectRequest, opts Options) (*core.Colle
 	}
 	if err != nil {
 		return nil, err
-	}
-	if opts.Progress != nil {
-		opts.Progress(1, 1)
 	}
 	return v.(*core.Collection), nil
 }

@@ -53,8 +53,13 @@ type SweepOptions struct {
 	// different members may arrive concurrently; OnStudy must not block.
 	OnStudy func(study int, res *core.StudyResult, err error)
 	// Progress, when non-nil, is called after each unit that advances a
-	// member study, with that member's done/total counts (the sweep-level
-	// analogue of Options.Progress; the same delivery caveats apply).
+	// member study (a discovery run, a collection, a set validation) with
+	// that member's done/total counts. Calls may arrive from concurrent
+	// workers; done values are issued in increasing order but may be
+	// *observed* out of order, so consumers that need monotonic display
+	// should keep a running maximum. A whole-study cache hit reports
+	// total/total once. Progress must not block: it runs on the worker
+	// that finished the unit.
 	Progress func(study, done, total int)
 }
 
@@ -441,16 +446,12 @@ func (p *SweepPlan) Execute(ctx context.Context, sopts SweepOptions) ([]StudyOut
 	return outs, ctxErr
 }
 
-// executeMember executes a one-member plan, forwarding the member's
-// progress to Options.Progress, and returns the member's outcome.
+// executeMember executes a one-member plan and returns the member's
+// outcome.
 func (p *SweepPlan) executeMember(ctx context.Context) StudyOutcome {
-	var sopts SweepOptions
-	if progress := p.opts.Progress; progress != nil {
-		sopts.Progress = func(_, done, total int) { progress(done, total) }
-	}
 	// A fresh plan executes once, and the member's outcome carries any
 	// cancellation, so Execute's own error adds nothing.
-	outs, _ := p.Execute(ctx, sopts)
+	outs, _ := p.Execute(ctx, SweepOptions{})
 	return outs[0]
 }
 

@@ -3,12 +3,15 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"barrierpoint/internal/obs"
 )
 
 // longStudy is a submission that runs for several seconds (~40+ units on
@@ -335,5 +338,73 @@ func TestConcurrentSubmitCancelClose(t *testing.T) {
 	}
 	if _, code, err := s.submit(SubmitRequest{App: "MCB", Threads: 2}); err == nil || code != http.StatusServiceUnavailable {
 		t.Errorf("submit after Close: code %d err %v, want 503", code, err)
+	}
+}
+
+// TestSubmitBurstStartsUnderOwnID: an idle executor may claim a study the
+// instant it is queued, so the study's ID must be in place before the
+// push, or it starts — and records its trace — under an empty ID. Bursts
+// of cached submissions against idle executors keep that window busy;
+// each burst fits the tracer's retention, so every study's trace must be
+// found under its own ID.
+func TestSubmitBurstStartsUnderOwnID(t *testing.T) {
+	const bursts, burst = 40, 48
+	s := mustNew(t, Config{Workers: 1, Executors: 8, QueueDepth: burst, CacheSize: 64,
+		Log: obs.NewLogger(io.Discard, obs.LevelError, 16)})
+	t.Cleanup(s.Close)
+	req := SubmitRequest{App: "MCB", Threads: 2, Runs: 2, Reps: 2, Seed: 41}
+	waitFinished := func(id string) {
+		j, ok := s.lookup(id)
+		if !ok {
+			t.Fatalf("study %s is not registered", id)
+		}
+		deadline := time.Now().Add(time.Minute)
+		for !j.snapshot().State.terminal() {
+			if time.Now().After(deadline) {
+				t.Fatalf("study %s did not finish in time", id)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	// The first study computes the result; every later one is a
+	// whole-study cache hit that finishes within milliseconds.
+	first, _, err := s.submit(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFinished(first.ID)
+
+	missing := 0
+	for b := 0; b < bursts; b++ {
+		ids := make([]string, burst)
+		var wg sync.WaitGroup
+		for i := range ids {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				st, _, err := s.submit(req)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				ids[i] = st.ID
+			}()
+		}
+		wg.Wait()
+		for _, id := range ids {
+			if id == "" {
+				continue
+			}
+			waitFinished(id)
+			if _, ok := s.tracer.Job(id); !ok {
+				missing++
+			}
+		}
+	}
+	if missing > 0 {
+		t.Errorf("%d of %d studies have no trace under their own ID", missing, bursts*burst)
+	}
+	if _, ok := s.tracer.Job(""); ok {
+		t.Error("a study recorded its trace under the empty ID")
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -232,6 +233,69 @@ func TestDistributedCancellationPropagates(t *testing.T) {
 	}
 	if took := time.Since(start); took > 5*time.Second {
 		t.Errorf("cancellation took %v to propagate", took)
+	}
+}
+
+// TestDistributedDeleteAbortsInflightUnit: DELETE on a running lone study
+// stops its sweep (every member is cancelled), which cancels the sweep's
+// context, so a unit wedged on a remote worker is abandoned at once — the
+// worker sees its request cancelled — instead of holding the study and
+// its executor until the worker answers.
+func TestDistributedDeleteAbortsInflightUnit(t *testing.T) {
+	// The only worker reads each unit, then blocks until the request's
+	// context ends.
+	received := make(chan struct{}, 1)
+	aborted := make(chan struct{})
+	var abortOnce sync.Once
+	release := make(chan struct{})
+	stuck := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+		io.Copy(io.Discard, r.Body)
+		select {
+		case received <- struct{}{}:
+		default:
+		}
+		select {
+		case <-r.Context().Done():
+			abortOnce.Do(func() { close(aborted) })
+		case <-release:
+		}
+	}))
+	t.Cleanup(func() {
+		close(release)
+		stuck.Close()
+	})
+	s := mustNew(t, Config{
+		Workers: 2, Executors: 1, QueueDepth: 8, CacheSize: 64,
+		WorkerURLs: []string{stuck.URL},
+		Log:        testLogger(t),
+	})
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(func() {
+		ts.Close()
+		s.Close()
+	})
+
+	st := postStudy(t, ts, `{"app":"MCB","threads":2,"runs":3,"reps":3,"seed":41}`)
+	waitState(t, ts, st.ID, StateRunning)
+	select {
+	case <-received:
+	case <-time.After(time.Minute):
+		t.Fatal("the worker never received a unit")
+	}
+	if _, code := doDelete(t, ts, st.ID); code != http.StatusAccepted {
+		t.Fatalf("DELETE on a running study: status %d, want 202", code)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for getStatus(t, ts, st.ID).State != StateCancelled {
+		if time.Now().After(deadline) {
+			t.Fatal("study did not read cancelled within 5s of its DELETE")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	select {
+	case <-aborted:
+	case <-time.After(time.Until(deadline)):
+		t.Fatal("the worker did not see its in-flight request cancelled within 5s of the DELETE")
 	}
 }
 

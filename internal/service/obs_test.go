@@ -153,7 +153,7 @@ func TestMetricsEndToEnd(t *testing.T) {
 		t.Errorf(`bp_jobs_total{state="done"} = %v after two studies, want 2`, done)
 	}
 
-	// The health body carries the same uptime.
+	// The health body reports the same uptime.
 	if h := getHealth(t, ts); h.UptimeSeconds <= 0 {
 		t.Errorf("health uptime_seconds = %v, want > 0", h.UptimeSeconds)
 	}

@@ -10,15 +10,17 @@ import (
 	"barrierpoint/internal/obs"
 )
 
-// Queue rejection causes, mapped to 503 by submit.
+// Queue rejection causes, mapped to 503 by enqueue, and the cause of a
+// cancellation that lands before a job starts.
 var (
-	errQueueFull    = errors.New("service: submission queue full")
-	errServerClosed = errors.New("service: server is shutting down")
+	errQueueFull            = errors.New("service: submission queue full")
+	errServerClosed         = errors.New("service: server is shutting down")
+	errCancelledBeforeStart = errors.New("service: cancelled before start")
 )
 
-// queueItem is one queued job with its scheduling key.
+// queueItem is one queued sweep with its scheduling key.
 type queueItem struct {
-	j   *job
+	sw  *sweep
 	pri int    // higher pops first
 	seq uint64 // submission order; lower pops first within a band
 	idx int    // heap index, maintained by queueHeap
@@ -26,8 +28,8 @@ type queueItem struct {
 }
 
 // queueHeap orders items by descending priority, then submission order.
-// Equal-priority jobs therefore keep the FIFO semantics of the channel
-// queue this replaced, which keeps job start order deterministic.
+// Equal-priority sweeps therefore keep the FIFO semantics of the channel
+// queue this replaced, which keeps start order deterministic.
 type queueHeap []*queueItem
 
 func (h queueHeap) Len() int { return len(h) }
@@ -54,17 +56,18 @@ func (h *queueHeap) Pop() any {
 	return it
 }
 
-// jobQueue is a mutex-guarded, bounded priority queue of submitted jobs.
-// push rejects once the depth bound is reached or the queue is closed;
-// pop blocks until a job or close; remove pulls a still-queued job out by
-// identity (cancellation of a queued job). close wakes every blocked pop
-// and hands the undrained jobs back to the caller, so a job can never be
+// jobQueue is a mutex-guarded, bounded priority queue of submissions,
+// each a sweep (a lone study's has one member). push rejects once the
+// depth bound is reached or the queue is closed; pop blocks until a sweep
+// or close; remove pulls a still-queued sweep out by identity
+// (cancellation of a queued sweep). close wakes every blocked pop and
+// hands the undrained sweeps back to the caller, so a job can never be
 // enqueued after the executors are gone and sit "queued" forever.
 type jobQueue struct {
 	mu       sync.Mutex
 	nonEmpty sync.Cond
 	items    queueHeap
-	byJob    map[*job]*queueItem
+	bySweep  map[*sweep]*queueItem
 	depth    int
 	seq      uint64
 	closed   bool
@@ -89,8 +92,8 @@ func (m queueMetrics) clock() time.Time {
 
 func newJobQueue(depth int) *jobQueue {
 	q := &jobQueue{
-		byJob: make(map[*job]*queueItem),
-		depth: depth,
+		bySweep: make(map[*sweep]*queueItem),
+		depth:   depth,
 	}
 	q.nonEmpty.L = &q.mu
 	return q
@@ -102,8 +105,8 @@ func (q *jobQueue) instrument(m queueMetrics) { q.met = m }
 // band renders a priority as the metric label for its queue band.
 func band(pri int) string { return strconv.Itoa(pri) }
 
-// push enqueues the job at the given priority.
-func (q *jobQueue) push(j *job, pri int) error {
+// push enqueues the sweep at the given priority.
+func (q *jobQueue) push(sw *sweep, pri int) error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.closed {
@@ -113,18 +116,18 @@ func (q *jobQueue) push(j *job, pri int) error {
 		return errQueueFull
 	}
 	q.seq++
-	it := &queueItem{j: j, pri: pri, seq: q.seq, enq: q.met.clock()}
+	it := &queueItem{sw: sw, pri: pri, seq: q.seq, enq: q.met.clock()}
 	heap.Push(&q.items, it)
-	q.byJob[j] = it
+	q.bySweep[sw] = it
 	q.met.depth.With(band(pri)).Inc()
 	q.nonEmpty.Signal()
 	return nil
 }
 
-// pop blocks until a job is available (returning the highest-priority,
+// pop blocks until a sweep is available (returning the highest-priority,
 // oldest one) or the queue is closed (returning ok=false immediately,
-// leaving any remaining jobs for close's caller to drain).
-func (q *jobQueue) pop() (*job, bool) {
+// leaving any remaining sweeps for close's caller to drain).
+func (q *jobQueue) pop() (*sweep, bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	for len(q.items) == 0 && !q.closed {
@@ -134,24 +137,24 @@ func (q *jobQueue) pop() (*job, bool) {
 		return nil, false
 	}
 	it := heap.Pop(&q.items).(*queueItem)
-	delete(q.byJob, it.j)
+	delete(q.bySweep, it.sw)
 	q.met.depth.With(band(it.pri)).Dec()
 	q.met.wait.With(band(it.pri)).Observe(q.met.clock().Sub(it.enq).Seconds())
-	return it.j, true
+	return it.sw, true
 }
 
-// remove pulls a still-queued job out of the queue, reporting whether it
-// was there (false means an executor already claimed it, or it was never
-// queued here).
-func (q *jobQueue) remove(j *job) bool {
+// remove pulls a still-queued sweep out of the queue, reporting whether
+// it was there (false means an executor already claimed it, or it was
+// never queued here).
+func (q *jobQueue) remove(sw *sweep) bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	it, ok := q.byJob[j]
+	it, ok := q.bySweep[sw]
 	if !ok {
 		return false
 	}
 	heap.Remove(&q.items, it.idx)
-	delete(q.byJob, j)
+	delete(q.bySweep, sw)
 	// Cancelled before starting: drop from depth, but do not record a
 	// queue wait — the histogram tracks time-to-start only.
 	q.met.depth.With(band(it.pri)).Dec()
@@ -159,34 +162,34 @@ func (q *jobQueue) remove(j *job) bool {
 }
 
 // close marks the queue closed, wakes all blocked pops, and returns the
-// jobs still queued in pop order. Idempotent; later calls return nil.
-func (q *jobQueue) close() []*job {
+// sweeps still queued in pop order. Idempotent; later calls return nil.
+func (q *jobQueue) close() []*sweep {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.closed {
 		return nil
 	}
 	q.closed = true
-	drained := make([]*job, 0, len(q.items))
+	drained := make([]*sweep, 0, len(q.items))
 	for len(q.items) > 0 {
 		it := heap.Pop(&q.items).(*queueItem)
-		delete(q.byJob, it.j)
+		delete(q.bySweep, it.sw)
 		q.met.depth.With(band(it.pri)).Dec()
-		drained = append(drained, it.j)
+		drained = append(drained, it.sw)
 	}
 	q.nonEmpty.Broadcast()
 	return drained
 }
 
-// len returns the number of queued jobs.
+// len returns the number of queued sweeps.
 func (q *jobQueue) len() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	return len(q.items)
 }
 
-// bands returns the number of queued jobs per priority band (only bands
-// with queued jobs appear).
+// bands returns the number of queued sweeps per priority band (only
+// bands with queued sweeps appear).
 func (q *jobQueue) bands() map[int]int {
 	q.mu.Lock()
 	defer q.mu.Unlock()

@@ -15,20 +15,30 @@
 //	DELETE /sweeps/{id}         cancel one sweep      → 200/202 + sweep status
 //	GET    /healthz             liveness + counters   → 200 + health
 //
-// POST /studies:batch accepts a list of study configurations and compiles
-// the whole sweep server-side into one deduplicated unit DAG
-// (sched.CompileSweep) before execution: units shared between member
-// studies execute exactly once, discovery sweeps over different run
-// counts are subsumed into the superset, and every member's report stays
-// byte-identical to serial one-at-a-time submission. Members appear as
-// ordinary jobs (with a "sweep" field) and stream to done as they
-// complete; DELETE on the sweep cascades to every member, DELETE on a
-// member prunes just that member's work from the running DAG.
+// Every submission runs as a sweep: the sweep is the only unit of queueing
+// and execution, and an executor compiles its member studies into one
+// deduplicated unit DAG (sched.CompileSweep) before running it. POST
+// /studies enqueues an unlisted one-member sweep that takes its job's ID;
+// it stays out of GET /sweeps, the /healthz sweep counts, the bp_sweep*
+// metrics and the sweep transition log, and its trace is the job's "study"
+// span tree. POST /studies:batch enqueues a listed sweep of many studies:
+// units shared between members execute exactly once, discovery sweeps
+// over different run counts are subsumed into the superset, and every
+// member's report stays byte-identical to serial one-at-a-time
+// submission. Members appear as ordinary jobs (with a "sweep" field),
+// stream to done as they complete, and serve their sweep's trace.
 //
-// GET /studies/{id} long-polls with ?wait=<dur>: the response is held
-// back until the job's state or progress changes (or the wait elapses),
-// so clients track a study with one outstanding request instead of a
-// poll loop. Every status carries a version; pass it back as
+// DELETE /sweeps/{id} cascades to every member. DELETE /studies/{id}
+// cancels one job: a queued job is cancelled at once (200), a running one
+// is pruned from its sweep's plan and winds down at the next unit
+// boundary (202). Once every member of a sweep is cancelled the sweep
+// itself stops — a queued sweep leaves the queue, a running one has its
+// context cancelled — so a lone study's DELETE aborts its in-flight units.
+//
+// GET /studies/{id} and GET /sweeps/{id} long-poll with ?wait=<dur>: the
+// response is held back until the state or progress changes (or the wait
+// elapses), so clients track a study with one outstanding request instead
+// of a poll loop. Every status has a version; pass it back as
 // &since=<version> to sleep through states you have already seen.
 //
 // With Config.WorkerURLs set the server runs distributed: study units are
@@ -37,11 +47,10 @@
 // fallback when no worker is healthy. /healthz then also reports
 // per-worker health and dispatch counters.
 //
-// Submissions carry an optional priority: higher-priority jobs start
-// first, equal priorities start in submission order. A running job
-// reports live progress (units completed / total) on every poll, and
-// DELETE cancels it promptly — the queue entry is removed if it has not
-// started, the study's context is cancelled if it has.
+// Submissions carry an optional priority: higher-priority submissions
+// start first, equal priorities start in submission order, and a batch
+// queues once at the sweep's priority. A running job reports live
+// progress (units completed / total) on every poll.
 //
 // Studies are memoised through the server's resultcache, so repeated or
 // overlapping submissions skip recomputation. With Config.CacheDir set
@@ -53,6 +62,7 @@
 package service
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -149,9 +159,10 @@ type Health struct {
 	UptimeSeconds float64       `json:"uptime_seconds"`
 	Workers       int           `json:"workers"`
 	Jobs          map[State]int `json:"jobs"`
-	// QueueDepth is the number of submitted-but-unstarted jobs;
-	// QueueByPriority breaks it down per scheduling band (bands with
-	// queued jobs only — JSON object keys are the band numbers).
+	// QueueDepth is the number of queued submissions (a batch counts
+	// once, however many members it has); QueueByPriority breaks it down
+	// per scheduling band (bands with queued submissions only — JSON
+	// object keys are the band numbers).
 	QueueDepth      int         `json:"queue_depth"`
 	QueueByPriority map[int]int `json:"queue_by_priority,omitempty"`
 	// Sweeps counts batch sweeps per state (queued/running/…), so
@@ -163,30 +174,26 @@ type Health struct {
 	Distributed *sched.RemoteStats `json:"distributed,omitempty"`
 }
 
-// job is the server-side record behind a JobStatus.
+// job is the server-side record behind a JobStatus. study, sw and idx
+// are set before the job is published and immutable after, as are the
+// ID and Sweep fields of status; the rest of status is guarded by mu.
 type job struct {
+	// study is the submission resolved against the app registry.
+	study sched.StudyRequest
+	// sw is the sweep that runs the job, as member idx of its plan.
+	sw  *sweep
+	idx int
+
 	mu     sync.Mutex
 	status JobStatus
 	result *core.StudyResult
 	// changed, when non-nil, is closed at the next visible change; it is
 	// allocated lazily by the first long-poller waiting on this job.
 	changed chan struct{}
-	// cancel aborts the running study's context; non-nil only while the
-	// job runs.
-	cancel context.CancelFunc
 	// cancelRequested records a DELETE, so the executor can tell a
-	// cancelled study apart from one that failed on its own, and skip a
-	// job whose cancellation raced with its dequeue.
+	// cancelled study apart from one that failed on its own, and leave a
+	// member whose cancellation raced with its start unstarted.
 	cancelRequested bool
-	// memberOf/memberIdx tie a batch-submitted job to its sweep and its
-	// index in the sweep's plan; nil/0 for ordinary submissions. Set
-	// before the job is published, immutable after.
-	memberOf  *sweep
-	memberIdx int
-	// carries marks a sweep's queue carrier: the pseudo-job that holds
-	// the sweep's place in the priority queue. Carriers never appear in
-	// the job list.
-	carries *sweep
 }
 
 // bumpLocked records a visible change: the version increments and any
@@ -199,13 +206,15 @@ func (j *job) bumpLocked() {
 	}
 }
 
-// waitChanLocked returns the channel closed at the next visible change.
-// Callers hold j.mu.
-func (j *job) waitChanLocked() <-chan struct{} {
+// watch returns the job's version and state, and the channel closed at
+// its next visible change.
+func (j *job) watch() (int64, State, <-chan struct{}) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
 	if j.changed == nil {
 		j.changed = make(chan struct{})
 	}
-	return j.changed
+	return j.status.Version, j.status.State, j.changed
 }
 
 // snapshot returns a copy of the status safe to use outside j.mu. The
@@ -227,12 +236,6 @@ func (j *job) snapshotLocked() JobStatus {
 	return st
 }
 
-func (j *job) setID(id string) {
-	j.mu.Lock()
-	j.status.ID = id
-	j.mu.Unlock()
-}
-
 // setProgress folds one scheduler progress report into the status.
 // Reports can be observed out of order across workers, so only a higher
 // done count is kept — GET /studies/{id} sees units_done increase
@@ -244,25 +247,6 @@ func (j *job) setProgress(done, total int) {
 		p.UnitsTotal = total
 		j.bumpLocked()
 	}
-	j.mu.Unlock()
-}
-
-// state reads just the lifecycle phase, without the full status copy.
-func (j *job) state() State {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.status.State
-}
-
-// finish moves the job to a terminal state.
-func (j *job) finish(at time.Time, st State, err error) {
-	j.mu.Lock()
-	j.status.State = st
-	j.status.FinishedAt = &at
-	if err != nil {
-		j.status.Error = err.Error()
-	}
-	j.bumpLocked()
 	j.mu.Unlock()
 }
 
@@ -355,17 +339,18 @@ type Server struct {
 	queue  *jobQueue
 	wg     sync.WaitGroup
 
-	mu      sync.Mutex
-	jobs    map[string]*job
-	order   []string
-	nextID  int
-	maxJobs int
+	// Retained submissions: order holds every submission's sweep, oldest
+	// first; jobs indexes their members and sweeps the listed (batch)
+	// sweeps behind GET /sweeps/{id}.
+	mu          sync.Mutex
+	order       []*sweep
+	jobs        map[string]*job
+	sweeps      map[string]*sweep
+	nextID      int
+	nextSweepID int
+	maxJobs     int
 
-	// Batch sweeps: records behind GET /sweeps/{id}, retention order,
-	// sizing, and the bp_sweep_* metric handles (see sweep.go).
-	sweeps          map[string]*sweep
-	sweepOrder      []string
-	nextSweepID     int
+	// Batch sizing and the bp_sweep_* metric handles (see sweep.go).
 	maxSweepStudies int
 	sweepsTotal     *obs.CounterVec
 	sweepStudies    *obs.Histogram
@@ -441,9 +426,9 @@ func New(cfg Config) (*Server, error) {
 		func() float64 { return s.now().Sub(s.start).Seconds() })
 	s.queue.instrument(queueMetrics{
 		depth: s.reg.GaugeVec("bp_queue_depth",
-			"Submitted-but-unstarted jobs, by priority band.", "band"),
+			"Queued submissions (a batch counts once), by priority band.", "band"),
 		wait: s.reg.HistogramVec("bp_queue_wait_seconds",
-			"Time jobs spent queued before an executor claimed them, by priority band.",
+			"Time submissions spent queued before an executor claimed them, by priority band.",
 			nil, "band"),
 		now: s.now,
 	})
@@ -468,22 +453,19 @@ func New(cfg Config) (*Server, error) {
 }
 
 // Close stops the service: the queue is closed first (new submissions are
-// rejected with 503), running studies are cancelled, and once the
-// executors exit the jobs still queued are marked cancelled. Closing the
-// queue before waiting means no job can slip in after the drain and sit
-// "queued" forever with no executor left to run it. Finally the result
-// cache is closed, which flushes pending write-behinds to the persistent
-// store — results computed just before shutdown survive the restart.
+// rejected with 503), running sweeps are cancelled, and once the
+// executors exit the sweeps still queued, with their jobs, are marked
+// cancelled. Closing the queue before waiting means no job can slip in
+// after the drain and sit "queued" forever with no executor left to run
+// it. Finally the result cache is closed, which flushes pending
+// write-behinds to the persistent store — results computed just before
+// shutdown survive the restart.
 func (s *Server) Close() {
 	drained := s.queue.close()
 	s.cancel()
 	s.wg.Wait()
-	for _, j := range drained {
-		if sw := j.carries; sw != nil {
-			s.abortQueuedSweep(sw, errServerClosed)
-			continue
-		}
-		s.markTerminal(j, StateCancelled, errServerClosed)
+	for _, sw := range drained {
+		s.abortSweep(sw, errServerClosed)
 	}
 	if err := s.cache.Close(); err != nil {
 		s.log.Error(context.Background(), "cache store close failed", "err", err)
@@ -520,125 +502,41 @@ func (s *Server) noteTransition(j *job, st State) {
 	s.log.Log(context.Background(), level, "study transition", kv...)
 }
 
-// markTerminal finishes the job and records the transition.
-func (s *Server) markTerminal(j *job, st State, err error) {
-	j.finish(s.now(), st, err)
-	s.noteTransition(j, st)
-}
-
-// execute is one executor goroutine: it pops jobs in priority order until
-// the queue closes.
+// execute is one executor goroutine: it pops sweeps in priority order
+// until the queue closes.
 func (s *Server) execute() {
 	defer s.wg.Done()
 	for {
-		j, ok := s.queue.pop()
+		sw, ok := s.queue.pop()
 		if !ok {
 			return
 		}
-		if j.carries != nil {
-			s.runSweep(j.carries)
-			continue
-		}
-		s.runJob(j)
+		s.runSweep(sw)
 	}
 }
 
-// runJob drives one job through running → done/failed/cancelled.
-func (s *Server) runJob(j *job) {
-	started := s.now()
-	ctx, cancel := context.WithCancel(s.ctx)
-	defer cancel()
-
-	j.mu.Lock()
-	if j.cancelRequested {
-		// DELETE raced with the dequeue: honour it before doing any work.
-		j.status.State = StateCancelled
-		j.status.FinishedAt = &started
-		j.status.Error = context.Canceled.Error()
-		j.bumpLocked()
-		j.mu.Unlock()
-		s.noteTransition(j, StateCancelled)
-		return
+// priority resolves a submission's scheduling band: the requested one,
+// or the server default when the request leaves it out.
+func (s *Server) priority(p *int) (int, error) {
+	if p == nil {
+		return s.defaultPri, nil
 	}
-	j.cancel = cancel
-	j.status.State = StateRunning
-	j.status.StartedAt = &started
-	id := j.status.ID
-	req := j.status.Request
-	cfg := studyConfig(req)
-	j.status.Progress = &Progress{UnitsTotal: sched.StudyUnits(cfg)}
-	j.bumpLocked()
-	j.mu.Unlock()
-	s.noteTransition(j, StateRunning)
-
-	// The study root span: every unit, cache probe and dispatch below
-	// attaches as a descendant via the context.
-	root := s.tracer.StartJob(id).Root("study")
-	root.SetAttr("app", req.App)
-	root.SetAttr("threads", strconv.Itoa(req.Threads))
-	root.SetAttr("runs", strconv.Itoa(cfg.Runs))
-	ctx = obs.ContextWithSpan(ctx, root)
-
-	res, err := s.runStudy(ctx, j, req.App, cfg)
-
-	j.mu.Lock()
-	j.cancel = nil
-	wasCancelled := j.cancelRequested
-	j.mu.Unlock()
-
-	final := StateDone
-	switch {
-	case err == nil:
-		finished := s.now()
-		summary := res.Summarise()
-		j.mu.Lock()
-		j.status.State = StateDone
-		j.status.FinishedAt = &finished
-		j.status.Summary = &summary
-		j.result = res
-		j.bumpLocked()
-		j.mu.Unlock()
-		s.noteTransition(j, StateDone)
-	case errors.Is(err, context.Canceled) && (wasCancelled || s.ctx.Err() != nil):
-		// Cancelled via DELETE, or the server shut down underneath the
-		// study: either way the study was stopped, it did not fail.
-		final = StateCancelled
-		s.markTerminal(j, StateCancelled, err)
-	default:
-		final = StateFailed
-		s.markTerminal(j, StateFailed, err)
+	if *p < -MaxPriority || *p > MaxPriority {
+		return 0, fmt.Errorf("service: priority must be in [%d, %d], got %d", -MaxPriority, MaxPriority, *p)
 	}
-	root.SetAttr("state", string(final))
-	if err != nil {
-		root.SetAttr("error", err.Error())
-	}
-	root.End()
+	return *p, nil
 }
 
-// runStudy executes the job's study on the scheduler with a per-job
-// progress callback.
-func (s *Server) runStudy(ctx context.Context, j *job, app string, cfg core.StudyConfig) (*core.StudyResult, error) {
-	a, err := apps.ByName(app)
+// newJob validates one study submission and resolves its app, once, into
+// the queued job that will run it in the band pri selects; submit and the
+// batch endpoint share it.
+func (s *Server) newJob(req SubmitRequest, pri *int) (*job, error) {
+	a, err := apps.ByName(req.App)
 	if err != nil {
 		return nil, err
 	}
-	opts := s.opts
-	opts.Progress = j.setProgress
-	return sched.Run(ctx, sched.StudyRequest{
-		App:    a.Name,
-		Build:  a.Build,
-		Config: cfg,
-	}, opts)
-}
-
-// validateSubmit checks one study submission's fields and resolves its
-// effective scheduling band; submit and the batch endpoint share it.
-func (s *Server) validateSubmit(req SubmitRequest) (int, error) {
-	if _, err := apps.ByName(req.App); err != nil {
-		return 0, err
-	}
 	if req.Threads <= 0 || req.Threads > MaxThreads {
-		return 0, fmt.Errorf("service: threads must be in [1, %d], got %d", MaxThreads, req.Threads)
+		return nil, fmt.Errorf("service: threads must be in [1, %d], got %d", MaxThreads, req.Threads)
 	}
 	for _, lim := range []struct {
 		name string
@@ -650,22 +548,14 @@ func (s *Server) validateSubmit(req SubmitRequest) (int, error) {
 		{"max_k", req.MaxK, MaxMaxK},
 	} {
 		if lim.v < 0 || lim.v > lim.max {
-			return 0, fmt.Errorf("service: %s must be in [0, %d], got %d", lim.name, lim.max, lim.v)
+			return nil, fmt.Errorf("service: %s must be in [0, %d], got %d", lim.name, lim.max, lim.v)
 		}
 	}
-	pri := s.defaultPri
-	if req.Priority != nil {
-		if *req.Priority < -MaxPriority || *req.Priority > MaxPriority {
-			return 0, fmt.Errorf("service: priority must be in [%d, %d], got %d", -MaxPriority, MaxPriority, *req.Priority)
-		}
-		pri = *req.Priority
+	band, err := s.priority(pri)
+	if err != nil {
+		return nil, err
 	}
-	return pri, nil
-}
-
-// studyConfig maps a submission's tuning fields onto a StudyConfig.
-func studyConfig(req SubmitRequest) core.StudyConfig {
-	return core.StudyConfig{
+	cfg := core.StudyConfig{
 		Threads:    req.Threads,
 		Vectorised: req.Vectorised,
 		Runs:       req.Runs,
@@ -673,102 +563,145 @@ func studyConfig(req SubmitRequest) core.StudyConfig {
 		Seed:       req.Seed,
 		MaxK:       req.MaxK,
 	}
+	return &job{
+		study:  sched.StudyRequest{App: a.Name, Build: a.Build, Config: cfg},
+		status: JobStatus{State: StateQueued, Request: req, Priority: band},
+	}, nil
 }
 
-// submit validates and enqueues one study, returning its initial status.
+// submit validates one study and enqueues it as an unlisted one-member
+// sweep, returning its initial status.
 func (s *Server) submit(req SubmitRequest) (JobStatus, int, error) {
-	pri, err := s.validateSubmit(req)
+	j, err := s.newJob(req, req.Priority)
 	if err != nil {
 		return JobStatus{}, http.StatusBadRequest, err
 	}
-
-	j := &job{status: JobStatus{
-		State:       StateQueued,
-		Request:     req,
-		Priority:    pri,
-		SubmittedAt: s.now(),
-	}}
-	// Enqueue before registering: a rejected submission must not leave a
-	// phantom failed job behind (retry storms against a full queue would
-	// otherwise flood the job list and prune real finished studies).
-	if err := s.queue.push(j, pri); err != nil {
-		if errors.Is(err, errQueueFull) {
-			err = fmt.Errorf("%w (%d pending)", err, s.queue.len())
-		}
+	if _, err := s.enqueue([]*job{j}, j.status.Priority, false); err != nil {
 		return JobStatus{}, http.StatusServiceUnavailable, err
 	}
-	s.mu.Lock()
-	s.nextID++
-	j.setID(fmt.Sprintf("s-%06d", s.nextID))
-	s.jobs[j.status.ID] = j
-	s.order = append(s.order, j.status.ID)
-	s.pruneJobs()
-	s.mu.Unlock()
-	s.noteTransition(j, StateQueued)
 	return j.snapshot(), http.StatusAccepted, nil
 }
 
-// cancelJob cancels one job: a still-queued job is removed from the queue
-// and terminal immediately; a running job has its context cancelled and
-// winds down at the next unit boundary (202 — poll for "cancelled").
+// enqueue wraps members into one sweep and queues it in band pri: a
+// listed sweep for a batch, or an unlisted one that takes its lone job's
+// ID. IDs are assigned before the push, so an executor that claims the
+// sweep at once already runs it under them; the records are registered,
+// and the oldest finished ones pruned, only after the push succeeds, so a
+// submission rejected by a full or closed queue leaves nothing behind and
+// evicts nothing.
+func (s *Server) enqueue(members []*job, pri int, listed bool) (*sweep, error) {
+	now := s.now()
+	sw := &sweep{members: members, listed: listed, status: SweepStatus{
+		State: StateQueued, Priority: pri, SubmittedAt: now,
+	}}
+	s.mu.Lock()
+	for i, j := range members {
+		j.sw, j.idx = sw, i
+		j.status.ID = fmt.Sprintf("s-%06d", s.nextID+1+i)
+		j.status.SubmittedAt = now
+	}
+	if listed {
+		sw.status.ID = fmt.Sprintf("sw-%06d", s.nextSweepID+1)
+		for _, j := range members {
+			j.status.Sweep = sw.status.ID
+		}
+	} else {
+		sw.status.ID = members[0].status.ID
+	}
+	err := s.queue.push(sw, pri)
+	if err == nil {
+		s.nextID += len(members)
+		if listed {
+			s.nextSweepID++
+			s.sweeps[sw.status.ID] = sw
+		}
+		for _, j := range members {
+			s.jobs[j.status.ID] = j
+		}
+		s.order = append(s.order, sw)
+		s.pruneJobs()
+	}
+	s.mu.Unlock()
+	if err != nil {
+		if errors.Is(err, errQueueFull) {
+			err = fmt.Errorf("%w (%d pending)", err, s.queue.len())
+		}
+		return nil, err
+	}
+	for _, j := range members {
+		s.noteTransition(j, StateQueued)
+	}
+	s.noteSweep(sw, StateQueued)
+	return sw, nil
+}
+
+// cancelJob cancels one job. A queued job is cancelled at once (200); a
+// running one is pruned from its sweep's plan, which finishes it
+// cancelled at the next unit boundary (202 — poll for "cancelled").
 // Cancelling an already-cancelled job is a no-op; done/failed jobs
-// conflict.
+// conflict. Once every member of a sweep has been cancelled the sweep
+// itself stops (the all-cancelled rule): a queued sweep leaves the queue
+// and a running one has its context cancelled, which is how a lone
+// study's DELETE aborts its in-flight units.
 func (s *Server) cancelJob(j *job) (JobStatus, int, error) {
-	// Sweep members never sit in the queue themselves; their cancellation
-	// goes through the sweep's plan.
-	if j.memberOf != nil {
-		return s.cancelMember(j)
-	}
-	// Pull it from the queue first (queue lock only — never nested with
-	// j.mu). Success means no executor will ever see the job.
-	if s.queue.remove(j) {
-		j.mu.Lock()
-		j.cancelRequested = true
-		j.mu.Unlock()
-		s.markTerminal(j, StateCancelled, errors.New("service: cancelled before start"))
-		return j.snapshot(), http.StatusOK, nil
-	}
 	j.mu.Lock()
 	st := j.status.State
-	if st == StateDone || st == StateFailed {
+	switch st {
+	case StateDone, StateFailed:
 		id := j.status.ID
 		j.mu.Unlock()
 		return JobStatus{}, http.StatusConflict,
 			fmt.Errorf("service: study %s is already %s", id, st)
-	}
-	if st == StateCancelled {
+	case StateCancelled:
 		j.mu.Unlock()
 		return j.snapshot(), http.StatusOK, nil
 	}
 	j.cancelRequested = true
-	if j.cancel != nil {
-		j.cancel()
-	}
 	j.mu.Unlock()
-	// Queued-but-claimed (an executor popped it but has not started it)
-	// is handled by runJob's cancelRequested check; running jobs stop at
-	// the next unit boundary.
+	// Stop the sweep before pruning the member from its plan: pruning its
+	// last member first could let the plan finish, and the sweep read
+	// done, before the stop lands.
+	if j.sw.allCancelled() {
+		s.stopSweep(j.sw)
+	}
+	if st == StateQueued {
+		// runSweep never starts a member cancelled while queued, and prunes
+		// it from the plan itself.
+		s.terminalizeMember(j, StateCancelled, nil, errCancelledBeforeStart)
+		return j.snapshot(), http.StatusOK, nil
+	}
+	j.sw.mu.Lock()
+	plan := j.sw.plan
+	j.sw.mu.Unlock()
+	if plan != nil {
+		plan.CancelStudy(j.idx)
+	}
 	return j.snapshot(), http.StatusAccepted, nil
 }
 
-// pruneJobs drops the oldest finished jobs once the retention bound is
-// exceeded, so a long-running server does not accumulate StudyResults
-// without limit. The caller holds s.mu. Queued and running jobs are kept
-// even beyond the bound (the queue depth caps how many those can be).
+// pruneJobs drops the oldest finished submissions, each sweep with all
+// its members, while more than maxJobs jobs are retained, so a
+// long-running server does not accumulate StudyResults without limit. The
+// caller holds s.mu. Queued and running sweeps are kept even beyond the
+// bound (the queue depth caps how many those can be).
 func (s *Server) pruneJobs() {
-	excess := len(s.order) - s.maxJobs
+	excess := len(s.jobs) - s.maxJobs
 	if excess <= 0 {
 		return
 	}
 	kept := s.order[:0]
-	for _, id := range s.order {
-		if excess > 0 && s.jobs[id].state().terminal() {
-			delete(s.jobs, id)
-			excess--
+	for _, sw := range s.order {
+		if excess > 0 && sw.state().terminal() {
+			for _, j := range sw.members {
+				delete(s.jobs, j.status.ID)
+			}
+			delete(s.sweeps, sw.status.ID) // a no-op for an unlisted sweep
+			excess -= len(sw.members)
 			continue
 		}
-		kept = append(kept, id)
+		kept = append(kept, sw)
 	}
+	clear(s.order[len(kept):])
 	s.order = kept
 }
 
@@ -786,9 +719,9 @@ func (s *Server) lookup(id string) (*job, bool) {
 // against all executors at once.
 func (s *Server) snapshotJobs() []JobStatus {
 	s.mu.Lock()
-	js := make([]*job, 0, len(s.order))
-	for _, id := range s.order {
-		js = append(js, s.jobs[id])
+	js := make([]*job, 0, len(s.jobs))
+	for _, sw := range s.order {
+		js = append(js, sw.members...)
 	}
 	s.mu.Unlock()
 	statuses := make([]JobStatus, 0, len(js))
@@ -867,10 +800,20 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusNotFound, fmt.Errorf("service: unknown study %q", r.PathValue("id")))
 		return
 	}
+	s.longPoll(w, r, j.watch, func() any { return j.snapshot() })
+}
+
+// longPoll answers a job or sweep status request, rendered by render.
+// With ?wait=<dur> the answer is held back until watch reports a version
+// past ?since= (absent, past the version as of this request) or a
+// terminal state, which can never change again, or until the wait
+// (capped at maxLongPoll) elapses.
+func (s *Server) longPoll(w http.ResponseWriter, r *http.Request,
+	watch func() (int64, State, <-chan struct{}), render func() any) {
 	q := r.URL.Query()
 	waitStr := q.Get("wait")
 	if waitStr == "" {
-		s.writeJSON(w, http.StatusOK, j.snapshot())
+		s.writeJSON(w, http.StatusOK, render())
 		return
 	}
 	wait, err := time.ParseDuration(waitStr)
@@ -879,43 +822,34 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("service: wait must be a non-negative duration, got %q", waitStr))
 		return
 	}
-	wait = min(wait, maxLongPoll)
-	// since is the last version the client saw; absent, the wait watches
-	// for the next change from the status as of this request.
 	var since int64 = -1
 	if sinceStr := q.Get("since"); sinceStr != "" {
-		since, err = strconv.ParseInt(sinceStr, 10, 64)
-		if err != nil {
+		if since, err = strconv.ParseInt(sinceStr, 10, 64); err != nil {
 			s.writeError(w, http.StatusBadRequest,
 				fmt.Errorf("service: since must be a version number, got %q", sinceStr))
 			return
 		}
 	}
-	timer := time.NewTimer(wait)
+	timer := time.NewTimer(min(wait, maxLongPoll))
 	defer timer.Stop()
 	for {
-		j.mu.Lock()
-		st := j.snapshotLocked()
-		ch := j.waitChanLocked()
-		j.mu.Unlock()
+		version, state, changed := watch()
 		if since < 0 {
-			since = st.Version
+			since = version
 		}
-		// A terminal job can never change again: return rather than hold
-		// the request open for nothing.
-		if st.Version > since || st.State.terminal() {
-			s.writeJSON(w, http.StatusOK, st)
-			return
+		if version > since || state.terminal() {
+			break
 		}
 		select {
-		case <-ch:
+		case <-changed:
+			continue
 		case <-timer.C:
-			s.writeJSON(w, http.StatusOK, st)
-			return
 		case <-r.Context().Done():
 			return
 		}
+		break
 	}
+	s.writeJSON(w, http.StatusOK, render())
 }
 
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
@@ -959,26 +893,32 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	renderReport(w, res)
 }
 
-// handleTrace serves the span tree recorded for one study — as a nested
-// JSON tree by default, or one span per line with ?format=jsonl. Traces
-// exist once a job starts and are retained for the most recent jobs only,
-// so a 404 here can mean not-started as well as evicted.
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	if _, ok := s.lookup(id); !ok {
+	j, ok := s.lookup(id)
+	if !ok {
 		s.writeError(w, http.StatusNotFound, fmt.Errorf("service: unknown study %q", id))
 		return
 	}
-	jt, ok := s.tracer.Job(id)
+	// A batch member ran inside its sweep, so its trace is the sweep's.
+	s.writeTrace(w, r, "study "+id, cmp.Or(j.status.Sweep, id))
+}
+
+// writeTrace serves the span tree recorded under traceID for what — as a
+// nested JSON tree by default, or one span per line with ?format=jsonl.
+// Traces exist once a sweep starts and are retained for the most recent
+// ones only, so a 404 here can mean not-started as well as evicted.
+func (s *Server) writeTrace(w http.ResponseWriter, r *http.Request, what, traceID string) {
+	jt, ok := s.tracer.Job(traceID)
 	if !ok {
 		s.writeError(w, http.StatusNotFound,
-			fmt.Errorf("service: no trace for study %s (not started, or evicted)", id))
+			fmt.Errorf("service: no trace for %s (not started, or evicted)", what))
 		return
 	}
 	if r.URL.Query().Get("format") == "jsonl" {
 		w.Header().Set("Content-Type", "application/x-ndjson")
 		if err := jt.WriteJSONL(w); err != nil {
-			s.log.Error(r.Context(), "trace write failed", "job", id, "err", err)
+			s.log.Error(r.Context(), "trace write failed", "job", traceID, "err", err)
 		}
 		return
 	}

@@ -9,16 +9,15 @@ import (
 	"sync"
 	"time"
 
-	"barrierpoint/internal/apps"
 	"barrierpoint/internal/core"
 	"barrierpoint/internal/obs"
 	"barrierpoint/internal/sched"
 )
 
 // BatchRequest is the POST /studies:batch body: a whole experiment sweep
-// submitted as one unit. Priority schedules the sweep as a whole (the
-// carrier entry in the priority queue); member studies must leave their
-// own priority unset.
+// submitted as one unit. Priority schedules the sweep as a whole (its one
+// entry in the priority queue); member studies must leave their own
+// priority unset.
 type BatchRequest struct {
 	Studies  []SubmitRequest `json:"studies"`
 	Priority *int            `json:"priority,omitempty"`
@@ -49,24 +48,30 @@ type SweepStatus struct {
 	Error string `json:"error,omitempty"`
 }
 
-// sweep is the server-side record behind a SweepStatus. members and
-// carrier are set before the sweep is published and immutable after; the
-// rest is guarded by mu. Lock ordering: never acquire a member's j.mu
-// while holding sw.mu (snapshot members outside the sweep lock).
+// sweep is the server-side record behind a SweepStatus and the unit of
+// queueing and execution for every submission: a batch runs as a listed
+// sweep, a lone study as an unlisted one-member sweep that takes its
+// job's ID and is reachable only through that job. members, listed and
+// the ID in status are set before the sweep is published and immutable
+// after; the rest is guarded by mu. Lock ordering: never acquire a
+// member's j.mu while holding sw.mu (snapshot members outside the sweep
+// lock).
 type sweep struct {
 	members []*job
-	carrier *job
+	listed  bool
 
 	mu     sync.Mutex
 	status SweepStatus
-	// plan is the executing DAG, set once compilation finishes; member
-	// cancellation routes through it.
+	// plan is the executing DAG: set once compilation finishes, so member
+	// cancellation can route through it, and released once it has run,
+	// so a retained sweep does not pin its unit artifacts.
 	plan *sched.SweepPlan
 	// changed, when non-nil, is closed at the next visible change.
 	changed chan struct{}
 	// cancel aborts the running sweep's context.
 	cancel context.CancelFunc
-	// cancelRequested records a DELETE on the sweep.
+	// cancelRequested records a stop: a DELETE on the sweep, or the
+	// all-cancelled rule.
 	cancelRequested bool
 }
 
@@ -86,12 +91,14 @@ func (sw *sweep) bump() {
 	sw.mu.Unlock()
 }
 
-// waitChanLocked mirrors job.waitChanLocked. Callers hold sw.mu.
-func (sw *sweep) waitChanLocked() <-chan struct{} {
+// watch mirrors job.watch.
+func (sw *sweep) watch() (int64, State, <-chan struct{}) {
+	sw.mu.Lock()
+	defer sw.mu.Unlock()
 	if sw.changed == nil {
 		sw.changed = make(chan struct{})
 	}
-	return sw.changed
+	return sw.status.Version, sw.status.State, sw.changed
 }
 
 // state reads just the sweep's lifecycle phase.
@@ -101,9 +108,19 @@ func (sw *sweep) state() State {
 	return sw.status.State
 }
 
-// maxSweeps bounds how many sweep records are retained; the oldest
-// finished sweeps are pruned past it, like job retention.
-const maxSweeps = 256
+// allCancelled reports whether every member has been cancelled, which
+// stops the sweep (see cancelJob).
+func (sw *sweep) allCancelled() bool {
+	for _, j := range sw.members {
+		j.mu.Lock()
+		cancelled := j.cancelRequested
+		j.mu.Unlock()
+		if !cancelled {
+			return false
+		}
+	}
+	return true
+}
 
 // registerSweepMetrics creates the bp_sweep_* metric families.
 func (s *Server) registerSweepMetrics() {
@@ -122,15 +139,23 @@ func (s *Server) registerSweepMetrics() {
 		"Requested discovery units dropped because a sibling study's discovery subsumes them.")
 }
 
-// sweepCounts tallies sweeps per state for /healthz; nil until the first
-// sweep is submitted so local-only deployments keep their health shape.
-func (s *Server) sweepCounts() map[State]int {
+// listedSweeps returns the retained batch sweeps in submission order.
+func (s *Server) listedSweeps() []*sweep {
 	s.mu.Lock()
-	sws := make([]*sweep, 0, len(s.sweepOrder))
-	for _, id := range s.sweepOrder {
-		sws = append(sws, s.sweeps[id])
+	defer s.mu.Unlock()
+	var sws []*sweep
+	for _, sw := range s.order {
+		if sw.listed {
+			sws = append(sws, sw)
+		}
 	}
-	s.mu.Unlock()
+	return sws
+}
+
+// sweepCounts tallies batch sweeps per state for /healthz; nil while there
+// are none, so local-only deployments keep their health shape.
+func (s *Server) sweepCounts() map[State]int {
+	sws := s.listedSweeps()
 	if len(sws) == 0 {
 		return nil
 	}
@@ -143,8 +168,12 @@ func (s *Server) sweepCounts() map[State]int {
 	return counts
 }
 
-// noteSweep counts one sweep state transition and logs it.
+// noteSweep counts one batch sweep state transition and logs it. A lone
+// study's sweep is unlisted: its job's transitions are the whole record.
 func (s *Server) noteSweep(sw *sweep, st State) {
+	if !sw.listed {
+		return
+	}
 	s.sweepsTotal.With(string(st)).Inc()
 	sw.mu.Lock()
 	snap := sw.status
@@ -172,10 +201,9 @@ func (s *Server) noteSweep(sw *sweep, st State) {
 	s.log.Log(context.Background(), level, "sweep transition", kv...)
 }
 
-// submitSweep validates and enqueues one batch sweep: members register as
-// ordinary (queued) jobs and a single carrier holds the sweep's place in
-// the priority queue, so a sweep competes with individual submissions
-// under the same banding rules.
+// submitSweep validates one batch and enqueues it as a listed sweep, which
+// holds one place in the priority queue and so competes with individual
+// submissions under the same banding rules.
 func (s *Server) submitSweep(req BatchRequest) (SweepStatus, int, error) {
 	if len(req.Studies) == 0 {
 		return SweepStatus{}, http.StatusBadRequest,
@@ -185,120 +213,26 @@ func (s *Server) submitSweep(req BatchRequest) (SweepStatus, int, error) {
 		return SweepStatus{}, http.StatusBadRequest,
 			fmt.Errorf("service: batch is limited to %d studies, got %d", s.maxSweepStudies, len(req.Studies))
 	}
-	pri := s.defaultPri
-	if req.Priority != nil {
-		if *req.Priority < -MaxPriority || *req.Priority > MaxPriority {
-			return SweepStatus{}, http.StatusBadRequest,
-				fmt.Errorf("service: priority must be in [%d, %d], got %d", -MaxPriority, MaxPriority, *req.Priority)
-		}
-		pri = *req.Priority
+	pri, err := s.priority(req.Priority)
+	if err != nil {
+		return SweepStatus{}, http.StatusBadRequest, err
 	}
-	now := s.now()
 	members := make([]*job, len(req.Studies))
 	for i, sr := range req.Studies {
 		if sr.Priority != nil {
 			return SweepStatus{}, http.StatusBadRequest,
 				fmt.Errorf("service: study %d: member priority is set by the sweep's priority field", i)
 		}
-		if _, err := s.validateSubmit(sr); err != nil {
+		if members[i], err = s.newJob(sr, req.Priority); err != nil {
 			return SweepStatus{}, http.StatusBadRequest, fmt.Errorf("service: study %d: %w", i, err)
 		}
-		members[i] = &job{status: JobStatus{
-			State:       StateQueued,
-			Request:     sr,
-			Priority:    pri,
-			SubmittedAt: now,
-		}}
 	}
-	sw := &sweep{members: members, status: SweepStatus{
-		State:       StateQueued,
-		Priority:    pri,
-		SubmittedAt: now,
-	}}
-	sw.carrier = &job{carries: sw, status: JobStatus{
-		State:       StateQueued,
-		Priority:    pri,
-		SubmittedAt: now,
-	}}
-
-	s.mu.Lock()
-	s.nextSweepID++
-	swID := fmt.Sprintf("sw-%06d", s.nextSweepID)
-	sw.status.ID = swID
-	memberIDs := make([]string, len(members))
-	for i, j := range members {
-		s.nextID++
-		id := fmt.Sprintf("s-%06d", s.nextID)
-		j.status.ID = id
-		j.status.Sweep = swID
-		j.memberOf = sw
-		j.memberIdx = i
-		s.jobs[id] = j
-		s.order = append(s.order, id)
-		memberIDs[i] = id
-	}
-	s.sweeps[swID] = sw
-	s.sweepOrder = append(s.sweepOrder, swID)
-	s.pruneJobs()
-	s.pruneSweeps()
-	s.mu.Unlock()
-
-	if err := s.queue.push(sw.carrier, pri); err != nil {
-		// Unwind the registration: a rejected batch must not leave
-		// phantom queued jobs behind that no executor will ever run.
-		s.mu.Lock()
-		for _, id := range memberIDs {
-			delete(s.jobs, id)
-		}
-		delete(s.sweeps, swID)
-		s.order = withoutIDs(s.order, memberIDs)
-		s.sweepOrder = withoutIDs(s.sweepOrder, []string{swID})
-		s.mu.Unlock()
-		if errors.Is(err, errQueueFull) {
-			err = fmt.Errorf("%w (%d pending)", err, s.queue.len())
-		}
+	sw, err := s.enqueue(members, pri, true)
+	if err != nil {
 		return SweepStatus{}, http.StatusServiceUnavailable, err
 	}
-	for _, j := range members {
-		s.noteTransition(j, StateQueued)
-	}
-	s.noteSweep(sw, StateQueued)
 	s.sweepStudies.Observe(float64(len(members)))
 	return s.sweepSnapshot(sw), http.StatusAccepted, nil
-}
-
-// withoutIDs filters ids out of list, preserving order.
-func withoutIDs(list, ids []string) []string {
-	drop := make(map[string]bool, len(ids))
-	for _, id := range ids {
-		drop[id] = true
-	}
-	kept := list[:0]
-	for _, id := range list {
-		if !drop[id] {
-			kept = append(kept, id)
-		}
-	}
-	return kept
-}
-
-// pruneSweeps drops the oldest finished sweeps past the retention bound.
-// The caller holds s.mu. Queued and running sweeps are always kept.
-func (s *Server) pruneSweeps() {
-	excess := len(s.sweepOrder) - maxSweeps
-	if excess <= 0 {
-		return
-	}
-	kept := s.sweepOrder[:0]
-	for _, id := range s.sweepOrder {
-		if excess > 0 && s.sweeps[id].state().terminal() {
-			delete(s.sweeps, id)
-			excess--
-			continue
-		}
-		kept = append(kept, id)
-	}
-	s.sweepOrder = kept
 }
 
 // lookupSweep returns the sweep for an ID.
@@ -327,23 +261,28 @@ func (s *Server) sweepSnapshot(sw *sweep) SweepStatus {
 }
 
 // terminalizeMember moves one member job to a terminal state exactly
-// once; reports whether this call was the one that did it.
-func (s *Server) terminalizeMember(j *job, st State, err error) bool {
+// once, keeping res as a done member's result.
+func (s *Server) terminalizeMember(j *job, st State, res *core.StudyResult, err error) {
 	finished := s.now()
 	j.mu.Lock()
 	if j.status.State.terminal() {
 		j.mu.Unlock()
-		return false
+		return
 	}
 	j.status.State = st
 	j.status.FinishedAt = &finished
+	if res != nil {
+		summary := res.Summarise()
+		j.status.Summary = &summary
+		j.result = res
+	}
 	if err != nil {
 		j.status.Error = err.Error()
 	}
 	j.bumpLocked()
 	j.mu.Unlock()
 	s.noteTransition(j, st)
-	return true
+	j.sw.bump()
 }
 
 // finishSweep moves the sweep to a terminal state exactly once.
@@ -364,24 +303,39 @@ func (s *Server) finishSweep(sw *sweep, at time.Time, st State, err error) {
 	s.noteSweep(sw, st)
 }
 
-// abortQueuedSweep cancels a sweep whose carrier never ran (queue drain
-// on Close, DELETE before start): every member and the sweep itself go
+// abortSweep cancels a sweep that never ran (queue drain on Close, a
+// stop before start): every member and the sweep itself go
 // terminal-cancelled immediately.
-func (s *Server) abortQueuedSweep(sw *sweep, err error) {
-	sw.mu.Lock()
-	sw.cancelRequested = true
-	sw.mu.Unlock()
+func (s *Server) abortSweep(sw *sweep, err error) {
 	for _, j := range sw.members {
-		s.terminalizeMember(j, StateCancelled, err)
+		s.terminalizeMember(j, StateCancelled, nil, err)
 	}
 	s.finishSweep(sw, s.now(), StateCancelled, err)
+}
+
+// stopSweep stops a whole sweep: a still-queued one leaves the queue and
+// is aborted at once (reported true); a claimed or running one has its
+// context cancelled and winds down at the next unit boundaries.
+func (s *Server) stopSweep(sw *sweep) bool {
+	if s.queue.remove(sw) {
+		s.abortSweep(sw, errCancelledBeforeStart)
+		return true
+	}
+	sw.mu.Lock()
+	sw.cancelRequested = true
+	cancel := sw.cancel
+	sw.mu.Unlock()
+	if cancel != nil {
+		cancel()
+	}
+	return false
 }
 
 // runSweep drives one dequeued sweep: compile the member studies into the
 // merged unit DAG, execute it, and stream member completions into their
 // job records. Member failure or cancellation is isolated; the sweep
-// itself fails only if a member failed, and cancels only via DELETE or
-// server shutdown.
+// itself fails only if a member failed, and cancels only when stopped or
+// at server shutdown.
 func (s *Server) runSweep(sw *sweep) {
 	started := s.now()
 	ctx, cancel := context.WithCancel(s.ctx)
@@ -389,11 +343,9 @@ func (s *Server) runSweep(sw *sweep) {
 
 	sw.mu.Lock()
 	if sw.cancelRequested {
+		// Stopped between its dequeue and now: it never starts.
 		sw.mu.Unlock()
-		for _, j := range sw.members {
-			s.terminalizeMember(j, StateCancelled, errors.New("service: cancelled before start"))
-		}
-		s.finishSweep(sw, started, StateCancelled, context.Canceled)
+		s.abortSweep(sw, errCancelledBeforeStart)
 		return
 	}
 	sw.cancel = cancel
@@ -404,51 +356,55 @@ func (s *Server) runSweep(sw *sweep) {
 	sw.mu.Unlock()
 	s.noteSweep(sw, StateRunning)
 
-	// The sweep root span: the compiler's plan span and every unit below
-	// attach as descendants via the context.
-	root := s.tracer.StartJob(id).Root("sweep")
-	root.SetAttr("studies", strconv.Itoa(len(sw.members)))
+	// The root span, a batch's "sweep" or a lone study's "study": the
+	// compiler's plan span and every unit below attach as descendants via
+	// the context.
+	name := "sweep"
+	if !sw.listed {
+		name = "study"
+	}
+	root := s.tracer.StartJob(id).Root(name)
+	if sw.listed {
+		root.SetAttr("studies", strconv.Itoa(len(sw.members)))
+	} else {
+		req := sw.members[0].study
+		root.SetAttr("app", req.App)
+		root.SetAttr("threads", strconv.Itoa(req.Config.Threads))
+		root.SetAttr("runs", strconv.Itoa(req.Config.Runs))
+	}
 	ctx = obs.ContextWithSpan(ctx, root)
 	final, finalErr := StateDone, error(nil)
 	defer func() {
-		root.SetAttr("state", string(final))
+		state, msg := final, ""
 		if finalErr != nil {
-			root.SetAttr("error", finalErr.Error())
+			msg = finalErr.Error()
+		}
+		if !sw.listed {
+			// A lone study's root reports its job's outcome.
+			m := sw.members[0].snapshot()
+			state, msg = m.State, m.Error
+		}
+		root.SetAttr("state", string(state))
+		if msg != "" {
+			root.SetAttr("error", msg)
 		}
 		root.End()
 	}()
 
-	// Start every not-yet-cancelled member and build its study request.
-	// App names were validated at submission, so resolution cannot fail.
+	// Start every member not already cancelled.
 	reqs := make([]sched.StudyRequest, len(sw.members))
 	for i, j := range sw.members {
-		req := func() SubmitRequest {
-			j.mu.Lock()
-			defer j.mu.Unlock()
-			return j.status.Request
-		}()
-		a, err := apps.ByName(req.App)
-		if err != nil {
-			for _, m := range sw.members {
-				s.terminalizeMember(m, StateFailed, err)
-			}
-			final, finalErr = StateFailed, err
-			s.finishSweep(sw, s.now(), StateFailed, err)
-			return
-		}
-		cfg := studyConfig(req)
-		reqs[i] = sched.StudyRequest{App: a.Name, Build: a.Build, Config: cfg}
-		transitioned := false
+		reqs[i] = j.study
 		j.mu.Lock()
-		if !j.status.State.terminal() && !j.cancelRequested {
+		start := !j.status.State.terminal() && !j.cancelRequested
+		if start {
 			j.status.State = StateRunning
 			j.status.StartedAt = &started
-			j.status.Progress = &Progress{UnitsTotal: sched.StudyUnits(cfg)}
+			j.status.Progress = &Progress{UnitsTotal: sched.StudyUnits(j.study.Config)}
 			j.bumpLocked()
-			transitioned = true
 		}
 		j.mu.Unlock()
-		if transitioned {
+		if start {
 			s.noteTransition(j, StateRunning)
 		}
 	}
@@ -456,29 +412,30 @@ func (s *Server) runSweep(sw *sweep) {
 	planStart := time.Now()
 	plan, err := sched.CompileSweep(ctx, reqs, s.opts)
 	if err != nil {
-		// A DELETE or shutdown that lands mid-compile stopped the sweep;
+		// A stop or shutdown that lands mid-compile cancelled the sweep;
 		// it did not fail.
-		st := StateFailed
+		final, finalErr = StateFailed, err
 		if errors.Is(err, context.Canceled) && ctx.Err() != nil {
-			st = StateCancelled
+			final = StateCancelled
 		}
 		for _, j := range sw.members {
-			s.terminalizeMember(j, st, err)
+			s.terminalizeMember(j, final, nil, err)
 		}
-		final, finalErr = st, err
-		s.finishSweep(sw, s.now(), st, err)
+		s.finishSweep(sw, s.now(), final, err)
 		return
 	}
 	planSeconds := time.Since(planStart).Seconds()
 	stats := plan.Stats()
-	s.sweepPlanSecs.Observe(planSeconds)
-	s.sweepPlanned.Add(uint64(stats.PlannedUnits))
-	s.sweepDeduped.Add(uint64(stats.DedupedUnits))
-	s.sweepSubsumed.Add(uint64(stats.SubsumedUnits))
-	root.SetAttr("naive_units", strconv.Itoa(stats.NaiveUnits))
-	root.SetAttr("planned_units", strconv.Itoa(stats.PlannedUnits))
-	root.SetAttr("deduped_units", strconv.Itoa(stats.DedupedUnits))
-	root.SetAttr("subsumed_units", strconv.Itoa(stats.SubsumedUnits))
+	if sw.listed {
+		s.sweepPlanSecs.Observe(planSeconds)
+		s.sweepPlanned.Add(uint64(stats.PlannedUnits))
+		s.sweepDeduped.Add(uint64(stats.DedupedUnits))
+		s.sweepSubsumed.Add(uint64(stats.SubsumedUnits))
+		root.SetAttr("naive_units", strconv.Itoa(stats.NaiveUnits))
+		root.SetAttr("planned_units", strconv.Itoa(stats.PlannedUnits))
+		root.SetAttr("deduped_units", strconv.Itoa(stats.DedupedUnits))
+		root.SetAttr("subsumed_units", strconv.Itoa(stats.SubsumedUnits))
+	}
 
 	sw.mu.Lock()
 	sw.plan = plan
@@ -500,7 +457,7 @@ func (s *Server) runSweep(sw *sweep) {
 
 	_, execErr := plan.Execute(ctx, sched.SweepOptions{
 		OnStudy: func(i int, res *core.StudyResult, err error) {
-			s.finishSweepMember(sw, sw.members[i], res, err)
+			s.finishSweepMember(ctx, sw.members[i], res, err)
 		},
 		Progress: func(i, done, total int) {
 			sw.members[i].setProgress(done, total)
@@ -510,7 +467,7 @@ func (s *Server) runSweep(sw *sweep) {
 
 	finished := s.now()
 	sw.mu.Lock()
-	wasCancelled := sw.cancelRequested
+	sw.plan = nil
 	sw.mu.Unlock()
 	var memberErr error
 	failedMembers := 0
@@ -525,10 +482,9 @@ func (s *Server) runSweep(sw *sweep) {
 		j.mu.Unlock()
 	}
 	switch {
-	case execErr != nil && (wasCancelled || s.ctx.Err() != nil):
-		final, finalErr = StateCancelled, execErr
 	case execErr != nil:
-		final, finalErr = StateFailed, execErr
+		// Execute fails only once ctx ends: a stop or shutdown.
+		final, finalErr = StateCancelled, execErr
 	case failedMembers > 0:
 		final = StateFailed
 		finalErr = fmt.Errorf("service: %d member studies failed, first: %w", failedMembers, memberErr)
@@ -537,111 +493,45 @@ func (s *Server) runSweep(sw *sweep) {
 }
 
 // finishSweepMember records one member outcome streamed out of the
-// executing plan, classifying it exactly as runJob classifies a serial
-// study's outcome.
-func (s *Server) finishSweepMember(sw *sweep, j *job, res *core.StudyResult, err error) {
-	finished := s.now()
-	sw.mu.Lock()
-	sweepCancelled := sw.cancelRequested
-	sw.mu.Unlock()
+// executing plan. A cancellation that a DELETE of the member, a stop of
+// its sweep or shutdown caused (the latter two end ctx) finishes it
+// cancelled — it was stopped, it did not fail; any other error finishes
+// it failed.
+func (s *Server) finishSweepMember(ctx context.Context, j *job, res *core.StudyResult, err error) {
+	j.mu.Lock()
+	deleted := j.cancelRequested
+	j.mu.Unlock()
 	st := StateDone
-	j.mu.Lock()
-	if j.status.State.terminal() {
-		j.mu.Unlock()
-		return
-	}
 	switch {
-	case err == nil:
-		summary := res.Summarise()
-		j.status.Summary = &summary
-		j.result = res
-	case errors.Is(err, context.Canceled) && (j.cancelRequested || sweepCancelled || s.ctx.Err() != nil):
+	case errors.Is(err, context.Canceled) && (deleted || ctx.Err() != nil):
 		st = StateCancelled
-		j.status.Error = err.Error()
-	default:
+	case err != nil:
 		st = StateFailed
-		j.status.Error = err.Error()
 	}
-	j.status.State = st
-	j.status.FinishedAt = &finished
-	j.bumpLocked()
-	j.mu.Unlock()
-	s.noteTransition(j, st)
-	sw.bump()
-}
-
-// cancelMember cancels one batch-submitted job: the member is pruned from
-// the sweep's plan (units only it still needs are skipped as they
-// surface) while its siblings keep running.
-func (s *Server) cancelMember(j *job) (JobStatus, int, error) {
-	sw := j.memberOf
-	j.mu.Lock()
-	st := j.status.State
-	if st == StateDone || st == StateFailed {
-		id := j.status.ID
-		j.mu.Unlock()
-		return JobStatus{}, http.StatusConflict,
-			fmt.Errorf("service: study %s is already %s", id, st)
-	}
-	if st == StateCancelled {
-		j.mu.Unlock()
-		return j.snapshot(), http.StatusOK, nil
-	}
-	j.cancelRequested = true
-	idx := j.memberIdx
-	j.mu.Unlock()
-	sw.mu.Lock()
-	plan := sw.plan
-	sw.mu.Unlock()
-	if st == StateQueued {
-		// The sweep has not started this member: terminal immediately,
-		// and prune it from the plan if compilation already happened.
-		if s.terminalizeMember(j, StateCancelled, errors.New("service: cancelled before start")) {
-			sw.bump()
-		}
-		if plan != nil {
-			plan.CancelStudy(idx)
-		}
-		return j.snapshot(), http.StatusOK, nil
-	}
-	if plan != nil {
-		plan.CancelStudy(idx)
-	}
-	// Running member: the plan finalises it (OnStudy → cancelled) and
-	// skips its exclusive units; 202 — poll for "cancelled".
-	return j.snapshot(), http.StatusAccepted, nil
+	s.terminalizeMember(j, st, res, err)
 }
 
 // cancelSweep cancels a whole sweep, cascading to every member: a
-// still-queued sweep is removed from the queue and terminal immediately;
-// a running one has its context cancelled and winds down at the next
-// unit boundaries.
+// still-queued sweep leaves the queue and is terminal immediately (200);
+// a running one has its context cancelled and winds down at the next unit
+// boundaries (202). Cancelling an already-cancelled sweep is a no-op;
+// done/failed sweeps conflict.
 func (s *Server) cancelSweep(sw *sweep) (SweepStatus, int, error) {
-	if s.queue.remove(sw.carrier) {
-		s.abortQueuedSweep(sw, errors.New("service: cancelled before start"))
-		return s.sweepSnapshot(sw), http.StatusOK, nil
-	}
 	sw.mu.Lock()
-	st := sw.status.State
-	if st == StateDone || st == StateFailed {
-		id := sw.status.ID
-		sw.mu.Unlock()
+	st, id := sw.status.State, sw.status.ID
+	sw.mu.Unlock()
+	switch st {
+	case StateDone, StateFailed:
 		return SweepStatus{}, http.StatusConflict,
 			fmt.Errorf("service: sweep %s is already %s", id, st)
-	}
-	if st == StateCancelled {
-		sw.mu.Unlock()
+	case StateCancelled:
 		return s.sweepSnapshot(sw), http.StatusOK, nil
 	}
-	sw.cancelRequested = true
-	cancel := sw.cancel
-	sw.mu.Unlock()
-	if cancel != nil {
-		cancel()
+	code := http.StatusAccepted
+	if s.stopSweep(sw) {
+		code = http.StatusOK
 	}
-	// Queued-but-claimed (an executor popped the carrier but has not
-	// started) is handled by runSweep's cancelRequested check.
-	return s.sweepSnapshot(sw), http.StatusAccepted, nil
+	return s.sweepSnapshot(sw), code, nil
 }
 
 func (s *Server) handleBatchSubmit(w http.ResponseWriter, r *http.Request) {
@@ -659,12 +549,7 @@ func (s *Server) handleBatchSubmit(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleSweepList(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	sws := make([]*sweep, 0, len(s.sweepOrder))
-	for _, id := range s.sweepOrder {
-		sws = append(sws, s.sweeps[id])
-	}
-	s.mu.Unlock()
+	sws := s.listedSweeps()
 	statuses := make([]SweepStatus, 0, len(sws))
 	for _, sw := range sws {
 		statuses = append(statuses, s.sweepSnapshot(sw))
@@ -678,52 +563,7 @@ func (s *Server) handleSweepStatus(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusNotFound, fmt.Errorf("service: unknown sweep %q", r.PathValue("id")))
 		return
 	}
-	q := r.URL.Query()
-	waitStr := q.Get("wait")
-	if waitStr == "" {
-		s.writeJSON(w, http.StatusOK, s.sweepSnapshot(sw))
-		return
-	}
-	wait, err := time.ParseDuration(waitStr)
-	if err != nil || wait < 0 {
-		s.writeError(w, http.StatusBadRequest,
-			fmt.Errorf("service: wait must be a non-negative duration, got %q", waitStr))
-		return
-	}
-	wait = min(wait, maxLongPoll)
-	var since int64 = -1
-	if sinceStr := q.Get("since"); sinceStr != "" {
-		since, err = strconv.ParseInt(sinceStr, 10, 64)
-		if err != nil {
-			s.writeError(w, http.StatusBadRequest,
-				fmt.Errorf("service: since must be a version number, got %q", sinceStr))
-			return
-		}
-	}
-	timer := time.NewTimer(wait)
-	defer timer.Stop()
-	for {
-		sw.mu.Lock()
-		version := sw.status.Version
-		state := sw.status.State
-		ch := sw.waitChanLocked()
-		sw.mu.Unlock()
-		if since < 0 {
-			since = version
-		}
-		if version > since || state.terminal() {
-			s.writeJSON(w, http.StatusOK, s.sweepSnapshot(sw))
-			return
-		}
-		select {
-		case <-ch:
-		case <-timer.C:
-			s.writeJSON(w, http.StatusOK, s.sweepSnapshot(sw))
-			return
-		case <-r.Context().Done():
-			return
-		}
-	}
+	s.longPoll(w, r, sw.watch, func() any { return s.sweepSnapshot(sw) })
 }
 
 func (s *Server) handleSweepCancel(w http.ResponseWriter, r *http.Request) {
@@ -748,18 +588,5 @@ func (s *Server) handleSweepTrace(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusNotFound, fmt.Errorf("service: unknown sweep %q", id))
 		return
 	}
-	jt, ok := s.tracer.Job(id)
-	if !ok {
-		s.writeError(w, http.StatusNotFound,
-			fmt.Errorf("service: no trace for sweep %s (not started, or evicted)", id))
-		return
-	}
-	if r.URL.Query().Get("format") == "jsonl" {
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		if err := jt.WriteJSONL(w); err != nil {
-			s.log.Error(r.Context(), "trace write failed", "job", id, "err", err)
-		}
-		return
-	}
-	s.writeJSON(w, http.StatusOK, jt.Tree())
+	s.writeTrace(w, r, "sweep "+id, id)
 }

@@ -10,6 +10,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"barrierpoint/internal/obs"
 )
 
 // postBatch submits one batch sweep, expecting 202.
@@ -176,6 +178,18 @@ func TestBatchSweepEndToEnd(t *testing.T) {
 	}
 	if final.Plan == nil {
 		t.Fatal("finished sweep reports no plan stats")
+	}
+	// The executed plan is released: a retained sweep must not pin its
+	// unit artifacts (LDV baselines, collections).
+	rec, ok := s.lookupSweep(sw.ID)
+	if !ok {
+		t.Fatalf("sweep %s not retained", sw.ID)
+	}
+	rec.mu.Lock()
+	held := rec.plan != nil
+	rec.mu.Unlock()
+	if held {
+		t.Error("finished sweep still holds its plan")
 	}
 	// Shared discovery: 3 units planned once, deduped for the other 15
 	// members. Collections and validations are per-member (reps differs).
@@ -488,8 +502,75 @@ func TestBatchSweepQueueFullUnwinds(t *testing.T) {
 	waitDone(t, ts, queued.ID)
 }
 
-// TestSweepListAndTrace: GET /sweeps lists submissions in order, and a
-// finished sweep serves a trace tree rooted at its sweep span.
+// TestBatchSweepRejectedKeepsFinishedJobs: a batch rejected by a full
+// queue evicts nothing. Retention pruning runs only once a submission is
+// queued, so finished studies at the MaxJobs bound still answer.
+func TestBatchSweepRejectedKeepsFinishedJobs(t *testing.T) {
+	s := mustNew(t, Config{Workers: 2, Executors: 1, QueueDepth: 1, CacheSize: 64, MaxJobs: 4, Log: testLogger(t)})
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(func() {
+		ts.Close()
+		s.Close()
+	})
+	var done []JobStatus
+	for seed := 1; seed <= 2; seed++ {
+		st := postStudy(t, ts, fmt.Sprintf(`{"app":"MCB","threads":2,"runs":2,"reps":3,"seed":%d}`, seed))
+		done = append(done, waitDone(t, ts, st.ID))
+	}
+	running := postStudy(t, ts, longStudy)
+	waitState(t, ts, running.ID, StateRunning)
+	queued := postStudy(t, ts, `{"app":"MCB","threads":2,"runs":2,"reps":3,"seed":3}`)
+
+	if _, code := postBatchCode(t, ts, batchBody(2)); code != http.StatusServiceUnavailable {
+		t.Fatalf("batch against a full queue: status %d, want 503", code)
+	}
+	for _, st := range done {
+		resp, err := http.Get(ts.URL + "/studies/" + st.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("done study %s answers %d after a rejected batch, want 200", st.ID, resp.StatusCode)
+		}
+	}
+	// Free the executor so Cleanup does not wait out the long study.
+	doDelete(t, ts, queued.ID)
+	doDelete(t, ts, running.ID)
+}
+
+// TestBatchSweepAllMembersCancelled: once every member of a queued sweep
+// is DELETEd, the sweep itself is cancelled and out of the queue at the
+// last DELETE, rather than later taking an executor to plan units that
+// nothing needs.
+func TestBatchSweepAllMembersCancelled(t *testing.T) {
+	s := mustNew(t, Config{Workers: 1, Executors: 1, QueueDepth: 8, CacheSize: 64, Log: testLogger(t)})
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(func() {
+		ts.Close()
+		s.Close()
+	})
+	blocker := postStudy(t, ts, longStudy)
+	waitState(t, ts, blocker.ID, StateRunning)
+	sw := postBatch(t, ts, batchBody(2))
+
+	for _, m := range sw.Studies {
+		if st, code := doDelete(t, ts, m.ID); code != http.StatusOK || st.State != StateCancelled {
+			t.Fatalf("DELETE queued member %s: status %d, state %s; want 200 cancelled", m.ID, code, st.State)
+		}
+	}
+	if got := getSweep(t, ts, sw.ID); got.State != StateCancelled {
+		t.Errorf("sweep with every member cancelled is %s, want cancelled", got.State)
+	}
+	if h := getHealth(t, ts); h.QueueDepth != 0 {
+		t.Errorf("queue_depth = %d after the last member's DELETE, want 0", h.QueueDepth)
+	}
+	doDelete(t, ts, blocker.ID)
+}
+
+// TestSweepListAndTrace: GET /sweeps lists submissions in order, a
+// finished sweep serves a trace tree rooted at its sweep span, and so does
+// each of its members.
 func TestSweepListAndTrace(t *testing.T) {
 	if testing.Short() {
 		t.Skip("executes full studies; covered by make test-sweep")
@@ -530,6 +611,23 @@ func TestSweepListAndTrace(t *testing.T) {
 		if !strings.Contains(string(body), want) {
 			t.Errorf("sweep trace missing %s", want)
 		}
+	}
+
+	// A member's trace is the tree of the sweep that ran it.
+	mresp, err := http.Get(ts.URL + "/studies/" + final.Studies[0].ID + "/trace")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mresp.Body.Close()
+	if mresp.StatusCode != http.StatusOK {
+		t.Fatalf("member trace: status %d", mresp.StatusCode)
+	}
+	var tr obs.Trace
+	if err := json.NewDecoder(mresp.Body).Decode(&tr); err != nil {
+		t.Fatal(err)
+	}
+	if tr.Job != sw.ID || len(tr.Spans) != 1 || tr.Spans[0].Name != "sweep" {
+		t.Errorf("member trace is job %q with %d roots, want sweep %s's tree", tr.Job, len(tr.Spans), sw.ID)
 	}
 
 	// Unknown sweep IDs 404 on every sweep route.
