@@ -20,17 +20,17 @@ BENCH_OUT ?= BENCH_pipeline.json
 
 .PHONY: ci fmt-check vet lint lint-smoke build test-short test test-race \
 	test-persist test-dist test-obs test-sweep test-purego fuzz-kmeans \
-	fuzz-cache bench bench-json bench-json-smoke bench-diff
+	fuzz-cache fuzz-units bench bench-json bench-json-smoke bench-diff
 
 # ci is the tier-1 gate: formatting, static checks (go vet plus the
 # project's own bpvet analyzers), build, fast tests, the race detector
 # over the whole tree, the persistence suite, the distributed-execution
 # suite, the observability suite, the batch-sweep suite, the
 # scalar-fallback kernel leg, short fuzzes of the accelerated k-means
-# against its plain-Lloyd oracle and of the recency-ordered cache against
-# its timestamped-LRU oracle, and a 1x smoke of the bench-json harness so
-# it cannot bit-rot.
-ci: fmt-check vet lint build test-short test-race test-persist test-dist test-obs test-sweep test-purego fuzz-kmeans fuzz-cache bench-json-smoke
+# against its plain-Lloyd oracle, of the recency-ordered cache against
+# its timestamped-LRU oracle and of the worker's POST /units decoder, and
+# a 1x smoke of the bench-json harness so it cannot bit-rot.
+ci: fmt-check vet lint build test-short test-race test-persist test-dist test-obs test-sweep test-purego fuzz-kmeans fuzz-cache fuzz-units bench-json-smoke
 
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -96,14 +96,15 @@ test-dist:
 
 # test-obs exercises the observability layer under the race detector: the
 # registry/exposition/tracer/logger unit tests (graft re-basing, event
-# ring eviction, /debug/events filtering), plus the end-to-end smokes
-# that run studies against live servers and assert the key /metrics
-# series are present and non-zero, the trace endpoint serves a rooted
-# span tree, and a two-worker study's trace merges the grafted worker
-# subtrees into one tree.
+# ring eviction, /debug/events filtering), the wire round trip of units
+# carrying their dependency artifacts (no dependency cache:* span on a
+# cold worker), plus the end-to-end smokes that run studies against live
+# servers and assert the key /metrics series are present and non-zero,
+# the trace endpoint serves a rooted span tree, and a two-worker study's
+# trace merges the grafted worker subtrees into one tree.
 test-obs:
 	$(GO) test -race ./internal/obs/...
-	$(GO) test -race -run 'MetricsEndToEnd|TraceEndToEnd|InlineCollections|DistributedTracePropagation' \
+	$(GO) test -race -run 'MetricsEndToEnd|TraceEndToEnd|UnitRequestDepsRoundTrip|DistributedTracePropagation' \
 		./internal/sched/... ./internal/service/...
 
 # test-sweep exercises the batch sweep compiler end to end under the race
@@ -140,6 +141,14 @@ fuzz-kmeans:
 # differs from the timestamped true-LRU oracle.
 fuzz-cache:
 	$(GO) test -run '^$$' -fuzz '^FuzzCacheExact$$' -fuzztime 10s ./internal/mem
+
+# fuzz-units feeds the worker's POST /units handler arbitrary bodies for
+# 10 s, seeded with real jittered and validate units and two malformed
+# dependency probes, and fails on a panic or on any status outside 200,
+# 409, 422 and 429. Seeds are multi-KB bodies, so minimising each new
+# input under the default 60 s budget would eat the whole run.
+fuzz-units:
+	$(GO) test -run '^$$' -fuzz '^FuzzWorkerUnit$$' -fuzztime 10s -fuzzminimizetime 2s ./internal/service
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ .

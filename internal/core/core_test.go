@@ -313,6 +313,78 @@ func TestReconstructThreadMismatch(t *testing.T) {
 	}
 }
 
+// TestReconstructRejectsMalformedCollection: a collection whose counters
+// do not cover its Threads (one decoded off the wire, say) is an error
+// from Reconstruct and Validate, never an index panic.
+func TestReconstructRejectsMalformedCollection(t *testing.T) {
+	build := phasedBuilder(2, 5)
+	cfg := DefaultDiscovery(2, false, 51)
+	cfg.Runs = 1
+	sets, err := Discover(build, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	good, err := Collect(build, CollectConfig{
+		Variant: isa.Variant{ISA: isa.X8664()}, Threads: 2, Reps: 3, Seed: 51,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sel := sets[0].Selected[0].Index
+	for _, tc := range []struct {
+		name   string
+		mangle func(c *Collection)
+	}{
+		{"zero threads", func(c *Collection) { c.Threads, c.Full, c.FullStd = 0, nil, nil }},
+		{"short Full", func(c *Collection) { c.Full = c.Full[:1] }},
+		{"nil FullStd", func(c *Collection) { c.FullStd = nil }},
+		{"nil PerBPStd", func(c *Collection) { c.PerBPStd = nil }},
+		{"short PerBP row", func(c *Collection) { c.PerBP[sel] = c.PerBP[sel][:1] }},
+		{"short PerBPStd row", func(c *Collection) { c.PerBPStd[sel] = nil }},
+	} {
+		col := *good
+		col.PerBP = append([][]machine.Counters(nil), good.PerBP...)
+		col.PerBPStd = append([][]machine.Counters(nil), good.PerBPStd...)
+		tc.mangle(&col)
+		set := sets[0]
+		set.Threads = col.Threads
+		if _, err := Reconstruct(&set, &col); err == nil {
+			t.Errorf("%s: Reconstruct accepted the collection", tc.name)
+		}
+		if _, err := Validate(&set, &col); err == nil {
+			t.Errorf("%s: Validate accepted the collection", tc.name)
+		}
+	}
+	if _, err := Validate(&sets[0], good); err != nil {
+		t.Errorf("well-formed collection rejected: %v", err)
+	}
+}
+
+// TestDiscoverJitteredRejectsBaselineWidth: a jittered run refuses a
+// baseline whose projected rows are not the configuration's LDV width
+// instead of copying them into a zero-filled half.
+func TestDiscoverJitteredRejectsBaselineWidth(t *testing.T) {
+	build := phasedBuilder(2, 5)
+	cfg := DiscoveryConfig{Threads: 2, Runs: 2, Seed: 5}
+	narrow := cfg
+	narrow.SigDim = 8
+	_, base, err := DiscoverBaseline(build, narrow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DiscoverJittered(build, narrow, 1, base); err != nil {
+		t.Fatalf("matching baseline rejected: %v", err)
+	}
+	if _, err := DiscoverJittered(build, cfg, 1, base); err == nil {
+		t.Error("jittered run accepted 8-wide baseline rows under the default projection")
+	}
+	noLDV := cfg
+	noLDV.DisableLDV = true
+	if _, err := DiscoverJittered(build, noLDV, 1, base); err == nil {
+		t.Error("LDV-less jittered run accepted a baseline with LDV rows")
+	}
+}
+
 func TestApplicabilitySingleRegion(t *testing.T) {
 	cfg := DefaultDiscovery(2, false, 61)
 	cfg.Runs = 1
@@ -408,6 +480,9 @@ func TestDiscoverValidation(t *testing.T) {
 	}
 	if _, err := Discover(phasedBuilder(2, 2), DiscoveryConfig{Threads: 99, Runs: 1}); err == nil {
 		t.Error("too many threads should fail")
+	}
+	if _, err := Discover(phasedBuilder(2, 2), DiscoveryConfig{Threads: 2, Runs: 1, DisableBBV: true, DisableLDV: true}); err == nil {
+		t.Error("a signature with neither component should fail")
 	}
 }
 

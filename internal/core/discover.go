@@ -87,9 +87,6 @@ func (b *LDVBaseline) NumPoints() int { return b.n }
 // addPoint records the canonical run's next barrier point: its projected
 // LDV half (copied) and, when keepRaw, the raw binned LDV.
 func (b *LDVBaseline) addPoint(projRow []float64, raw []float64, keepRaw bool) {
-	if b.n == 0 {
-		b.dim = len(projRow)
-	}
 	b.proj = append(b.proj, projRow...)
 	if keepRaw {
 		b.raw = append(b.raw, append([]float64(nil), raw...))
@@ -115,6 +112,10 @@ func discoverySetup(cfg DiscoveryConfig) (isa.Variant, *machine.Machine, sigvec.
 		return variant, nil, sigvec.Options{}, 0,
 			fmt.Errorf("core: %d threads exceed the %s's %d hardware threads",
 				cfg.Threads, mach.Name, mach.MaxThreads())
+	}
+	if cfg.DisableBBV && cfg.DisableLDV {
+		return variant, nil, sigvec.Options{}, 0,
+			fmt.Errorf("core: discovery signature needs a BBV or an LDV component")
 	}
 	opts := sigvec.Options{
 		Dim:    cfg.SigDim,
@@ -203,6 +204,20 @@ func discoverRun(build ProgramBuilder, cfg DiscoveryConfig, run int, base *LDVBa
 	if run > 0 && base == nil {
 		return BarrierPointSet{}, nil, fmt.Errorf("core: jittered discovery run %d needs the canonical run's LDV baseline", run)
 	}
+	// The projected LDV half sits after the BBV half (or is the whole
+	// vector in the LDV-only ablation). opts.Dim is always explicit here:
+	// discoverySetup resolves it from the defaulted cfg.SigDim.
+	ldvOff, ldvDim := 0, 0
+	if opts.UseLDV {
+		ldvDim = opts.Dim
+		if opts.UseBBV {
+			ldvOff = opts.Dim
+		}
+	}
+	if run > 0 && base.dim != ldvDim {
+		return BarrierPointSet{}, nil, fmt.Errorf("core: jittered discovery run %d: LDV baseline rows are %d floats wide, the configuration projects %d",
+			run, base.dim, ldvDim)
+	}
 
 	prog, err := build(cfg.Threads, variant)
 	if err != nil {
@@ -233,21 +248,11 @@ func discoverRun(build ProgramBuilder, cfg DiscoveryConfig, run int, base *LDVBa
 	defer discoverArenaPool.Put(arena)
 	builder := arena.builderFor(opts)
 	dims := builder.Dims()
-	// The projected LDV half sits after the BBV half (or is the whole
-	// vector in the LDV-only ablation). opts.Dim is always explicit here:
-	// discoverySetup resolves it from the defaulted cfg.SigDim.
-	ldvOff, ldvDim := 0, 0
-	if opts.UseLDV {
-		ldvDim = opts.Dim
-		if opts.UseBBV {
-			ldvOff = opts.Dim
-		}
-	}
 	var newBase *LDVBaseline
 	if run == 0 {
 		// Presize the projected-row storage: the canonical run observes
 		// exactly one barrier point per region execution.
-		newBase = &LDVBaseline{proj: make([]float64, 0, len(prog.Regions)*ldvDim)}
+		newBase = &LDVBaseline{dim: ldvDim, proj: make([]float64, 0, len(prog.Regions)*ldvDim)}
 	}
 	err = pin.Stream(prog, runCfg, pinOpts, func(s pin.Signature) {
 		var vec []float64

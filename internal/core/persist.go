@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
+	"math"
 )
 
 // This file makes the study artifacts gob-serialisable so the persistent
@@ -34,7 +35,9 @@ func (b *LDVBaseline) GobDecode(data []byte) error {
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&w); err != nil {
 		return err
 	}
-	if w.N*w.Dim != len(w.Proj) {
+	// Baselines arrive from other processes, so the claimed shape is
+	// checked before anything slices by it, overflow included.
+	if w.N < 0 || w.Dim < 0 || w.Dim > 0 && w.N > math.MaxInt/w.Dim || w.N*w.Dim != len(w.Proj) {
 		return fmt.Errorf("core: LDV baseline wire data claims %d×%d rows but carries %d floats", w.N, w.Dim, len(w.Proj))
 	}
 	*b = LDVBaseline{n: w.N, dim: w.Dim, proj: w.Proj}

@@ -43,13 +43,23 @@ func TestLDVBaselineGobRoundTrip(t *testing.T) {
 	if out2.raw != nil {
 		t.Error("raw rows leaked through gob")
 	}
-	// Inconsistent wire data must be rejected.
-	bad, err := LDVBaseline{n: 2, dim: 3, proj: []float64{1}}.GobEncode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := new(LDVBaseline).GobDecode(bad); err == nil {
-		t.Error("decoding inconsistent baseline succeeded")
+	// Inconsistent wire data must be rejected, including shapes whose
+	// n×dim is negative or overflows to the carried length.
+	for _, b := range []LDVBaseline{
+		{n: 2, dim: 3, proj: []float64{1}},
+		{n: -1, dim: -1, proj: []float64{1}},
+		{n: -2, dim: 0},
+		{n: 0, dim: -2},
+		{n: 1 << 32, dim: 1 << 32},
+		{n: 1<<62 + 1, dim: 4, proj: make([]float64, 4)},
+	} {
+		bad, err := b.GobEncode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := new(LDVBaseline).GobDecode(bad); err == nil {
+			t.Errorf("decoding inconsistent %d×%d baseline with %d floats succeeded", b.n, b.dim, len(b.proj))
+		}
 	}
 }
 

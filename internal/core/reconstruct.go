@@ -14,8 +14,13 @@ import (
 // The set may come from a different architecture than the collection —
 // that is the paper's central experiment — but the barrier point counts
 // must match, otherwise ErrRegionCountMismatch is returned (the HPGMG-FV
-// failure).
+// failure). Collections may arrive from other processes, so one whose
+// counters do not cover its Threads is an error, not an index panic.
 func Reconstruct(set *BarrierPointSet, col *Collection) ([]machine.Counters, error) {
+	if col.Threads <= 0 || len(col.Full) != col.Threads || len(col.FullStd) != col.Threads ||
+		len(col.PerBPStd) != len(col.PerBP) {
+		return nil, fmt.Errorf("core: collection does not cover its %d threads", col.Threads)
+	}
 	if set.TotalPoints != col.NumBarrierPoints() {
 		return nil, fmt.Errorf("core: set has %d barrier points, collection has %d: %w",
 			set.TotalPoints, col.NumBarrierPoints(), ErrRegionCountMismatch)
@@ -29,6 +34,10 @@ func Reconstruct(set *BarrierPointSet, col *Collection) ([]machine.Counters, err
 		if sel.Index < 0 || sel.Index >= col.NumBarrierPoints() {
 			return nil, fmt.Errorf("core: selected barrier point %d out of range [0,%d)",
 				sel.Index, col.NumBarrierPoints())
+		}
+		if len(col.PerBP[sel.Index]) < col.Threads || len(col.PerBPStd[sel.Index]) < col.Threads {
+			return nil, fmt.Errorf("core: collection's barrier point %d does not cover its %d threads",
+				sel.Index, col.Threads)
 		}
 		for t := 0; t < col.Threads; t++ {
 			est[t] = est[t].Add(col.PerBP[sel.Index][t].Scale(sel.Multiplier))

@@ -46,9 +46,10 @@ const (
 
 // UnitRequest names one unit of study work. The JSON-visible fields fully
 // describe the computation, so a request can be shipped to another process
-// and executed there; the unexported-on-the-wire fields (Build and the
-// dependency artifacts) are an in-process fast path that executors use
-// when present and re-resolve from the visible coordinates when absent.
+// and executed there. A unit's dependency artifacts travel with it: in
+// process as the in-band Base/Set/Cols pointers, on the wire serialised
+// in Deps. No executor recomputes a dependency; a jittered or validate
+// unit that arrives without its artifacts is ErrBadUnit.
 type UnitRequest struct {
 	Kind UnitKind `json:"kind"`
 	// App names the workload; executors without an in-band Build resolve
@@ -75,12 +76,14 @@ type UnitRequest struct {
 	// Collections are the two configurations a validate unit scores
 	// against (x86_64 first).
 	Collections *[2]core.CollectConfig `json:"collections,omitempty"`
-	// InlineCols carries the two collection artifacts of a validate unit
-	// codec-serialised in the request itself. The coordinator attaches
-	// them when it already holds the collections, so a cold worker scores
-	// the set immediately instead of recomputing (or disk-loading)
-	// collections the coordinator just shipped it the configurations for.
-	InlineCols *[2]InlineArtifact `json:"inline_cols,omitempty"`
+	// Deps carries the dependency artifacts the unit consumes, in a fixed
+	// order: a jittered run's LDV baseline; a validate unit's set, then
+	// its x86_64 and ARMv8 collections. RemoteExecutor serialises them
+	// from the in-band fields once per unit, and a wire-path
+	// LocalExecutor (no Build) decodes them back; in-process requests
+	// never read it. Workers predating this field reject the request,
+	// which the coordinator absorbs as the dialect-skew local fallback.
+	Deps []InlineArtifact `json:"deps,omitempty"`
 	// Trace is the dispatch span's wire context, set per dispatch attempt
 	// by the RemoteExecutor. A worker receiving it opens its own span
 	// subtree for the unit and returns the completed records in
@@ -89,10 +92,8 @@ type UnitRequest struct {
 	// dialect-skew local fallback.
 	Trace *obs.TraceContext `json:"trace,omitempty"`
 
-	// In-band dependencies, never serialised: the coordinator populates
-	// them from artifacts it already holds so local execution costs no
-	// cache traffic; executors running elsewhere re-resolve them from the
-	// request's coordinates through their own cache.
+	// In-band fields, never serialised: the builder, and the dependency
+	// artifacts the coordinator attaches from the units it already ran.
 	Build core.ProgramBuilder   `json:"-"`
 	Base  *core.LDVBaseline     `json:"-"`
 	Set   *core.BarrierPointSet `json:"-"`
@@ -107,46 +108,71 @@ type InlineArtifact struct {
 	Data  []byte `json:"data"`
 }
 
-// attachInlineCols serialises the request's in-band collections into the
-// wire-visible InlineCols field. Attaching is best-effort: a value no
-// codec covers just ships without inline artifacts and the worker
-// re-resolves, exactly as before.
-func (r *UnitRequest) attachInlineCols() {
-	if r.Kind != UnitValidate || r.InlineCols != nil ||
-		r.Cols[0] == nil || r.Cols[1] == nil {
-		return
-	}
-	var inline [2]InlineArtifact
-	for i, col := range r.Cols {
-		codec, data, err := cachestore.Encode(col)
-		if err != nil {
-			return
+// deps returns the unit's in-band dependency artifacts in Deps order, or
+// ErrBadUnit when one is missing.
+func (r *UnitRequest) deps() ([]any, error) {
+	var deps []any
+	switch r.Kind {
+	case UnitDiscoverJittered:
+		if r.Base != nil {
+			deps = []any{r.Base}
 		}
-		inline[i] = InlineArtifact{Codec: codec, Data: data}
+	case UnitValidate:
+		if r.Set != nil && r.Cols[0] != nil && r.Cols[1] != nil {
+			deps = []any{*r.Set, r.Cols[0], r.Cols[1]}
+		}
+	default:
+		return nil, nil
 	}
-	r.InlineCols = &inline
+	if deps == nil {
+		return nil, fmt.Errorf("%w: %s unit without its dependency artifacts", ErrBadUnit, r.Kind)
+	}
+	return deps, nil
 }
 
-// adoptInlineCols decodes wire-shipped collection artifacts into the
-// in-band dependency slots. Decode failures (a codec this binary lacks,
-// corrupt data) discard the inline copy and fall back to re-resolution —
-// the request's visible coordinates still fully describe the unit.
-func (r *UnitRequest) adoptInlineCols() {
-	if r.InlineCols == nil {
-		return
+// encodeDeps serialises the in-band dependency artifacts into Deps.
+func (r *UnitRequest) encodeDeps() error {
+	deps, err := r.deps()
+	if err != nil {
+		return err
 	}
-	for i := range r.InlineCols {
-		if r.Cols[i] != nil {
-			continue
-		}
-		v, err := cachestore.Decode(r.InlineCols[i].Codec, r.InlineCols[i].Data)
-		if err != nil {
-			continue
-		}
-		if col, ok := v.(*core.Collection); ok {
-			r.Cols[i] = col
+	r.Deps = make([]InlineArtifact, len(deps))
+	for i, v := range deps {
+		if r.Deps[i].Codec, r.Deps[i].Data, err = cachestore.Encode(v); err != nil {
+			return err
 		}
 	}
+	return nil
+}
+
+// decodeDeps reverses encodeDeps on the wire path: the kind's artifacts,
+// in order, or ErrBadUnit.
+func (r *UnitRequest) decodeDeps() error {
+	var set core.BarrierPointSet
+	ok := len(r.Deps) == 0
+	switch r.Kind {
+	case UnitDiscoverJittered:
+		ok = len(r.Deps) == 1 && decodeDep(r.Deps[0], &r.Base)
+	case UnitValidate:
+		ok = len(r.Deps) == 3 && decodeDep(r.Deps[0], &set) &&
+			decodeDep(r.Deps[1], &r.Cols[0]) && decodeDep(r.Deps[2], &r.Cols[1])
+		r.Set = &set
+	}
+	if !ok {
+		return fmt.Errorf("%w: %s unit's dependency artifacts are missing or malformed (%d shipped)", ErrBadUnit, r.Kind, len(r.Deps))
+	}
+	return nil
+}
+
+// decodeDep decodes one wire dependency into *dst, reporting whether it
+// decoded to dst's type.
+func decodeDep[T any](a InlineArtifact, dst *T) bool {
+	v, _ := cachestore.Decode(a.Codec, a.Data) // nil on error
+	t, ok := v.(T)
+	if ok {
+		*dst = t
+	}
+	return ok
 }
 
 // Key content-addresses the unit's artifact. Discovery and collection
@@ -188,18 +214,6 @@ func (r *UnitRequest) Key() (resultcache.Key, error) {
 	}
 }
 
-// routingKey returns the key whose hash picks a remote unit's preferred
-// worker; key is the unit's own artifact key. Most units route by their
-// artifact, but a validate unit routes by its set's discovery key: the
-// worker that ran that discovery already holds the most expensive
-// dependency, so validation lands where re-resolution is cheapest.
-func (r *UnitRequest) routingKey(key resultcache.Key) resultcache.Key {
-	if r.Kind != UnitValidate || r.Discovery == nil {
-		return key
-	}
-	return discKey("discover", r.FP, r.Discovery.WithDefaults(), r.Run)
-}
-
 // An Executor resolves unit requests to artifacts:
 //
 //	UnitDiscoverBaseline → BaselineArtifact (unexported; carries set+LDVs)
@@ -221,10 +235,12 @@ type Executor interface {
 // execution instead of silently computing against the wrong program.
 var ErrFingerprintMismatch = errors.New("sched: unit program fingerprint does not match this executor's program")
 
-// LocalExecutor computes units in-process, memoising discovery and
-// collection artifacts through an optional result cache. It is the
-// default executor: the bounded worker pool around it is SweepPlan's,
-// which Run and Discover execute through. The zero value is valid (no
+// LocalExecutor computes exactly the unit it is given, memoising
+// discovery and collection artifacts through an optional result cache.
+// It is the default executor: the bounded worker pool around it is
+// SweepPlan's, which Run and Discover execute through. A request without
+// a Build is the wire path: the builder is resolved by app name and the
+// dependency artifacts are decoded from Deps. The zero value is valid (no
 // cache, apps-registry resolution).
 type LocalExecutor struct {
 	// Cache memoises discovery baselines, jittered sets and collections;
@@ -329,59 +345,51 @@ func (e *LocalExecutor) ExecuteUnit(ctx context.Context, req UnitRequest) (any, 
 	if err != nil {
 		return nil, err
 	}
-	// Wire-shipped dependency artifacts become in-band ones before
-	// resolution, so a validate unit with inline collections skips the
-	// collect recomputation entirely.
-	req.adoptInlineCols()
+	if req.Build == nil {
+		// The wire path: dependencies arrive serialised in Deps.
+		if err := req.decodeDeps(); err != nil {
+			return nil, err
+		}
+		if req.Kind == UnitDiscoverJittered {
+			// The set depends on the shipped baseline as well as on the
+			// coordinates, so the worker keys it by both: no request can
+			// plant an artifact under a key its coordinates alone name.
+			key = resultcache.NewKey(string(key), req.Deps[0].Codec, string(req.Deps[0].Data))
+		}
+	}
+	if _, err := req.deps(); err != nil {
+		return nil, err
+	}
 	build, err := e.resolveBuild(&req)
 	if err != nil {
 		return nil, err
 	}
 	switch req.Kind {
 	case UnitDiscoverBaseline:
-		return e.baseline(ctx, key, req, build)
-	case UnitDiscoverJittered:
-		base := req.Base
-		if base == nil {
-			// Wire path: recover the canonical run's LDV baseline through
-			// the cache (a shared store makes this a disk hit; otherwise
-			// it is computed once per process and memoised).
-			baseReq := req
-			baseReq.Kind, baseReq.Run, baseReq.Base = UnitDiscoverBaseline, 0, nil
-			baseKey, err := baseReq.Key()
-			if err != nil {
-				return nil, err
-			}
-			art, err := e.baseline(ctx, baseKey, baseReq, build)
-			if err != nil {
-				return nil, err
-			}
-			base = art.base
-		}
-		v, err := cachedDo(ctx, e.Cache, req.Kind, key, func() (any, error) {
-			return core.DiscoverJittered(build, *req.Discovery, req.Run, base)
+		return cachedDo(ctx, e.Cache, req.Kind, key, func() (any, error) {
+			set, base, err := core.DiscoverBaseline(build, *req.Discovery)
+			return baselineArtifact{set: set, base: base}, err
 		})
-		if err != nil {
-			return nil, err
-		}
-		return v, nil
+	case UnitDiscoverJittered:
+		return cachedDo(ctx, e.Cache, req.Kind, key, func() (any, error) {
+			return core.DiscoverJittered(build, *req.Discovery, req.Run, req.Base)
+		})
 	case UnitCollect:
-		v, err := cachedDo(ctx, e.Cache, req.Kind, key, func() (any, error) {
+		return cachedDo(ctx, e.Cache, req.Kind, key, func() (any, error) {
 			return core.Collect(build, *req.Collect)
 		})
-		if err != nil {
-			return nil, err
-		}
-		return v, nil
 	case UnitValidate:
-		return e.validate(ctx, req, build)
+		// Validation is cheap once its dependencies exist, so its result
+		// is not cached.
+		return core.EvaluateSet(req.App, req.Run, req.Set, req.Cols[0], req.Cols[1])
 	}
 	return nil, fmt.Errorf("%w: unknown unit kind %q", ErrBadUnit, req.Kind)
 }
 
 // cachedDo is Cache.Do with a trace span recording whether the artifact
-// was computed or recalled. Traced studies see one "cache:<kind>" child
-// per resolution under the unit's span; untraced paths pay one nil check.
+// was computed or recalled, and no artifact on error. Traced studies see
+// one "cache:<kind>" child per resolution under the unit's span;
+// untraced paths pay one nil check.
 func cachedDo(ctx context.Context, c *resultcache.Cache, kind UnitKind, key resultcache.Key, compute func() (any, error)) (any, error) {
 	sp := obs.SpanFromContext(ctx).Child("cache:" + string(kind))
 	v, hit, err := c.Do(key, compute)
@@ -392,86 +400,8 @@ func cachedDo(ctx context.Context, c *resultcache.Cache, kind UnitKind, key resu
 		}
 		sp.End()
 	}
-	return v, err
-}
-
-// baseline runs (or recalls) the canonical discovery run.
-func (e *LocalExecutor) baseline(ctx context.Context, key resultcache.Key, req UnitRequest, build core.ProgramBuilder) (baselineArtifact, error) {
-	v, err := cachedDo(ctx, e.Cache, UnitDiscoverBaseline, key, func() (any, error) {
-		set, base, err := core.DiscoverBaseline(build, *req.Discovery)
-		if err != nil {
-			return nil, err
-		}
-		return baselineArtifact{set: set, base: base}, nil
-	})
 	if err != nil {
-		return baselineArtifact{}, err
+		return nil, err
 	}
-	art, ok := v.(baselineArtifact)
-	if !ok {
-		// A cache entry of the wrong shape (e.g. written by a skewed
-		// binary into a shared store) must surface as an error, not a
-		// panic inside a worker's HTTP handler.
-		return baselineArtifact{}, fmt.Errorf("sched: baseline artifact for %s has type %T", req.App, v)
-	}
-	return art, nil
-}
-
-// validate scores one discovered set against both collections, resolving
-// any dependency artifact the request does not carry in-band. Validation
-// itself is cheap once the dependencies exist, so its result is not
-// cached locally — only the resolution of its inputs is.
-func (e *LocalExecutor) validate(ctx context.Context, req UnitRequest, build core.ProgramBuilder) (any, error) {
-	set := req.Set
-	if set == nil {
-		dep := req
-		dep.Set, dep.Cols = nil, [2]*core.Collection{}
-		if req.Run == 0 {
-			dep.Kind, dep.Run = UnitDiscoverBaseline, 0
-			v, err := e.ExecuteUnit(ctx, dep)
-			if err != nil {
-				return nil, err
-			}
-			art, ok := v.(baselineArtifact)
-			if !ok {
-				return nil, fmt.Errorf("sched: baseline artifact for %s has type %T", req.App, v)
-			}
-			set = &art.set
-		} else {
-			dep.Kind = UnitDiscoverJittered
-			v, err := e.ExecuteUnit(ctx, dep)
-			if err != nil {
-				return nil, err
-			}
-			s, ok := v.(core.BarrierPointSet)
-			if !ok {
-				return nil, fmt.Errorf("sched: discovery artifact for %s has type %T", req.App, v)
-			}
-			set = &s
-		}
-	}
-	cols := req.Cols
-	for i := range cols {
-		if cols[i] != nil {
-			continue
-		}
-		fp := req.FP
-		if i == 1 {
-			fp = req.FPARM
-		}
-		dep := UnitRequest{
-			Kind: UnitCollect, App: req.App, FP: fp,
-			Collect: &req.Collections[i], Build: req.Build,
-		}
-		v, err := e.ExecuteUnit(ctx, dep)
-		if err != nil {
-			return nil, err
-		}
-		col, ok := v.(*core.Collection)
-		if !ok {
-			return nil, fmt.Errorf("sched: collection artifact for %s has type %T", req.App, v)
-		}
-		cols[i] = col
-	}
-	return core.EvaluateSet(req.App, req.Run, set, cols[0], cols[1])
+	return v, nil
 }

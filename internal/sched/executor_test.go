@@ -7,9 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-
-	"barrierpoint/internal/core"
-	"barrierpoint/internal/resultcache"
 )
 
 // countingExecutor wraps an Executor, recording every unit kind it
@@ -59,48 +56,6 @@ func TestRunDecomposesOntoExecutor(t *testing.T) {
 	defer ce.mu.Unlock()
 	if !reflect.DeepEqual(ce.kinds, wantKinds) {
 		t.Errorf("unit kinds routed through the executor = %v, want %v", ce.kinds, wantKinds)
-	}
-}
-
-// TestLocalExecutorWirePath: a request stripped of its in-band fields —
-// exactly what a worker decodes off the wire — resolves the builder by
-// app name and recomputes dependencies, producing the same artifacts the
-// in-band path does.
-func TestLocalExecutorWirePath(t *testing.T) {
-	req := testRequest(t)
-	cfg := req.Config.WithDefaults()
-	discCfg := cfg.Discovery()
-	colCfgs := cfg.Collections()
-	fpX86, err := fingerprint(req.App, req.Build, cfg.Threads, colCfgs[0].Variant)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fpARM, err := fingerprint(req.App, req.Build, cfg.Threads, colCfgs[1].Variant)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// The reference: the in-band path a coordinator runs.
-	want, err := Run(context.Background(), req, Options{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// The worker: no builder, no in-band artifacts, just coordinates.
-	worker := &LocalExecutor{Cache: resultcache.New(64)}
-	v, err := worker.ExecuteUnit(context.Background(), UnitRequest{
-		Kind: UnitValidate, App: req.App, FP: fpX86, FPARM: fpARM,
-		Discovery: &discCfg, Run: 1, Collections: &colCfgs,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eval := v.(core.SetEvaluation)
-	if !reflect.DeepEqual(eval.Set, want.Evals[1].Set) {
-		t.Error("wire-path validate resolved a different discovery set")
-	}
-	if !reflect.DeepEqual(eval.X86, want.Evals[1].X86) {
-		t.Error("wire-path validate scored differently on x86_64")
 	}
 }
 

@@ -18,6 +18,8 @@ func init() {
 	// version, so entries written by older builds are orphaned (and
 	// recomputed) rather than misdecoded.
 	cachestore.RegisterGob[baselineArtifact]("sched.baselineArtifact.v2")
+	// A jittered unit ships only the baseline half of that artifact.
+	cachestore.RegisterGob[*core.LDVBaseline]("core.LDVBaseline")
 	cachestore.RegisterGob[core.BarrierPointSet]("core.BarrierPointSet")
 	cachestore.RegisterGob[*core.Collection]("core.Collection")
 	cachestore.RegisterGob[*core.StudyResult]("core.StudyResult")

@@ -217,7 +217,8 @@ type RemoteStats struct {
 //
 // Routing is content-addressed: a unit's cache key hashes to a preferred
 // worker, so re-executions and overlapping studies land where the
-// artifact (or its dependencies) already live. A transport failure
+// artifact already lives. Every unit carries its dependency artifacts,
+// so no unit needs a particular worker. A transport failure
 // quarantines the worker with exponential backoff and retries the unit on
 // the next worker in the ring; when every worker is down or the fleet
 // rejects the unit, execution falls back to the local executor, so a
@@ -379,11 +380,13 @@ func (e *RemoteExecutor) ExecuteUnit(ctx context.Context, req UnitRequest) (any,
 	if n == 0 {
 		return e.fallbackUnit(ctx, req, nil)
 	}
-	// Validate units ship the collections the coordinator already holds
-	// inline, so a cold worker does not recompute artifacts that exist a
-	// request away. Serialised once here, not per dispatch attempt.
-	req.attachInlineCols()
-	start := affinity(req.routingKey(key), n)
+	// The unit's dependency artifacts travel with it, serialised once here
+	// rather than per dispatch attempt. One no codec covers keeps the unit
+	// local, as a rejection does.
+	if err := req.encodeDeps(); err != nil {
+		return e.fallbackUnit(ctx, req, err)
+	}
+	start := affinity(key, n)
 	var lastErr error
 	// A saturated-but-healthy fleet (429s, or every inflight slot taken)
 	// means capacity, not death: the ring is re-swept after a short pause

@@ -36,7 +36,7 @@ func (w testLogWriter) Write(p []byte) (int, error) {
 
 // distStudy is the study the distributed tests execute: small enough to
 // run several times per test, large enough to exercise every unit kind.
-func distStudy(t *testing.T) sched.StudyRequest {
+func distStudy(t testing.TB) sched.StudyRequest {
 	t.Helper()
 	a, err := apps.ByName("MCB")
 	if err != nil {
@@ -111,6 +111,29 @@ func TestDistributedGoldenEquivalence(t *testing.T) {
 	if want := int64(sched.StudyUnits(req.Config)); int64(st.RemoteUnits) != want {
 		t.Errorf("fleet resolved %d units, want %d", st.RemoteUnits, want)
 	}
+	// Units carry their dependency artifacts, so workers never recompute
+	// one: the fleet misses each cacheable unit (the baseline, the jittered
+	// runs, both collections) exactly once, and validate units touch no
+	// cache at all.
+	misses := workerHealth(t, w1).Cache.Misses + workerHealth(t, w2).Cache.Misses
+	if want := uint64(req.Config.WithDefaults().Runs + 2); misses != want {
+		t.Errorf("workers missed their caches %d times, want one per cacheable unit (%d)", misses, want)
+	}
+}
+
+// workerHealth reads a worker's GET /healthz body.
+func workerHealth(t *testing.T, w *httptest.Server) WorkerHealth {
+	t.Helper()
+	resp, err := http.Get(w.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var h WorkerHealth
+	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
+		t.Fatal(err)
+	}
+	return h
 }
 
 // TestDistributedWorkerDiesMidStudy kills one of two workers partway
@@ -510,35 +533,43 @@ func TestDistributedTracePropagation(t *testing.T) {
 // TestWorkerHealthz: the worker's own health endpoint reports its
 // capacity and cache counters.
 func TestWorkerHealthz(t *testing.T) {
-	w := newTestWorker(t)
-	resp, err := http.Get(w.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var h WorkerHealth
-	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
-		t.Fatal(err)
-	}
+	h := workerHealth(t, newTestWorker(t))
 	if h.Status != "ok" || h.MaxInflight != 8 {
 		t.Errorf("worker health = %+v", h)
 	}
 }
 
 // TestWorkerRejectsGarbage: protocol-level rejections carry the right
-// status codes (the coordinator's retry logic keys off them).
+// status codes (the coordinator's retry logic keys off them). A unit
+// without its dependency artifacts is one of them: workers never
+// recompute a dependency.
 func TestWorkerRejectsGarbage(t *testing.T) {
 	w := newTestWorker(t)
+	u := newWireUnits(t)
+	without := func(req sched.UnitRequest, deps ...sched.InlineArtifact) io.Reader {
+		req.Deps = deps
+		return bytes.NewReader(unitBody(t, req))
+	}
+	// A body that would run (the jittered unit) behind more leading
+	// whitespace than maxUnitBytes, streamed so the test holds none of it.
+	overLimit := io.MultiReader(io.LimitReader(spaces{}, maxUnitBytes), bytes.NewReader(unitBody(t, u.jittered)))
 	for _, tc := range []struct {
-		name, body string
-		want       int
+		name string
+		body io.Reader
+		want int
 	}{
-		{"bad JSON", "{", sched.StatusUnitRejected},
-		{"unknown app", `{"kind":"collect","app":"nope"}`, sched.StatusUnitRejected},
-		{"unknown kind", `{"kind":"frobnicate","app":"MCB"}`, sched.StatusUnitRejected},
-		{"missing config", `{"kind":"collect","app":"MCB"}`, sched.StatusUnitRejected},
+		{"bad JSON", strings.NewReader("{"), sched.StatusUnitRejected},
+		{"unknown app", strings.NewReader(`{"kind":"collect","app":"nope"}`), sched.StatusUnitRejected},
+		{"unknown kind", strings.NewReader(`{"kind":"frobnicate","app":"MCB"}`), sched.StatusUnitRejected},
+		{"missing config", strings.NewReader(`{"kind":"collect","app":"MCB"}`), sched.StatusUnitRejected},
+		{"over-limit body", overLimit, sched.StatusUnitRejected},
+		{"validate without deps", without(u.validate), sched.StatusUnitRejected},
+		{"jittered without deps", without(u.jittered), sched.StatusUnitRejected},
+		{"validate with one dep", without(u.validate, u.validate.Deps[0]), sched.StatusUnitRejected},
+		{"jittered with a set for a baseline", without(u.jittered, u.validate.Deps[0]), sched.StatusUnitRejected},
+		{"baseline of 2^32 rows of 2^32", bytes.NewReader(unitBody(t, u.hugeBaseline)), sched.StatusUnitRejected},
 	} {
-		resp, err := http.Post(w.URL+"/units", "application/json", strings.NewReader(tc.body))
+		resp, err := http.Post(w.URL+"/units", "application/json", tc.body)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -547,4 +578,14 @@ func TestWorkerRejectsGarbage(t *testing.T) {
 			t.Errorf("%s: status %d, want %d", tc.name, resp.StatusCode, tc.want)
 		}
 	}
+}
+
+// spaces is an endless stream of JSON whitespace.
+type spaces struct{}
+
+func (spaces) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = ' '
+	}
+	return len(p), nil
 }

@@ -43,6 +43,11 @@ type WorkerConfig struct {
 	Log *obs.Logger
 }
 
+// maxUnitBytes bounds a POST /units body. Units carry their dependency
+// artifacts; the largest legitimate body, an 8-thread 20-rep LULESH
+// validate unit, is about 20 MB.
+const maxUnitBytes = 64 << 20
+
 // workerTraceSpans bounds the per-unit span subtree a worker builds for
 // a traced request. Units are shallow trees (recv, decode, compute with
 // its cache/unit spans, encode), so a small ring is ample; anything
@@ -155,7 +160,8 @@ func (w *Worker) Handler() http.Handler {
 
 // handleUnit executes one unit request. Status codes are protocol:
 // 409 (sched.StatusUnitRejected) means "this worker can never run this
-// unit" — unknown app or kind, or a fingerprint mismatch proving the
+// unit" — an undecodable or oversized body, unknown app or kind, missing
+// or malformed dependency artifacts, or a fingerprint mismatch proving the
 // coordinator's program differs from this binary's; 422
 // (sched.StatusUnitFailed) means the computation itself failed (a
 // property of the request — retrying elsewhere would fail identically);
@@ -164,13 +170,14 @@ func (w *Worker) Handler() http.Handler {
 func (w *Worker) handleUnit(rw http.ResponseWriter, r *http.Request) {
 	recvStart := time.Now()
 	var req sched.UnitRequest
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(rw, r.Body, maxUnitBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		// A reject, not a plain 400: an undecodable request usually means
-		// a coordinator speaking a newer dialect (unknown fields), and a
-		// reject tells it to execute the unit itself instead of
-		// quarantining this healthy worker as a transport failure.
+		// A reject, not a plain 400 or 413: an undecodable or oversized
+		// request usually means a coordinator speaking a newer dialect
+		// (unknown fields), and a reject tells it to execute the unit
+		// itself instead of quarantining this healthy worker as a
+		// transport failure.
 		err = fmt.Errorf("service: decoding unit request: %w", err)
 		w.log.Warn(r.Context(), "unit rejected", "err", err)
 		w.reject(rw, sched.StatusUnitRejected, err)
