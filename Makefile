@@ -20,17 +20,19 @@ BENCH_OUT ?= BENCH_pipeline.json
 
 .PHONY: ci fmt-check vet lint lint-smoke build test-short test test-race \
 	test-persist test-dist test-obs test-sweep test-purego fuzz-kmeans \
-	fuzz-cache fuzz-units bench bench-json bench-json-smoke bench-diff
+	fuzz-sqdist fuzz-cache fuzz-units bench bench-json bench-json-smoke \
+	bench-diff
 
 # ci is the tier-1 gate: formatting, static checks (go vet plus the
 # project's own bpvet analyzers), build, fast tests, the race detector
 # over the whole tree, the persistence suite, the distributed-execution
 # suite, the observability suite, the batch-sweep suite, the
 # scalar-fallback kernel leg, short fuzzes of the accelerated k-means
-# against its plain-Lloyd oracle, of the recency-ordered cache against
-# its timestamped-LRU oracle and of the worker's POST /units decoder, and
-# a 1x smoke of the bench-json harness so it cannot bit-rot.
-ci: fmt-check vet lint build test-short test-race test-persist test-dist test-obs test-sweep test-purego fuzz-kmeans fuzz-cache fuzz-units bench-json-smoke
+# against its plain-Lloyd oracle, of the k-means distance kernel against
+# sqDist, of the recency-ordered cache against its timestamped-LRU oracle
+# and of the worker's POST /units decoder, and a 1x smoke of the
+# bench-json harness so it cannot bit-rot.
+ci: fmt-check vet lint build test-short test-race test-persist test-dist test-obs test-sweep test-purego fuzz-kmeans fuzz-sqdist fuzz-cache fuzz-units bench-json-smoke
 
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -120,21 +122,31 @@ test-sweep:
 	$(GO) test -race -timeout 30m -run 'Sweep|BatchSweep|BatchStudies|StudySpecs' \
 		./internal/sched/... ./internal/service/... ./internal/experiments/...
 
-# test-purego proves the scalar projection fallback stays healthy on both
-# of its paths: the purego build tag compiles the SIMD kernels out
-# entirely, and BP_PUREGO=1 exercises the runtime override on the normal
-# build (internal/cpu's TestPuregoOverride only bites under it). -count=1
-# defeats test caching, which would otherwise replay results recorded
-# without the env var.
+# test-purego proves the scalar fallbacks of the projection and k-means
+# kernels stay healthy on both of their paths: the purego build tag
+# compiles the SIMD kernels out entirely, and BP_PUREGO=1 exercises the
+# runtime override on the normal build (internal/cpu's TestPuregoOverride
+# only bites under it). The scalar k-means is arm64's only path, so its
+# Lloyd-oracle and scratch-reuse tests run on both legs. -count=1 defeats
+# test caching, which would otherwise replay results recorded without the
+# env var.
 test-purego:
-	$(GO) test -tags purego -count=1 ./internal/cpu/ ./internal/sigvec/ ./internal/core/
-	BP_PUREGO=1 $(GO) test -count=1 ./internal/cpu/ ./internal/sigvec/
+	$(GO) test -tags purego -count=1 ./internal/cpu/ ./internal/sigvec/ ./internal/simpoint/ ./internal/core/
+	BP_PUREGO=1 $(GO) test -count=1 ./internal/cpu/ ./internal/sigvec/ ./internal/simpoint/
 
 # fuzz-kmeans feeds simpoint's bounded k-means raw float64 bit patterns
 # (NaN, ±Inf, subnormals, wild scale mixes) for 10 s and fails on the
 # first call that differs from the plain Lloyd loop by a single bit.
 fuzz-kmeans:
 	$(GO) test -run '^$$' -fuzz '^FuzzKMeansExact$$' -fuzztime 10s ./internal/simpoint
+
+# fuzz-sqdist feeds the AVX2 k-means distance kernel raw float64 bit
+# patterns for 10 s, over dims 1-64 and partial last blocks whose padding
+# lanes hold stale NaNs, and fails on the first live lane that differs
+# from sqDist by a single bit (all NaNs count as equal). It skips on a
+# host without AVX2.
+fuzz-sqdist:
+	$(GO) test -run '^$$' -fuzz '^FuzzSqDistBlock$$' -fuzztime 10s ./internal/simpoint
 
 # fuzz-cache feeds mem.Cache fuzzer-chosen Access/Fill/Contains/Reset
 # sequences for 10 s and fails on the first result or counter that
@@ -156,9 +168,9 @@ bench:
 # bench-json records the signature-pipeline performance trajectory: the
 # mem/pin/sigvec micro-benchmarks, the sweep-planner compile benchmark,
 # end-to-end discovery, SimPoint clustering on synthetic and on real
-# HPCG signature vectors, native Step 3 collection of HPCG on both ISAs,
-# and single-study latency at the paper configuration, parsed into
-# BENCH_pipeline.json (fails if any benchmark fails or produces no
+# HPCG and LULESH signature vectors, native Step 3 collection of HPCG on
+# both ISAs, and single-study latency at the paper configuration, parsed
+# into BENCH_pipeline.json (fails if any benchmark fails or produces no
 # results). Each invocation APPENDS a run entry to the trajectory, so the
 # history across PRs is preserved; see cmd/benchjson. Every invocation
 # runs BENCH_COUNT times (see the variables' comments). The discovery,
@@ -173,7 +185,7 @@ bench-json:
 	  $(GO) test -run '^$$' -benchmem -benchtime $(BENCHTIME) -count $(BENCH_COUNT) \
 		-bench 'SweepPlanner' ./internal/sched; \
 	  $(GO) test -run '^$$' -benchmem -benchtime $(PIPELINE_BENCHTIME) -count $(BENCH_COUNT) \
-		-bench 'DiscoveryPipeline|KMeansClustering|ClusterHPCG|^BenchmarkCollect$$' .; \
+		-bench 'DiscoveryPipeline|KMeansClustering|ClusterHPCG|ClusterLULESH|^BenchmarkCollect$$' .; \
 	  $(GO) test -run '^$$' -benchmem -benchtime 1x -count $(BENCH_COUNT) \
 		-bench '^BenchmarkStudy$$' .; } \
 		| $(GO) run ./cmd/benchjson -out $(BENCH_OUT)

@@ -225,10 +225,12 @@ func BenchmarkKMeansClustering(b *testing.B) {
 	}
 }
 
-// hpcgPoints holds the canonical HPCG 8-thread discovery run's signature
-// vectors, built once for BenchmarkClusterHPCG.
-var hpcgPoints = sync.OnceValues(func() ([]simpoint.Point, error) {
-	app, err := barrierpoint.AppByName("HPCG")
+// discoveryPoints builds the signature vectors of an app's canonical
+// 8-thread discovery run, composed as core's canonical discovery run
+// composes them: full BBV+LDV instrumentation, projected by one reusable
+// Builder.
+func discoveryPoints(name string) ([]simpoint.Point, error) {
+	app, err := barrierpoint.AppByName(name)
 	if err != nil {
 		return nil, err
 	}
@@ -237,8 +239,6 @@ var hpcgPoints = sync.OnceValues(func() ([]simpoint.Point, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Composed as core's canonical discovery run composes them: full
-	// BBV+LDV instrumentation, projected by one reusable Builder.
 	cfg := omp.Config{Machine: machine.ForISA(v.ISA), Variant: v, Threads: 8, WarmCaches: true}
 	builder := sigvec.NewBuilder(sigvec.Options{Dim: sigvec.DefaultDim, UseBBV: true, UseLDV: true, Seed: 42})
 	var points []simpoint.Point
@@ -248,26 +248,43 @@ var hpcgPoints = sync.OnceValues(func() ([]simpoint.Point, error) {
 		points = append(points, simpoint.Point{Vec: vec, Weight: s.Instructions})
 	})
 	return points, err
-})
+}
 
-// BenchmarkClusterHPCG measures clustering on real signature vectors: the
-// canonical HPCG 8-thread discovery run at the paper's SimPoint settings
-// (MaxK 20, 5 restarts per k). Building the vectors is not timed.
-func BenchmarkClusterHPCG(b *testing.B) {
-	points, err := hpcgPoints()
+// hpcgPoints and luleshPoints hold the canonical discovery runs' vectors,
+// built once for the clustering benchmarks.
+var (
+	hpcgPoints   = sync.OnceValues(func() ([]simpoint.Point, error) { return discoveryPoints("HPCG") })
+	luleshPoints = sync.OnceValues(func() ([]simpoint.Point, error) { return discoveryPoints("LULESH") })
+)
+
+// benchCluster clusters points at the paper's SimPoint settings (MaxK 20,
+// 5 restarts per k) with the canonical run's k-means seed. Building the
+// vectors is not timed.
+func benchCluster(b *testing.B, build func() ([]simpoint.Point, error)) {
+	points, err := build()
 	if err != nil {
 		b.Fatal(err)
 	}
 	cfg := simpoint.DefaultConfig(xrand.Derive(42, "kmeans-0").Uint64())
 	cfg.MaxK = 20
-	b.ReportMetric(float64(len(points)), "points")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := simpoint.Cluster(points, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
+	// After the loop: ResetTimer deletes metrics reported before it.
+	b.ReportMetric(float64(len(points)), "points")
 }
+
+// BenchmarkClusterHPCG measures clustering on real signature vectors: the
+// canonical HPCG 8-thread discovery run.
+func BenchmarkClusterHPCG(b *testing.B) { benchCluster(b, hpcgPoints) }
+
+// BenchmarkClusterLULESH clusters the canonical LULESH 8-thread discovery
+// run: 9,840 points of 30 dimensions (2.4 MB, more than a typical L2),
+// the largest point set of the paper suite and most of its clustering.
+func BenchmarkClusterLULESH(b *testing.B) { benchCluster(b, luleshPoints) }
 
 // BenchmarkSignatureProjection measures signature vector construction for
 // a realistic BBV/LDV size (40 blocks x 8 threads, 20 bins x 8 threads).

@@ -27,12 +27,15 @@ package main
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/json"
 	"flag"
 	"fmt"
+	"maps"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -274,7 +277,10 @@ func diff(tr Trajectory) (report string, flagged bool, err error) {
 		}
 		b.WriteByte('\n')
 	}
-	for k := range prevBy {
+	dropped := slices.SortedFunc(maps.Keys(prevBy), func(x, y benchKey) int {
+		return cmp.Or(cmp.Compare(x.pkg, y.pkg), cmp.Compare(x.name, y.name))
+	})
+	for _, k := range dropped {
 		fmt.Fprintf(&b, "  %-40s dropped (present in previous run only)\n", k.name)
 	}
 	return b.String(), flagged, nil

@@ -200,21 +200,32 @@ func TestDiffFlagsZeroAllocRegression(t *testing.T) {
 }
 
 // TestDiffNewAndDroppedBenchmarks: additions and removals are reported
-// informationally, never flagged.
+// informationally, never flagged, and the dropped benchmarks come out
+// sorted by package, then name, on every call.
 func TestDiffNewAndDroppedBenchmarks(t *testing.T) {
 	tr := Trajectory{Runs: []Document{
-		run("cpu0", Result{Name: "BenchmarkOld", NsPerOp: 10}),
+		run("cpu0",
+			Result{Package: "p/b", Name: "BenchmarkAlpha", NsPerOp: 10},
+			Result{Package: "p/a", Name: "BenchmarkZulu", NsPerOp: 10},
+			Result{Package: "p/a", Name: "BenchmarkMike", NsPerOp: 10}),
 		run("cpu0", Result{Name: "BenchmarkNew", NsPerOp: 10}),
 	}}
-	report, flagged, err := diff(tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if flagged {
-		t.Errorf("membership change flagged:\n%s", report)
-	}
-	if !strings.Contains(report, "new benchmark") || !strings.Contains(report, "dropped") {
-		t.Errorf("membership change not reported:\n%s", report)
+	for call := 0; call < 20; call++ {
+		report, flagged, err := diff(tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if flagged {
+			t.Errorf("membership change flagged:\n%s", report)
+		}
+		if !strings.Contains(report, "new benchmark") || strings.Count(report, "dropped") != 3 {
+			t.Fatalf("membership change not reported:\n%s", report)
+		}
+		mike, zulu, alpha := strings.Index(report, "BenchmarkMike"), strings.Index(report, "BenchmarkZulu"),
+			strings.Index(report, "BenchmarkAlpha")
+		if !(mike < zulu && zulu < alpha) {
+			t.Fatalf("call %d: dropped benchmarks not sorted by package, then name:\n%s", call, report)
+		}
 	}
 }
 

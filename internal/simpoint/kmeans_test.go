@@ -140,6 +140,7 @@ func matchLloyd(t *testing.T, points []Point, maxK, restarts, maxIter int, seed 
 	maxK = min(maxK, n)
 	s := NewScratch()
 	s.grow(n, dim, maxK)
+	s.pack(points, dim)
 	tau := boundMargin(points)
 	fast, plain := xrand.New(seed), xrand.New(seed)
 	var p kmeansPaths

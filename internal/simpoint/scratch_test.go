@@ -73,8 +73,11 @@ func TestScratchReuseBitIdentical(t *testing.T) {
 		{1, 60, 30, 4, 8},  // typical study
 		{2, 9, 6, 3, 20},   // maxK clamped to n
 		{3, 120, 15, 2, 6}, // bigger n after smaller: forces regrow
-		{4, 25, 30, 5, 8},  // smaller again: stale tail cells present
-		{5, 25, 30, 5, 8},  // same shape, different data
+		// 63 points fill 7 of the last block's 8 lanes, in a blocked copy
+		// the 120-point study left holding its own points.
+		{8, 63, 15, 4, 8},
+		{4, 25, 30, 5, 8}, // smaller again: stale tail cells present
+		{5, 25, 30, 5, 8}, // same shape, different data
 		// A large study fills n*maxK lower bounds; the smaller one after it
 		// reads its bounds at stride k out of that stale array.
 		{6, 300, 12, 7, 20},

@@ -10,6 +10,7 @@ package simpoint
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"barrierpoint/internal/xrand"
@@ -77,9 +78,10 @@ func sqDist(a, b []float64) float64 {
 }
 
 // Scratch is the reusable working set for Cluster: Lloyd-iteration state,
-// the distance bounds of the accelerated assignment step, and the per-k
-// best-restart record, all in flat one-slice backings (centroid c lives at
-// [c*dim:(c+1)*dim], point i's bounds at [i*k:(i+1)*k]). A Scratch may be
+// the distance bounds of the accelerated assignment step, the blocked
+// point copy the distance kernel reads, and the per-k best-restart record,
+// all in flat one-slice backings (centroid c lives at [c*dim:(c+1)*dim],
+// point i's bounds at [i*k:(i+1)*k]). A Scratch may be
 // reused across studies of any size — grow reslices when capacity
 // suffices and every cell is overwritten before it is read, so a reused
 // Scratch produces bit-identical results to a fresh one (the property
@@ -90,7 +92,14 @@ type Scratch struct {
 	cent    []float64 // working centroids, k*dim, for the current k-means run
 	assign  []int     // working assignment, n
 	counts  []int     // per-cluster member counts, k
-	minDist []float64 // k-means++ seeding state, n
+	moved   []bool    // per cluster: the last reassign changed its members, k
+	minDist []float64 // k-means++ seeding state, n padded to whole blocks
+
+	// blk is the points' blocked copy (see lanes), built once per
+	// ClusterWith when the AVX2 kernels are on; lane holds one block's
+	// distances.
+	blk  []float64
+	lane [lanes]float64
 
 	// Elkan bounds for the current k-means run. upper[i] bounds point i's
 	// distance to its assigned centroid from above and lower[i*k+c] its
@@ -125,7 +134,8 @@ func (s *Scratch) grow(n, dim, maxK int) {
 	s.cent = resize(s.cent, maxK*dim)
 	s.assign = resize(s.assign, n)
 	s.counts = resize(s.counts, maxK)
-	s.minDist = resize(s.minDist, n)
+	s.moved = resize(s.moved, maxK)
+	s.minDist = resize(s.minDist, blocks(n)*lanes)
 	s.upper = resize(s.upper, n)
 	s.lower = resize(s.lower, n*maxK)
 	s.gap = resize(s.gap, maxK*maxK)
@@ -136,7 +146,43 @@ func (s *Scratch) grow(n, dim, maxK int) {
 	s.candRng = resize(s.candRng, maxK)
 }
 
+// pack lays the points out in s.blk for the distance kernel and zeroes
+// the padding lanes of the last block. Without the kernels it does nothing.
+// A blocked copy more than twice the size this study needs was left by a
+// larger one: pack drops it rather than keep, say, LULESH's 2.4 MB pooled
+// for the small studies that follow.
+func (s *Scratch) pack(points []Point, dim int) {
+	if !useSIMD {
+		return
+	}
+	nb := blocks(len(points))
+	if cap(s.blk) > 2*nb*dim*lanes {
+		s.blk = nil
+	}
+	s.blk = resize(s.blk, nb*dim*lanes)
+	for i := range nb * lanes {
+		base := (i/lanes)*dim*lanes + i%lanes
+		if i >= len(points) {
+			for j := range dim {
+				s.blk[base+j*lanes] = 0
+			}
+			continue
+		}
+		for j, v := range points[i].Vec {
+			s.blk[base+j*lanes] = v
+		}
+	}
+}
+
 var scratchPool = sync.Pool{New: func() any { return &Scratch{} }}
+
+// simdMinOpen is the fewest points of a block that a seeding pass must
+// measure for the distance kernel to take the whole block. A lone open
+// point is cheaper measured by sqDist, which costs about a third of a
+// kernel block; on the canonical LULESH and HPCG discovery runs,
+// thresholds 1 to 4 cluster within noise of each other, and using the
+// kernel on the first pass only is 1.5x slower on LULESH.
+const simdMinOpen = 2
 
 // boundMargin returns τ, the slack every bound test in kmeansOnce adds
 // before it may skip a distance: 1e-9 × the largest distance of a point
@@ -177,10 +223,15 @@ func boundMargin(points []Point) float64 {
 // it either. Iteration 0 starts from the seeding's nearest-seed argmin and
 // its exact distances, so it re-measures near-ties only. The centroid
 // update, the empty-cluster reseed and the distortion are the plain
-// loop's own code. Stale scratch contents never leak into the result:
-// seeding overwrites cent, minDist, assign and every bound, moveBounds
-// overwrites drift and the gaps before they are read, and counts are
-// zeroed before accumulation.
+// loop's own code, except that an update after iteration 0 with no empty
+// cluster re-sums only the clusters whose members changed (see resum).
+// Stale scratch contents never leak into the result: seeding overwrites
+// cent, minDist, assign and every bound, moveBounds overwrites drift and
+// the gaps before they are read, and iteration 0's full update recounts
+// counts and clears moved before any decision reads them.
+//
+// With the AVX2 kernels on, s.blk must hold points' blocked copy (see
+// pack).
 //
 //bp:noalloc
 func (s *Scratch) kmeansOnce(points []Point, k, dim int, rng *xrand.Rand, maxIter int, tau float64) float64 {
@@ -189,7 +240,6 @@ func (s *Scratch) kmeansOnce(points []Point, k, dim int, rng *xrand.Rand, maxIte
 	s.seed(points, k, dim, rng, tau)
 
 	assign := s.assign[:n]
-	counts := s.counts[:k]
 	for iter := 0; iter < maxIter; iter++ {
 		if iter > 0 {
 			s.moveBounds(n, k, dim)
@@ -199,35 +249,10 @@ func (s *Scratch) kmeansOnce(points []Point, k, dim int, rng *xrand.Rand, maxIte
 			break
 		}
 		copy(s.prev[:k*dim], cent)
-		for c := 0; c < k; c++ {
-			for j := c * dim; j < (c+1)*dim; j++ {
-				cent[j] = 0
-			}
-			counts[c] = 0
-		}
-		for i, a := range assign {
-			counts[a]++
-			row := cent[a*dim : (a+1)*dim]
-			for j, v := range points[i].Vec {
-				row[j] += v
-			}
-		}
-		for c := 0; c < k; c++ {
-			if counts[c] == 0 {
-				// Re-seed an empty cluster on the farthest point.
-				far, farD := 0, -1.0
-				for i := range points {
-					if d := sqDist(points[i].Vec, cent[assign[i]*dim:(assign[i]+1)*dim]); d > farD {
-						far, farD = i, d
-					}
-				}
-				copy(cent[c*dim:(c+1)*dim], points[far].Vec)
-				continue
-			}
-			inv := 1 / float64(counts[c])
-			for j := c * dim; j < (c+1)*dim; j++ {
-				cent[j] *= inv
-			}
+		if iter == 0 || slices.Contains(s.counts[:k], 0) {
+			s.update(points, k, dim)
+		} else {
+			s.resum(points, k, dim)
 		}
 	}
 	var distortion float64
@@ -237,6 +262,76 @@ func (s *Scratch) kmeansOnce(points []Point, k, dim int, rng *xrand.Rand, maxIte
 	return distortion
 }
 
+// update is the plain loop's centroid update: every centroid becomes the
+// mean of its members, summed in index order, and an empty cluster is
+// re-seeded on the point farthest from its centroid. That scan runs
+// mid-update, so it reads the lower-index centroids already divided and
+// the higher-index ones still as sums, exactly as the plain loop does.
+//
+//bp:noalloc
+func (s *Scratch) update(points []Point, k, dim int) {
+	cent := s.cent[:k*dim]
+	assign := s.assign[:len(points)]
+	counts := s.counts[:k]
+	for c := range counts {
+		clear(cent[c*dim : (c+1)*dim])
+		counts[c] = 0
+		s.moved[c] = false
+	}
+	for i, a := range assign {
+		counts[a]++
+		addRow(cent[a*dim:(a+1)*dim], points[i].Vec)
+	}
+	for c := 0; c < k; c++ {
+		if counts[c] == 0 {
+			// Re-seed an empty cluster on the farthest point.
+			far, farD := 0, -1.0
+			for i := range points {
+				if d := sqDist(points[i].Vec, cent[assign[i]*dim:(assign[i]+1)*dim]); d > farD {
+					far, farD = i, d
+				}
+			}
+			copy(cent[c*dim:(c+1)*dim], points[far].Vec)
+			continue
+		}
+		inv := 1 / float64(counts[c])
+		for j := c * dim; j < (c+1)*dim; j++ {
+			cent[j] *= inv
+		}
+	}
+}
+
+// resum is update for an iteration in which every cluster has members: it
+// re-sums only the clusters the last reassign moved a point into or out
+// of. Any other cluster has the member set of the previous update, which
+// summed in the same order to the same bits, so its centroid stands. The
+// counts are reassign's running counts.
+//
+//bp:noalloc
+func (s *Scratch) resum(points []Point, k, dim int) {
+	cent := s.cent[:k*dim]
+	moved := s.moved[:k]
+	for c, m := range moved {
+		if m {
+			clear(cent[c*dim : (c+1)*dim])
+		}
+	}
+	for i, a := range s.assign[:len(points)] {
+		if moved[a] {
+			addRow(cent[a*dim:(a+1)*dim], points[i].Vec)
+		}
+	}
+	for c, m := range moved {
+		if m {
+			inv := 1 / float64(s.counts[c])
+			for j := c * dim; j < (c+1)*dim; j++ {
+				cent[j] *= inv
+			}
+			moved[c] = false
+		}
+	}
+}
+
 // seed places the k-means++ seeds in s.cent and leaves each point's
 // nearest seed (strict <, lowest index) in s.assign, its exact distance
 // to it in s.upper, and a lower bound on its distance to every seed in
@@ -244,7 +339,8 @@ func (s *Scratch) kmeansOnce(points []Point, k, dim int, rng *xrand.Rand, maxIte
 // measured against a point x whose nearest seed so far, c_a at distance
 // u, proves it farther: d(x, c) ≥ d(c, c_a) − u > u + τ, so c could not
 // have lowered minDist. minDist therefore holds exactly the plain
-// seeding's values, and the weighted draws pick the same seeds.
+// seeding's values, and the weighted draws pick the same seeds. Each pass
+// sums the next draw's total as it goes, in the plain loop's index order.
 //
 //bp:noalloc
 func (s *Scratch) seed(points []Point, k, dim int, rng *xrand.Rand, tau float64) {
@@ -254,22 +350,24 @@ func (s *Scratch) seed(points []Point, k, dim int, rng *xrand.Rand, tau float64)
 	assign := s.assign[:n]
 	upper := s.upper[:n]
 	lower := s.lower[:n*k]
-	gap := s.gap[:k*k]
 
 	first := rng.Intn(n)
 	copy(cent[:dim], points[first].Vec)
-	for i := range minDist {
-		d := sqDist(points[i].Vec, cent[:dim])
-		minDist[i] = d
+	if useSIMD {
+		sqDistBlocks(s.minDist[:blocks(n)*lanes], s.blk, cent[:dim])
+	} else {
+		for i := range minDist {
+			minDist[i] = sqDist(points[i].Vec, cent[:dim])
+		}
+	}
+	var total float64
+	for i, d := range minDist {
 		assign[i] = 0
 		upper[i] = math.Sqrt(d)
 		lower[i*k] = upper[i]
+		total += d
 	}
 	for nc := 1; nc < k; nc++ {
-		var total float64
-		for _, d := range minDist {
-			total += d
-		}
 		var next int
 		if total <= 0 {
 			next = rng.Intn(n)
@@ -285,26 +383,65 @@ func (s *Scratch) seed(points []Point, k, dim int, rng *xrand.Rand, tau float64)
 				}
 			}
 		}
-		c := cent[nc*dim : (nc+1)*dim]
-		copy(c, points[next].Vec)
+		copy(cent[nc*dim:(nc+1)*dim], points[next].Vec)
 		s.gapRow(nc, k, dim)
-		g := gap[nc*k : (nc+1)*k]
-		for i := range minDist {
-			u := upper[i]
-			if lb := 2*g[assign[i]] - u; lb > u+tau {
-				lower[i*k+nc] = lb
-				continue
-			}
-			d := sqDist(points[i].Vec, c)
-			lower[i*k+nc] = math.Sqrt(d)
-			if d < minDist[i] {
-				minDist[i] = d
-				assign[i] = nc
-				upper[i] = lower[i*k+nc]
-			}
-		}
+		total = s.seedPass(points, nc, k, dim, tau)
 	}
 	s.nearest(k)
+}
+
+// seedPass measures the points against the new seed nc block by block and
+// returns the sum of the updated minDist in index order, the next draw's
+// total. A block with at least simdMinOpen points the bound cannot prune
+// goes to the distance kernel whole. Measuring a point the bound would
+// have skipped only replaces its lower bound with the exact distance: its
+// nearest seed still beats the new one, so minDist, assign and upper come
+// out as the scalar loop leaves them.
+//
+//bp:noalloc
+func (s *Scratch) seedPass(points []Point, nc, k, dim int, tau float64) float64 {
+	n := len(points)
+	c := s.cent[nc*dim : (nc+1)*dim]
+	g := s.gap[nc*k : (nc+1)*k]
+	minDist := s.minDist[:n]
+	assign := s.assign[:n]
+	upper := s.upper[:n]
+	lower := s.lower[:n*k]
+	var total float64
+	for b := 0; b < n; b += lanes {
+		e := min(b+lanes, n)
+		vec := false
+		if useSIMD {
+			open := 0
+			for i := b; i < e; i++ {
+				if u := upper[i]; !(2*g[assign[i]]-u > u+tau) {
+					open++
+				}
+			}
+			if vec = open >= simdMinOpen; vec {
+				sqDistBlocks(s.lane[:], s.blk[b*dim:], c)
+			}
+		}
+		for i := b; i < e; i++ {
+			u := upper[i]
+			if lb := 2*g[assign[i]] - u; !vec && lb > u+tau {
+				lower[i*k+nc] = lb
+			} else {
+				d := s.lane[i-b]
+				if !vec {
+					d = sqDist(points[i].Vec, c)
+				}
+				lower[i*k+nc] = math.Sqrt(d)
+				if d < minDist[i] {
+					minDist[i] = d
+					assign[i] = nc
+					upper[i] = lower[i*k+nc]
+				}
+			}
+			total += minDist[i]
+		}
+	}
+	return total
 }
 
 // reassign is one Lloyd assignment step over the bounds and reports
@@ -313,13 +450,16 @@ func (s *Scratch) seed(points []Point, k, dim int, rng *xrand.Rand, tau float64)
 // centroid's lower bound or half-gap to a: d(x, c) ≥ 2·gap(a, c) − u. Any
 // other point gets its bound on a tightened to the exact distance and
 // scans the centroids in index order with strict <, as the plain loop
-// does, measuring only those the tightened bounds cannot exclude.
+// does, measuring only those the tightened bounds cannot exclude. Each
+// move updates s.counts and marks both clusters in s.moved, for resum.
 //
 //bp:noalloc
 func (s *Scratch) reassign(points []Point, k, dim int, tau float64) bool {
 	n := len(points)
 	cent := s.cent[:k*dim]
 	assign := s.assign[:n]
+	counts := s.counts[:k]
+	moved := s.moved[:k]
 	upper := s.upper[:n]
 	lower := s.lower[:n*k]
 	gap := s.gap[:k*k]
@@ -364,6 +504,9 @@ func (s *Scratch) reassign(points []Point, k, dim int, tau float64) bool {
 		upper[i] = math.Sqrt(bestD)
 		if best != a {
 			assign[i] = best
+			counts[a]--
+			counts[best]++
+			moved[a], moved[best] = true, true
 			changed = true
 		}
 	}
@@ -383,14 +526,10 @@ func (s *Scratch) moveBounds(n, k, dim int) {
 		drift[c] = math.Sqrt(sqDist(prev[c*dim:(c+1)*dim], cent[c*dim:(c+1)*dim]))
 	}
 	upper := s.upper[:n]
-	lower := s.lower[:n*k]
 	for i, a := range s.assign[:n] {
 		upper[i] += drift[a]
-		row := lower[i*k : (i+1)*k]
-		for c, d := range drift {
-			row[c] -= d
-		}
 	}
+	shiftRows(s.lower[:n*k], drift)
 	for c := 1; c < k; c++ {
 		s.gapRow(c, k, dim)
 	}
@@ -513,6 +652,7 @@ func ClusterWith(points []Point, cfg Config, s *Scratch) (*Result, error) {
 	}
 	dim := len(points[0].Vec)
 	s.grow(n, dim, maxK)
+	s.pack(points, dim)
 	rng := xrand.Derive(cfg.Seed, "simpoint-kmeans")
 	tau := boundMargin(points)
 
