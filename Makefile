@@ -20,8 +20,8 @@ BENCH_OUT ?= BENCH_pipeline.json
 
 .PHONY: ci fmt-check vet lint lint-smoke build test-short test test-race \
 	test-persist test-dist test-obs test-sweep test-purego fuzz-kmeans \
-	fuzz-sqdist fuzz-cache fuzz-units bench bench-json bench-json-smoke \
-	bench-diff
+	fuzz-sqdist fuzz-cache fuzz-units fuzz-batch fuzz-memtrace bench \
+	bench-json bench-json-smoke bench-diff
 
 # ci is the tier-1 gate: formatting, static checks (go vet plus the
 # project's own bpvet analyzers), build, fast tests, the race detector
@@ -29,10 +29,11 @@ BENCH_OUT ?= BENCH_pipeline.json
 # suite, the observability suite, the batch-sweep suite, the
 # scalar-fallback kernel leg, short fuzzes of the accelerated k-means
 # against its plain-Lloyd oracle, of the k-means distance kernel against
-# sqDist, of the recency-ordered cache against its timestamped-LRU oracle
-# and of the worker's POST /units decoder, and a 1x smoke of the
+# sqDist, of the recency-ordered cache against its timestamped-LRU oracle,
+# of the worker's POST /units decoder, of the POST /studies:batch decoder
+# and of the memory-trace decoder and replay, and a 1x smoke of the
 # bench-json harness so it cannot bit-rot.
-ci: fmt-check vet lint build test-short test-race test-persist test-dist test-obs test-sweep test-purego fuzz-kmeans fuzz-sqdist fuzz-cache fuzz-units bench-json-smoke
+ci: fmt-check vet lint build test-short test-race test-persist test-dist test-obs test-sweep test-purego fuzz-kmeans fuzz-sqdist fuzz-cache fuzz-units fuzz-batch fuzz-memtrace bench-json-smoke
 
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -102,11 +103,12 @@ test-dist:
 # carrying their dependency artifacts (no dependency cache:* span on a
 # cold worker), plus the end-to-end smokes that run studies against live
 # servers and assert the key /metrics series are present and non-zero,
-# the trace endpoint serves a rooted span tree, and a two-worker study's
-# trace merges the grafted worker subtrees into one tree.
+# the trace endpoint serves a rooted span tree (also the moment a study
+# reads done), and a two-worker study's trace merges the grafted worker
+# subtrees into one tree.
 test-obs:
 	$(GO) test -race ./internal/obs/...
-	$(GO) test -race -run 'MetricsEndToEnd|TraceEndToEnd|UnitRequestDepsRoundTrip|DistributedTracePropagation' \
+	$(GO) test -race -run 'MetricsEndToEnd|TraceEndToEnd|TraceRootedWhenDone|UnitRequestDepsRoundTrip|DistributedTracePropagation' \
 		./internal/sched/... ./internal/service/...
 
 # test-sweep exercises the batch sweep compiler end to end under the race
@@ -161,6 +163,21 @@ fuzz-cache:
 # input under the default 60 s budget would eat the whole run.
 fuzz-units:
 	$(GO) test -run '^$$' -fuzz '^FuzzWorkerUnit$$' -fuzztime 10s -fuzzminimizetime 2s ./internal/service
+
+# fuzz-batch feeds the POST /studies:batch decode and validation path
+# (decodeSubmission, then the batch and member checks, never execution)
+# arbitrary bodies for 10 s and fails on a panic or on a rejection
+# outside 4xx.
+fuzz-batch:
+	$(GO) test -run '^$$' -fuzz '^FuzzBatchSubmit$$' -fuzztime 10s ./internal/service
+
+# fuzz-memtrace feeds the memory-trace decoder arbitrary bytes for 10 s
+# and replays whatever decodes: a malformed trace (wrong length, trailing
+# bytes, a varint overflowing 64 bits) or one whose shape does not match
+# the run must be an error, never a panic, and decoding must allocate no
+# more than its input. Cachestore files reach the same decoder.
+fuzz-memtrace:
+	$(GO) test -run '^$$' -fuzz '^FuzzMemTrace$$' -fuzztime 10s ./internal/omp
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ .

@@ -74,28 +74,44 @@ func (cfg CollectConfig) WithDefaults() CollectConfig {
 // Collect runs the binary variant natively on its platform and gathers
 // PMU statistics per barrier point and for the whole region of interest.
 func Collect(build ProgramBuilder, cfg CollectConfig) (*Collection, error) {
+	col, _, err := CollectMem(build, cfg, nil)
+	return col, err
+}
+
+// CollectMem is Collect with the cache-hierarchy simulation shared: a
+// collection is the memory trace, the counters assembled from it, and
+// PAPI sampling. Given nil, it simulates the hierarchy and returns the
+// trace it recorded; given a trace recorded by a collection of a program
+// with the same fingerprint on a machine with the same hierarchy at the
+// same thread count, it replays that trace instead of simulating. Either
+// way the Collection is bit-identical to Collect's, and the returned
+// trace is the one its counters came from.
+func CollectMem(build ProgramBuilder, cfg CollectConfig, mem *omp.MemTrace) (*Collection, *omp.MemTrace, error) {
 	cfg = cfg.WithDefaults()
 	if cfg.Variant.ISA == nil {
-		return nil, fmt.Errorf("core: collection needs a binary variant")
+		return nil, nil, fmt.Errorf("core: collection needs a binary variant")
 	}
 	mach := cfg.Machine
 	if mach == nil {
 		mach = machine.ForISA(cfg.Variant.ISA)
 	}
 	if mach.ISA.Name != cfg.Variant.ISA.Name {
-		return nil, fmt.Errorf("core: %s binary cannot be collected on %s (a %s machine)",
+		return nil, nil, fmt.Errorf("core: %s binary cannot be collected on %s (a %s machine)",
 			cfg.Variant.ISA.Name, mach.Name, mach.ISA.Name)
 	}
 	prog, err := build(cfg.Threads, cfg.Variant)
 	if err != nil {
-		return nil, fmt.Errorf("core: building %d-thread %s program: %w",
+		return nil, nil, fmt.Errorf("core: building %d-thread %s program: %w",
 			cfg.Threads, cfg.Variant, err)
 	}
 	res, err := omp.Run(prog, omp.Config{
-		Machine: mach, Variant: cfg.Variant, Threads: cfg.Threads, WarmCaches: true,
+		Machine: mach, Variant: cfg.Variant, Threads: cfg.Threads, WarmCaches: true, Mem: mem,
 	})
 	if err != nil {
-		return nil, fmt.Errorf("core: native run of %s: %w", cfg.Variant, err)
+		return nil, nil, fmt.Errorf("core: native run of %s: %w", cfg.Variant, err)
+	}
+	if mem == nil {
+		mem = res.Mem
 	}
 
 	ov := papi.DefaultOverhead()
@@ -143,5 +159,5 @@ func Collect(build ProgramBuilder, cfg CollectConfig) (*Collection, error) {
 			col.FullStd[t][k] = m[k].StdDev
 		}
 	}
-	return col, nil
+	return col, mem, nil
 }

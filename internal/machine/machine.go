@@ -143,28 +143,15 @@ func (m *Machine) Topology(threads int) (l1Of, l2Of []int, err error) {
 	return l1Of, l2Of, nil
 }
 
-// NewHierarchy builds a fresh (cold) cache hierarchy for a run with the
-// given thread count.
-func (m *Machine) NewHierarchy(threads int) (*mem.Hierarchy, error) {
+// HierarchyConfig returns the cache hierarchy a run with the given thread
+// count simulates: the thread-to-cache topology, the geometry and the
+// prefetcher. Two machines with equal configurations simulate the same
+// touch stream identically, whatever their ISA, timing model or noise.
+func (m *Machine) HierarchyConfig(threads int) (mem.HierarchyConfig, error) {
 	l1Of, l2Of, err := m.Topology(threads)
 	if err != nil {
-		return nil, err
+		return mem.HierarchyConfig{}, err
 	}
-	return mem.NewHierarchy(m.hierarchyConfig(l1Of, l2Of)), nil
-}
-
-// AcquireHierarchy is NewHierarchy against the hierarchy pool: the
-// returned hierarchy is cold (a reused one is fully Reset) and must be
-// handed back with mem.ReleaseHierarchy after the run.
-func (m *Machine) AcquireHierarchy(threads int) (*mem.Hierarchy, error) {
-	l1Of, l2Of, err := m.Topology(threads)
-	if err != nil {
-		return nil, err
-	}
-	return mem.AcquireHierarchy(m.hierarchyConfig(l1Of, l2Of)), nil
-}
-
-func (m *Machine) hierarchyConfig(l1Of, l2Of []int) mem.HierarchyConfig {
 	return mem.HierarchyConfig{
 		L1Of: l1Of, L2Of: l2Of,
 		L1Bytes: m.L1Bytes, L1Ways: m.L1Ways,
@@ -172,7 +159,28 @@ func (m *Machine) hierarchyConfig(l1Of, l2Of []int) mem.HierarchyConfig {
 		L3Bytes: m.L3Bytes, L3Ways: m.L3Ways,
 		PrefetchDegree: m.PrefetchDegree,
 		PrefetchStream: m.PrefetchStream,
+	}, nil
+}
+
+// NewHierarchy builds a fresh (cold) cache hierarchy for a run with the
+// given thread count.
+func (m *Machine) NewHierarchy(threads int) (*mem.Hierarchy, error) {
+	cfg, err := m.HierarchyConfig(threads)
+	if err != nil {
+		return nil, err
 	}
+	return mem.NewHierarchy(cfg), nil
+}
+
+// AcquireHierarchy is NewHierarchy against the hierarchy pool: the
+// returned hierarchy is cold (a reused one is fully Reset) and must be
+// handed back with mem.ReleaseHierarchy after the run.
+func (m *Machine) AcquireHierarchy(threads int) (*mem.Hierarchy, error) {
+	cfg, err := m.HierarchyConfig(threads)
+	if err != nil {
+		return nil, err
+	}
+	return mem.AcquireHierarchy(cfg), nil
 }
 
 // IntelI7 returns the Intel Core i7-3770 platform of Table II:

@@ -7,10 +7,13 @@
 // The runtime exposes instrumentation hooks (used by the pin package to
 // build BBVs and LDVs) and an optional schedule jitter that models the
 // run-to-run thread-interleaving differences responsible for the paper's
-// multiple barrier point sets.
+// multiple barrier point sets. A run that assembles counters records its
+// cache-hierarchy outcome as a compact MemTrace, which later runs of the
+// same program on the same hierarchy replay instead of simulating.
 package omp
 
 import (
+	"bytes"
 	"fmt"
 
 	"barrierpoint/internal/cpu"
@@ -106,10 +109,20 @@ type Config struct {
 	// SkipCounters drops the per-region counter assembly: the returned
 	// RunResult has no Regions. Instrumentation-only executions
 	// (pin.Stream) set this — they consume the run entirely through
-	// Hooks and discard the result, so building a counter row per region
-	// would be allocation for nothing.
+	// Hooks and discard the result. Nothing reads the cache hierarchy's
+	// outcome then either, so such a run acquires, warms and drives no
+	// hierarchy: it emits touches to Hooks.Touch alone, and none at all
+	// without one.
 	SkipCounters bool
-	Hooks        Hooks
+	// Mem, when non-nil, stands in for the memory simulation: the run
+	// reads each region's memory events from this trace, recorded by an
+	// earlier counter-assembling run of a program with the same
+	// fingerprint on the same hierarchy at the same thread count and
+	// WarmCaches setting, and acquires no hierarchy and emits no touches.
+	// The counters are bit-identical to simulating. A trace of another
+	// shape, or a jittered run, is an error.
+	Mem   *MemTrace
+	Hooks Hooks
 }
 
 // RegionResult holds the true (noise-free, uninstrumented) counters of one
@@ -134,6 +147,9 @@ type RunResult struct {
 	Program *trace.Program
 	Threads int
 	Regions []RegionResult
+	// Mem is the memory outcome of a run that simulated the hierarchy to
+	// assemble its counters; nil for every other run.
+	Mem *MemTrace
 }
 
 // TotalPerThread returns each thread's counters summed over all regions —
@@ -203,23 +219,33 @@ func Run(p *trace.Program, cfg Config) (*RunResult, error) {
 		return nil, fmt.Errorf("omp: binary for %s cannot run on %s (a %s machine)",
 			cfg.Variant.ISA.Name, cfg.Machine.Name, cfg.Machine.ISA.Name)
 	}
-	// SkipMemory runs never touch the hierarchy: no accesses, no warming
-	// (warmed state would go unread), and zero prefetch stats — exactly
-	// the counters a built-but-untouched hierarchy would report. Skipping
-	// the build makes BBV-only discovery re-runs allocation-free here.
+	// Only a counter-assembling run reads the hierarchy, so only one
+	// that has no trace to replay simulates it. Every other run skips the
+	// build: no accesses, no warming (warmed state would go unread), and
+	// zero prefetch stats — exactly the counters a built-but-untouched
+	// hierarchy would report for a SkipMemory run.
+	simulate := !cfg.SkipMemory && !cfg.SkipCounters && cfg.Mem == nil
 	var hier *mem.Hierarchy
-	if cfg.SkipMemory {
-		// Still reject thread counts the machine cannot map.
-		if _, _, err := cfg.Machine.Topology(cfg.Threads); err != nil {
-			return nil, err
-		}
-	} else {
+	if simulate {
 		var err error
 		hier, err = cfg.Machine.AcquireHierarchy(cfg.Threads)
 		if err != nil {
 			return nil, err
 		}
 		defer mem.ReleaseHierarchy(hier)
+	} else if _, _, err := cfg.Machine.Topology(cfg.Threads); err != nil {
+		// Still reject thread counts the machine cannot map.
+		return nil, err
+	}
+	var replay *memReader
+	if cfg.Mem != nil {
+		if cfg.SkipMemory || cfg.SkipCounters {
+			return nil, fmt.Errorf("%w: only a counter-assembling run with memory reads a trace", errMemTrace)
+		}
+		if err := cfg.Mem.fits(p, &cfg); err != nil {
+			return nil, err
+		}
+		replay = &memReader{data: cfg.Mem.data}
 	}
 	frac := cfg.JitterFrac
 	if cfg.Jitter != nil && frac == 0 {
@@ -257,17 +283,26 @@ func Run(p *trace.Program, cfg Config) (*RunResult, error) {
 		counterBacking = make([]machine.Counters, len(p.Regions)*cfg.Threads)
 	}
 
+	// The memory trace the simulating run records, one point per
+	// (region, thread) and at least one byte per varint.
+	var rec []byte
+	if simulate {
+		rec = make([]byte, 0, len(p.Regions)*cfg.Threads*memFields)
+	}
+
 	// The touch callbacks close over per-thread state that is stable
 	// across regions (&events[t] is re-zeroed in place at each region
 	// start), so one closure per thread serves every work item of the run
-	// instead of allocating one per (region, work item, thread).
+	// instead of allocating one per (region, work item, thread). A run
+	// that does not simulate emits touches only to the hook.
 	var touchFns []func(trace.Touch)
-	if !cfg.SkipMemory {
+	touchHook := cfg.Hooks.Touch
+	switch {
+	case simulate:
 		touchFns = make([]func(trace.Touch), cfg.Threads)
 		for t := 0; t < cfg.Threads; t++ {
 			t := t
 			ev := &events[t]
-			touchHook := cfg.Hooks.Touch
 			touchFns[t] = func(touch trace.Touch) {
 				level := hier.Access(t, touch.Line)
 				if touch.Chase {
@@ -294,6 +329,12 @@ func Run(p *trace.Program, cfg Config) (*RunResult, error) {
 				}
 			}
 		}
+	case cfg.SkipCounters && !cfg.SkipMemory && touchHook != nil:
+		touchFns = make([]func(trace.Touch), cfg.Threads)
+		for t := 0; t < cfg.Threads; t++ {
+			t := t
+			touchFns[t] = func(touch trace.Touch) { touchHook(t, touch) }
+		}
 	}
 
 	for ri := range p.Regions {
@@ -317,10 +358,9 @@ func Run(p *trace.Program, cfg Config) (*RunResult, error) {
 				if cfg.Hooks.BlockExec != nil {
 					cfg.Hooks.BlockExec(t, w.Block, n)
 				}
-				if cfg.SkipMemory {
-					continue
+				if touchFns != nil {
+					trace.EmitTouches(w, start, n, touchFns[t])
 				}
-				trace.EmitTouches(w, start, n, touchFns[t])
 			}
 		}
 		if cfg.SkipCounters {
@@ -335,22 +375,27 @@ func Run(p *trace.Program, cfg Config) (*RunResult, error) {
 		var maxCycles float64
 		perThread := counterBacking[ri*cfg.Threads : (ri+1)*cfg.Threads : (ri+1)*cfg.Threads]
 		for t := 0; t < cfg.Threads; t++ {
-			c := model.Cycles(mixes[t], events[t])
-			if c > maxCycles {
-				maxCycles = c
-			}
 			// L2 miss PMU events include prefetcher-generated refills;
 			// prefetch fills hide latency, so they do not add to cycles.
 			// (With SkipMemory there is no hierarchy and no events; the
 			// memory counters stay zero, as an untouched hierarchy would
 			// report.)
-			var pf mem.PrefetchStats
-			if hier != nil {
-				pf = hier.DrainPrefetchStats(t)
+			var l2Fill float64
+			switch {
+			case hier != nil:
+				pf := hier.DrainPrefetchStats(t).L2FillMisses
+				rec = appendMem(rec, &events[t], pf)
+				l2Fill = float64(pf)
+			case replay != nil:
+				l2Fill = replay.next(&events[t])
+			}
+			c := model.Cycles(mixes[t], events[t])
+			if c > maxCycles {
+				maxCycles = c
 			}
 			perThread[t][machine.Instructions] = mixes[t].Total()
 			perThread[t][machine.L1DMisses] = events[t].L1Misses()
-			perThread[t][machine.L2DMisses] = events[t].L2Misses() + float64(pf.L2FillMisses)
+			perThread[t][machine.L2DMisses] = events[t].L2Misses() + l2Fill
 		}
 		for t := 0; t < cfg.Threads; t++ {
 			perThread[t][machine.Cycles] = maxCycles + model.BarrierCycles
@@ -361,6 +406,14 @@ func Run(p *trace.Program, cfg Config) (*RunResult, error) {
 		if cfg.Hooks.RegionEnd != nil {
 			cfg.Hooks.RegionEnd(region)
 		}
+	}
+	if replay != nil && replay.err != nil {
+		return nil, replay.err
+	}
+	if simulate {
+		// Trimmed to its length: a trace may be kept for as long as a
+		// cache holds it.
+		res.Mem = &MemTrace{regions: len(p.Regions), threads: cfg.Threads, warm: cfg.WarmCaches, data: bytes.Clone(rec)}
 	}
 	return res, nil
 }

@@ -12,6 +12,7 @@ import (
 	"barrierpoint/internal/core"
 	"barrierpoint/internal/isa"
 	"barrierpoint/internal/obs"
+	"barrierpoint/internal/omp"
 	"barrierpoint/internal/resultcache"
 )
 
@@ -366,17 +367,17 @@ func (e *LocalExecutor) ExecuteUnit(ctx context.Context, req UnitRequest) (any, 
 	}
 	switch req.Kind {
 	case UnitDiscoverBaseline:
-		return cachedDo(ctx, e.Cache, req.Kind, key, func() (any, error) {
+		return cachedDo(ctx, e.Cache, string(req.Kind), key, func() (any, error) {
 			set, base, err := core.DiscoverBaseline(build, *req.Discovery)
 			return baselineArtifact{set: set, base: base}, err
 		})
 	case UnitDiscoverJittered:
-		return cachedDo(ctx, e.Cache, req.Kind, key, func() (any, error) {
+		return cachedDo(ctx, e.Cache, string(req.Kind), key, func() (any, error) {
 			return core.DiscoverJittered(build, *req.Discovery, req.Run, req.Base)
 		})
 	case UnitCollect:
-		return cachedDo(ctx, e.Cache, req.Kind, key, func() (any, error) {
-			return core.Collect(build, *req.Collect)
+		return cachedDo(ctx, e.Cache, string(req.Kind), key, func() (any, error) {
+			return e.collect(ctx, build, req.FP, *req.Collect)
 		})
 	case UnitValidate:
 		// Validation is cheap once its dependencies exist, so its result
@@ -386,12 +387,41 @@ func (e *LocalExecutor) ExecuteUnit(ctx context.Context, req UnitRequest) (any, 
 	return nil, fmt.Errorf("%w: unknown unit kind %q", ErrBadUnit, req.Kind)
 }
 
+// collect resolves a collect unit: its memory trace through the cache,
+// then the counters and PAPI sampling. Collections of one program on one
+// hierarchy at one thread count share the trace — a sibling in flight
+// waits for the first — and the collection that simulates keeps the
+// counters it assembled while recording the trace, so the hierarchy is
+// simulated once. A collection whose trace has no key (no program
+// fingerprint, or a thread count the machine cannot map) simulates its
+// own, and reports any error exactly as core.Collect would.
+func (e *LocalExecutor) collect(ctx context.Context, build core.ProgramBuilder, fp string, cfg core.CollectConfig) (*core.Collection, error) {
+	cache := e.Cache
+	key, err := traceKey(fp, cfg)
+	if err != nil || fp == "" {
+		cache = nil
+	}
+	var col *core.Collection
+	v, err := cachedDo(ctx, cache, "memtrace", key, func() (any, error) {
+		c, mem, err := core.CollectMem(build, cfg, nil)
+		col = c
+		return mem, err
+	})
+	if err != nil || col != nil {
+		return col, err
+	}
+	mem, _ := v.(*omp.MemTrace)
+	col, _, err = core.CollectMem(build, cfg, mem)
+	return col, err
+}
+
 // cachedDo is Cache.Do with a trace span recording whether the artifact
 // was computed or recalled, and no artifact on error. Traced studies see
-// one "cache:<kind>" child per resolution under the unit's span;
-// untraced paths pay one nil check.
-func cachedDo(ctx context.Context, c *resultcache.Cache, kind UnitKind, key resultcache.Key, compute func() (any, error)) (any, error) {
-	sp := obs.SpanFromContext(ctx).Child("cache:" + string(kind))
+// one "cache:<kind>" child per resolution under the unit's span (a
+// collect unit's memory trace resolves as "cache:memtrace"); untraced
+// paths pay one nil check.
+func cachedDo(ctx context.Context, c *resultcache.Cache, kind string, key resultcache.Key, compute func() (any, error)) (any, error) {
+	sp := obs.SpanFromContext(ctx).Child("cache:" + kind)
 	v, hit, err := c.Do(key, compute)
 	if sp != nil {
 		sp.SetAttr("hit", strconv.FormatBool(hit))

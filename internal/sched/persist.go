@@ -3,9 +3,12 @@ package sched
 import (
 	"bytes"
 	"encoding/gob"
+	"fmt"
+	"reflect"
 
 	"barrierpoint/internal/cachestore"
 	"barrierpoint/internal/core"
+	"barrierpoint/internal/omp"
 )
 
 // The scheduler owns the cache keys, so it also owns the codec
@@ -26,6 +29,26 @@ func init() {
 	// SetEvaluation artifacts travel the distributed unit protocol
 	// (validate units) even though the local path never caches them.
 	cachestore.RegisterGob[core.SetEvaluation]("core.SetEvaluation")
+	// A collection's memory trace has its own compact binary form, whose
+	// decoder rejects malformed input (a cache miss for the store).
+	cachestore.Register(cachestore.Codec{
+		Name: "omp.MemTrace",
+		Type: reflect.TypeFor[*omp.MemTrace](),
+		Encode: func(v any) ([]byte, error) {
+			mem, ok := v.(*omp.MemTrace)
+			if !ok {
+				return nil, fmt.Errorf("cachestore: codec omp.MemTrace given %T", v)
+			}
+			return mem.MarshalBinary()
+		},
+		Decode: func(data []byte) (any, error) {
+			mem := new(omp.MemTrace)
+			if err := mem.UnmarshalBinary(data); err != nil {
+				return nil, err
+			}
+			return mem, nil
+		},
+	})
 }
 
 // baselineArtifactGob is the wire shape of a baselineArtifact (whose

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"barrierpoint/internal/cachestore"
+	"barrierpoint/internal/core"
 	"barrierpoint/internal/resultcache"
 )
 
@@ -100,5 +101,43 @@ func TestWarmRestartSharesDiscoveryUnits(t *testing.T) {
 	}
 	if !reflect.DeepEqual(coldSets, warmSets[:3]) {
 		t.Error("disk-served discovery runs diverge from the cold run")
+	}
+}
+
+// TestWarmRestartSharesMemoryTrace: a collection's memory trace persists
+// through the cachestore codec, so after a restart a sibling collection
+// (the vectorised variant, same program and hierarchy) replays it from
+// disk instead of simulating, and matches core.Collect exactly.
+func TestWarmRestartSharesMemoryTrace(t *testing.T) {
+	base := testRequest(t)
+	dir := t.TempDir()
+	ctx := context.Background()
+	cfg := base.Config.Collections()[0]
+
+	cold := openBackedCache(t, dir)
+	if _, err := Collect(ctx, CollectRequest{App: base.App, Build: base.Build, Config: cfg}, Options{Cache: cold}); err != nil {
+		t.Fatal(err)
+	}
+	if err := cold.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	cfg.Variant.Vectorised = !cfg.Variant.Vectorised
+	want, err := core.Collect(base.Build, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm := openBackedCache(t, dir)
+	defer warm.Close()
+	got, err := Collect(ctx, CollectRequest{App: base.App, Build: base.Build, Config: cfg}, Options{Cache: warm})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The sibling's collection is new; its trace comes from disk.
+	if st := warm.Stats(); st.DiskHits != 1 || st.Puts != 1 {
+		t.Errorf("disk hits/puts = %d/%d, want the persisted trace and the new collection", st.DiskHits, st.Puts)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Error("collection replayed from a disk-served trace diverges from core.Collect")
 	}
 }

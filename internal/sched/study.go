@@ -87,6 +87,29 @@ func collectKey(fp string, cfg core.CollectConfig) resultcache.Key {
 		machineKeyPart(cfg.Machine), overhead)
 }
 
+// traceKey addresses the memory trace a collection's counters come from:
+// the program content, and the cache hierarchy the resolved machine
+// builds at the collection's thread count (topology, geometry,
+// prefetcher). Nothing else reaches the simulation, so the key leaves
+// out the variant's vectorisation (the four variants of an evaluated app
+// share one fingerprint), the repetitions, the noise seed, the overhead,
+// the multiplex groups and the machine's timing model: sibling
+// collections that differ only there replay one trace. A thread count
+// the machine cannot map keys no trace.
+//
+//bp:keyfields core.CollectConfig -Reps -Seed -Overhead -MultiplexGroups
+func traceKey(fp string, cfg core.CollectConfig) (resultcache.Key, error) {
+	m := cfg.Machine
+	if m == nil {
+		m = machine.ForISA(cfg.Variant.ISA)
+	}
+	hier, err := m.HierarchyConfig(cfg.Threads)
+	if err != nil {
+		return "", err
+	}
+	return resultcache.NewKey("memtrace", fp, fmt.Sprintf("%+v", hier)), nil
+}
+
 // StudyKey returns the content-addressed key under which Run caches the
 // whole study's result: the program content for both collection variants
 // (workloads like HPGMG-FV build different programs per ISA) plus the

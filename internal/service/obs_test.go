@@ -8,6 +8,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"barrierpoint/internal/obs"
 )
@@ -163,6 +164,60 @@ func TestMetricsEndToEnd(t *testing.T) {
 // endpoint serves a complete span tree: one study root, unit spans under
 // it, and dispatch spans under the units that went to the fleet — plus
 // the JSONL rendering and the worker's own /metrics surface.
+// getTrace GETs a study's span tree.
+func getTrace(t *testing.T, ts *httptest.Server, id string) obs.Trace {
+	t.Helper()
+	resp, err := http.Get(ts.URL + "/studies/" + id + "/trace")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET trace = %d", resp.StatusCode)
+	}
+	var tr obs.Trace
+	if err := json.NewDecoder(resp.Body).Decode(&tr); err != nil {
+		t.Fatal(err)
+	}
+	return tr
+}
+
+// TestTraceRootedWhenDone: a lone study's root span ends before its job
+// turns terminal, so the trace fetched the moment the status reads done
+// (or failed, on the compile-failure path) is one study root carrying
+// the job's state, never the bare unit spans.
+func TestTraceRootedWhenDone(t *testing.T) {
+	_, ts := newTestServer(t)
+	for _, c := range []struct {
+		body string
+		want State
+	}{
+		{`{"app":"MCB","threads":2,"runs":2,"reps":3,"seed":43}`, StateDone},
+		{`{"app":"MCB","threads":64}`, StateFailed},
+	} {
+		st := postStudy(t, ts, c.body)
+		// Long-poll each change, so the trace request follows the
+		// transition as closely as the client can manage.
+		deadline := time.Now().Add(time.Minute)
+		for !st.State.terminal() && time.Now().Before(deadline) {
+			var code int
+			if st, code = getStatusWait(t, ts, st.ID, "wait=10s&since="+strconv.FormatInt(st.Version, 10)); code != http.StatusOK {
+				t.Fatalf("status long-poll = %d", code)
+			}
+		}
+		if st.State != c.want {
+			t.Fatalf("study state = %s (%s), want %s", st.State, st.Error, c.want)
+		}
+		tr := getTrace(t, ts, st.ID)
+		if len(tr.Spans) != 1 || tr.Spans[0].Name != "study" {
+			t.Fatalf("%s study: trace roots = %d, want exactly the study span", c.want, len(tr.Spans))
+		}
+		if got := tr.Spans[0].Attrs; got["state"] != string(c.want) || got["error"] != st.Error {
+			t.Errorf("study span attrs = %v, want state %s and the job's error %q", got, c.want, st.Error)
+		}
+	}
+}
+
 func TestTraceEndToEnd(t *testing.T) {
 	wts := newTestWorker(t)
 	s := mustNew(t, Config{
@@ -180,18 +235,7 @@ func TestTraceEndToEnd(t *testing.T) {
 		t.Fatalf("study state = %s (%s), want done", got.State, got.Error)
 	}
 
-	resp, err := http.Get(ts.URL + "/studies/" + st.ID + "/trace")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET trace = %d", resp.StatusCode)
-	}
-	var tr obs.Trace
-	if err := json.NewDecoder(resp.Body).Decode(&tr); err != nil {
-		t.Fatal(err)
-	}
+	tr := getTrace(t, ts, st.ID)
 	if tr.Job != st.ID {
 		t.Errorf("trace job = %q, want %q", tr.Job, st.ID)
 	}

@@ -13,7 +13,7 @@ import (
 
 // mustNew builds a Server or fails the test (New is only fallible when a
 // cache directory is configured).
-func mustNew(t *testing.T, cfg Config) *Server {
+func mustNew(t testing.TB, cfg Config) *Server {
 	t.Helper()
 	s, err := New(cfg)
 	if err != nil {

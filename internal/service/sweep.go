@@ -201,38 +201,36 @@ func (s *Server) noteSweep(sw *sweep, st State) {
 	s.log.Log(context.Background(), level, "sweep transition", kv...)
 }
 
-// submitSweep validates one batch and enqueues it as a listed sweep, which
-// holds one place in the priority queue and so competes with individual
-// submissions under the same banding rules.
-func (s *Server) submitSweep(req BatchRequest) (SweepStatus, int, error) {
+// parseBatch decodes and validates a POST /studies:batch body into the
+// member jobs of a listed sweep and its band, touching nothing else. On
+// failure it returns the 4xx status to answer with.
+func (s *Server) parseBatch(w http.ResponseWriter, r *http.Request) ([]*job, int, int, error) {
+	var req BatchRequest
+	if code, err := decodeSubmission(w, r, &req); err != nil {
+		return nil, 0, code, fmt.Errorf("service: decoding batch submission: %w", err)
+	}
 	if len(req.Studies) == 0 {
-		return SweepStatus{}, http.StatusBadRequest,
-			errors.New("service: batch needs at least one study")
+		return nil, 0, http.StatusBadRequest, errors.New("service: batch needs at least one study")
 	}
 	if len(req.Studies) > s.maxSweepStudies {
-		return SweepStatus{}, http.StatusBadRequest,
+		return nil, 0, http.StatusBadRequest,
 			fmt.Errorf("service: batch is limited to %d studies, got %d", s.maxSweepStudies, len(req.Studies))
 	}
 	pri, err := s.priority(req.Priority)
 	if err != nil {
-		return SweepStatus{}, http.StatusBadRequest, err
+		return nil, 0, http.StatusBadRequest, err
 	}
 	members := make([]*job, len(req.Studies))
 	for i, sr := range req.Studies {
 		if sr.Priority != nil {
-			return SweepStatus{}, http.StatusBadRequest,
+			return nil, 0, http.StatusBadRequest,
 				fmt.Errorf("service: study %d: member priority is set by the sweep's priority field", i)
 		}
 		if members[i], err = s.newJob(sr, req.Priority); err != nil {
-			return SweepStatus{}, http.StatusBadRequest, fmt.Errorf("service: study %d: %w", i, err)
+			return nil, 0, http.StatusBadRequest, fmt.Errorf("service: study %d: %w", i, err)
 		}
 	}
-	sw, err := s.enqueue(members, pri, true)
-	if err != nil {
-		return SweepStatus{}, http.StatusServiceUnavailable, err
-	}
-	s.sweepStudies.Observe(float64(len(members)))
-	return s.sweepSnapshot(sw), http.StatusAccepted, nil
+	return members, pri, 0, nil
 }
 
 // lookupSweep returns the sweep for an ID.
@@ -258,6 +256,20 @@ func (s *Server) sweepSnapshot(sw *sweep) SweepStatus {
 		st.Studies[i] = j.snapshot()
 	}
 	return st
+}
+
+// outcome returns the state and error terminalizeMember(j, st, _, err)
+// leaves the job in: its own, if it is terminal already.
+func (j *job) outcome(st State, err error) (State, string) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.status.State.terminal() {
+		return j.status.State, j.status.Error
+	}
+	if err != nil {
+		return st, err.Error()
+	}
+	return st, ""
 }
 
 // terminalizeMember moves one member job to a terminal state exactly
@@ -373,22 +385,36 @@ func (s *Server) runSweep(sw *sweep) {
 		root.SetAttr("runs", strconv.Itoa(req.Config.Runs))
 	}
 	ctx = obs.ContextWithSpan(ctx, root)
+	// endRoot records an outcome on the root and ends it, once.
+	var rootOnce sync.Once
+	endRoot := func(state State, msg string) {
+		rootOnce.Do(func() {
+			root.SetAttr("state", string(state))
+			if msg != "" {
+				root.SetAttr("error", msg)
+			}
+			root.End()
+		})
+	}
+	// terminalize finishes one member. A lone study's root reports its
+	// job's outcome and ends before the job turns terminal, so a trace
+	// fetched as soon as the status reads done already has its root.
+	terminalize := func(j *job, st State, res *core.StudyResult, err error) {
+		if !sw.listed {
+			endRoot(j.outcome(st, err))
+		}
+		s.terminalizeMember(j, st, res, err)
+	}
 	final, finalErr := StateDone, error(nil)
 	defer func() {
-		state, msg := final, ""
+		// A batch's root reports the sweep's outcome. A lone study's has
+		// ended already: its job reached terminalize, as every member does
+		// (OnStudy fires exactly once per member).
+		msg := ""
 		if finalErr != nil {
 			msg = finalErr.Error()
 		}
-		if !sw.listed {
-			// A lone study's root reports its job's outcome.
-			m := sw.members[0].snapshot()
-			state, msg = m.State, m.Error
-		}
-		root.SetAttr("state", string(state))
-		if msg != "" {
-			root.SetAttr("error", msg)
-		}
-		root.End()
+		endRoot(final, msg)
 	}()
 
 	// Start every member not already cancelled.
@@ -419,7 +445,7 @@ func (s *Server) runSweep(sw *sweep) {
 			final = StateCancelled
 		}
 		for _, j := range sw.members {
-			s.terminalizeMember(j, final, nil, err)
+			terminalize(j, final, nil, err)
 		}
 		s.finishSweep(sw, s.now(), final, err)
 		return
@@ -457,7 +483,8 @@ func (s *Server) runSweep(sw *sweep) {
 
 	_, execErr := plan.Execute(ctx, sched.SweepOptions{
 		OnStudy: func(i int, res *core.StudyResult, err error) {
-			s.finishSweepMember(ctx, sw.members[i], res, err)
+			j := sw.members[i]
+			terminalize(j, memberState(ctx, j, err), res, err)
 		},
 		Progress: func(i, done, total int) {
 			sw.members[i].setProgress(done, total)
@@ -492,23 +519,22 @@ func (s *Server) runSweep(sw *sweep) {
 	s.finishSweep(sw, finished, final, finalErr)
 }
 
-// finishSweepMember records one member outcome streamed out of the
-// executing plan. A cancellation that a DELETE of the member, a stop of
-// its sweep or shutdown caused (the latter two end ctx) finishes it
-// cancelled — it was stopped, it did not fail; any other error finishes
-// it failed.
-func (s *Server) finishSweepMember(ctx context.Context, j *job, res *core.StudyResult, err error) {
+// memberState is the terminal state of one member outcome streamed out
+// of the executing plan. A cancellation that a DELETE of the member, a
+// stop of its sweep or shutdown caused (the latter two end ctx) finishes
+// it cancelled — it was stopped, it did not fail; any other error
+// finishes it failed.
+func memberState(ctx context.Context, j *job, err error) State {
 	j.mu.Lock()
 	deleted := j.cancelRequested
 	j.mu.Unlock()
-	st := StateDone
 	switch {
 	case errors.Is(err, context.Canceled) && (deleted || ctx.Err() != nil):
-		st = StateCancelled
+		return StateCancelled
 	case err != nil:
-		st = StateFailed
+		return StateFailed
 	}
-	s.terminalizeMember(j, st, res, err)
+	return StateDone
 }
 
 // cancelSweep cancels a whole sweep, cascading to every member: a
@@ -534,18 +560,22 @@ func (s *Server) cancelSweep(sw *sweep) (SweepStatus, int, error) {
 	return s.sweepSnapshot(sw), code, nil
 }
 
+// handleBatchSubmit enqueues a valid batch as a listed sweep, which holds
+// one place in the priority queue and so competes with individual
+// submissions under the same banding rules.
 func (s *Server) handleBatchSubmit(w http.ResponseWriter, r *http.Request) {
-	var req BatchRequest
-	if code, err := decodeSubmission(w, r, &req); err != nil {
-		s.writeError(w, code, fmt.Errorf("service: decoding batch submission: %w", err))
-		return
-	}
-	status, code, err := s.submitSweep(req)
+	members, pri, code, err := s.parseBatch(w, r)
 	if err != nil {
 		s.writeError(w, code, err)
 		return
 	}
-	s.writeJSON(w, code, status)
+	sw, err := s.enqueue(members, pri, true)
+	if err != nil {
+		s.writeError(w, http.StatusServiceUnavailable, err)
+		return
+	}
+	s.sweepStudies.Observe(float64(len(members)))
+	s.writeJSON(w, http.StatusAccepted, s.sweepSnapshot(sw))
 }
 
 func (s *Server) handleSweepList(w http.ResponseWriter, r *http.Request) {

@@ -155,8 +155,9 @@ func TestBatchSweepEndToEnd(t *testing.T) {
 	s, ts := newTestServer(t)
 
 	sw := postBatch(t, ts, batchBody(members))
-	// submitSweep snapshots after queueing the sweep, so an idle executor
-	// may already have started it: any non-terminal state is correct.
+	// handleBatchSubmit snapshots after queueing the sweep, so an idle
+	// executor may already have started it: any non-terminal state is
+	// correct.
 	if sw.ID == "" || (sw.State != StateQueued && sw.State != StateRunning) {
 		t.Fatalf("batch submit returned %+v", sw)
 	}
@@ -382,9 +383,25 @@ func TestBatchSweepCancelCascade(t *testing.T) {
 	waitDone(t, ts, decoy.ID)
 
 	// Second sweep runs; DELETE mid-flight cascades at unit boundaries.
-	sw2 := postBatch(t, ts, batchBody(4))
+	// Its members are sized like longStudy and the DELETE waits for a
+	// finished unit, so it lands on a sweep seen running with most of its
+	// work ahead (MCB members share their memory traces with the decoy
+	// and finish within one round trip).
+	long := make([]string, 4)
+	for i := range long {
+		long[i] = fmt.Sprintf(`{"app":"CoMD","threads":8,"runs":20,"reps":%d,"seed":11}`, 100+i)
+	}
+	sw2 := postBatch(t, ts, `{"studies":[`+strings.Join(long, ",")+`]}`)
+	unitDone := func(st SweepStatus) bool {
+		for _, m := range st.Studies {
+			if m.Progress != nil && m.Progress.UnitsDone > 0 {
+				return true
+			}
+		}
+		return false
+	}
 	deadline := time.Now().Add(time.Minute)
-	for time.Now().Before(deadline) && getSweep(t, ts, sw2.ID).State == StateQueued {
+	for time.Now().Before(deadline) && !unitDone(getSweep(t, ts, sw2.ID)) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	req2, err := http.NewRequest(http.MethodDelete, ts.URL+"/sweeps/"+sw2.ID, nil)
@@ -641,4 +658,37 @@ func TestSweepListAndTrace(t *testing.T) {
 			t.Errorf("GET %s = %d, want 404", path, r.StatusCode)
 		}
 	}
+}
+
+// FuzzBatchSubmit feeds arbitrary POST /studies:batch bodies through the
+// handler's decode and validation (parseBatch: decodeSubmission, then the
+// batch and member checks), stopping short of enqueueing, so nothing
+// executes. Every body must be accepted or rejected with a 4xx, never
+// panic.
+func FuzzBatchSubmit(f *testing.F) {
+	for _, body := range []string{
+		batchBody(3),
+		`{"studies":[{"app":"MCB","threads":2}],"priority":3}`,
+		`{"studies":[{"app":"MCB","threads":2,"priority":1}]}`,
+		`{"studies":[{"app":"nope","threads":2}]}`,
+		`{"studies":[{"app":"MCB","threads":64,"runs":-1}]}`,
+		`{"studies":[]}`,
+		`{"studies":null,"extra":1}`,
+		`{"studies":[{"app":"MCB","threads":2,"reps":1e30}]}`,
+		`[]`,
+	} {
+		f.Add([]byte(body))
+	}
+	s := mustNew(f, Config{Workers: 1, Executors: 1, QueueDepth: 1, CacheSize: 1})
+	f.Cleanup(func() { s.Close() })
+	f.Fuzz(func(t *testing.T, body []byte) {
+		rec := httptest.NewRecorder()
+		members, _, code, err := s.parseBatch(rec, httptest.NewRequest(http.MethodPost, "/studies:batch", bytes.NewReader(body)))
+		switch {
+		case err != nil && (code < 400 || code > 499):
+			t.Fatalf("status %d for body %q: %v", code, body, err)
+		case err == nil && len(members) == 0:
+			t.Fatalf("accepted body %q has no members", body)
+		}
+	})
 }
