@@ -20,7 +20,7 @@ BENCH_OUT ?= BENCH_pipeline.json
 
 .PHONY: ci fmt-check vet lint lint-smoke build test-short test test-race \
 	test-persist test-dist test-obs test-sweep test-purego fuzz-kmeans \
-	fuzz-sqdist fuzz-cache fuzz-units fuzz-batch fuzz-memtrace bench \
+	fuzz-sqdist fuzz-cache fuzz-units fuzz-codecs fuzz-batch fuzz-memtrace bench \
 	bench-json bench-json-smoke bench-diff
 
 # ci is the tier-1 gate: formatting, static checks (go vet plus the
@@ -30,10 +30,10 @@ BENCH_OUT ?= BENCH_pipeline.json
 # scalar-fallback kernel leg, short fuzzes of the accelerated k-means
 # against its plain-Lloyd oracle, of the k-means distance kernel against
 # sqDist, of the recency-ordered cache against its timestamped-LRU oracle,
-# of the worker's POST /units decoder, of the POST /studies:batch decoder
-# and of the memory-trace decoder and replay, and a 1x smoke of the
-# bench-json harness so it cannot bit-rot.
-ci: fmt-check vet lint build test-short test-race test-persist test-dist test-obs test-sweep test-purego fuzz-kmeans fuzz-sqdist fuzz-cache fuzz-units fuzz-batch fuzz-memtrace bench-json-smoke
+# of the worker's POST /units decoder, of the artifact codecs, of the
+# POST /studies:batch decoder and of the memory-trace decoder and replay,
+# and a 1x smoke of the bench-json harness so it cannot bit-rot.
+ci: fmt-check vet lint build test-short test-race test-persist test-dist test-obs test-sweep test-purego fuzz-kmeans fuzz-sqdist fuzz-cache fuzz-units fuzz-codecs fuzz-batch fuzz-memtrace bench-json-smoke
 
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -157,12 +157,24 @@ fuzz-cache:
 	$(GO) test -run '^$$' -fuzz '^FuzzCacheExact$$' -fuzztime 10s ./internal/mem
 
 # fuzz-units feeds the worker's POST /units handler arbitrary bodies for
-# 10 s, seeded with real jittered and validate units and two malformed
-# dependency probes, and fails on a panic or on any status outside 200,
-# 409, 422 and 429. Seeds are multi-KB bodies, so minimising each new
-# input under the default 60 s budget would eat the whole run.
+# 10 s, seeded with real collect and jittered units, a validate unit (a
+# 409: the coordinator scores sets itself) and a malformed dependency
+# probe, and fails on a panic or on any status outside 200, 409, 422 and
+# 429. Seeds are multi-KB bodies, so minimising each new input under the
+# default 60 s budget would eat the whole run.
 fuzz-units:
 	$(GO) test -run '^$$' -fuzz '^FuzzWorkerUnit$$' -fuzztime 10s -fuzzminimizetime 2s ./internal/service
+
+# fuzz-codecs feeds cachestore.Decode arbitrary bytes under every artifact
+# codec internal/sched registers for 10 s, seeded with real MCB encodings
+# of each, and scores whatever decodes to a collection or a set against a
+# valid counterpart: a malformed artifact, shipped in a unit's deps or
+# read back from a cachestore file, must be an error, never a panic.
+# Minimising is capped at 200 calls per new input; a time budget, even
+# fuzz-units' 2 s, leaves the multi-KB seeds fuzzing for a fraction of
+# the run.
+fuzz-codecs:
+	$(GO) test -run '^$$' -fuzz '^FuzzArtifactDecode$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/sched
 
 # fuzz-batch feeds the POST /studies:batch decode and validation path
 # (decodeSubmission, then the batch and member checks, never execution)

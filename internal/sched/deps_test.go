@@ -38,11 +38,12 @@ func cacheSpans(t *testing.T, worker *LocalExecutor, req UnitRequest) (any, map[
 	return v, counts
 }
 
-// TestUnitRequestDepsRoundTrip: a jittered unit and a validate unit
-// shipped with their dependency artifacts in Deps execute on a cold
-// wire-path worker without resolving any dependency, produce exactly the
-// artifact the in-band path does, and are ErrBadUnit once Deps is
-// stripped. The JSON round trip stands in for the wire: it drops every
+// TestUnitRequestDepsRoundTrip: a jittered unit shipped with its LDV
+// baseline in Deps executes on a cold wire-path worker without resolving
+// any dependency, produces exactly the artifact the in-band path does,
+// and is ErrBadUnit once Deps is stripped. A validate unit is scored in
+// band only: on the wire it is ErrBadUnit, with or without its
+// artifacts. The JSON round trip stands in for the wire: it drops every
 // in-band field and keeps Deps.
 func TestUnitRequestDepsRoundTrip(t *testing.T) {
 	req := testRequest(t)
@@ -92,51 +93,63 @@ func TestUnitRequestDepsRoundTrip(t *testing.T) {
 		Discovery: &discCfg, Run: 1, Collections: &colCfgs,
 		Build: req.Build, Set: &set, Cols: cols,
 	}
-
-	for _, tc := range []struct {
-		unit UnitRequest
-		want any
-	}{
-		{jittered, want.Evals[1].Set},
-		{validate, want.Evals[1]},
-	} {
-		t.Run(string(tc.unit.Kind), func(t *testing.T) {
-			unit := tc.unit
-			if err := unit.encodeDeps(); err != nil {
-				t.Fatal(err)
-			}
-			data, err := json.Marshal(unit)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var wired UnitRequest
-			if err := json.Unmarshal(data, &wired); err != nil {
-				t.Fatal(err)
-			}
-			if wired.Build != nil || wired.Base != nil || wired.Set != nil || wired.Cols != [2]*core.Collection{} {
-				t.Fatal("in-band fields leaked onto the wire")
-			}
-
-			worker := &LocalExecutor{Cache: resultcache.New(64)}
-			got, spans := cacheSpans(t, worker, wired)
-			for name, n := range spans {
-				if strings.HasPrefix(name, "cache:") && name != "cache:"+string(unit.Kind) {
-					t.Errorf("cold worker resolved dependency %s %d times", name, n)
-				}
-			}
-			if !reflect.DeepEqual(got, tc.want) {
-				t.Errorf("wire-path %s unit diverges from the in-band study", unit.Kind)
-			}
-			if key, _ := unit.Key(); unit.Kind == UnitDiscoverJittered {
-				if _, ok := worker.Cache.Get(key); ok {
-					t.Error("wire-path jittered set cached under a key its coordinates alone name")
-				}
-			}
-
-			wired.Deps = nil
-			if _, err := (&LocalExecutor{}).ExecuteUnit(context.Background(), wired); !errors.Is(err, ErrBadUnit) {
-				t.Errorf("%s unit without Deps: want ErrBadUnit, got %v", unit.Kind, err)
-			}
-		})
+	if !reflect.DeepEqual(exec(validate), want.Evals[1]) {
+		t.Error("in-band validate unit diverges from the study")
 	}
+
+	// wire ships a unit the way RemoteExecutor would, its in-band
+	// dependencies serialised into Deps.
+	wire := func(unit UnitRequest) UnitRequest {
+		t.Helper()
+		if err := unit.encodeDeps(); err != nil {
+			t.Fatal(err)
+		}
+		data, err := json.Marshal(unit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wired UnitRequest
+		if err := json.Unmarshal(data, &wired); err != nil {
+			t.Fatal(err)
+		}
+		if wired.Build != nil || wired.Base != nil || wired.Set != nil || wired.Cols != [2]*core.Collection{} {
+			t.Fatal("in-band fields leaked onto the wire")
+		}
+		return wired
+	}
+
+	t.Run(string(UnitDiscoverJittered), func(t *testing.T) {
+		wired := wire(jittered)
+		worker := &LocalExecutor{Cache: resultcache.New(64)}
+		got, spans := cacheSpans(t, worker, wired)
+		for name, n := range spans {
+			if strings.HasPrefix(name, "cache:") && name != "cache:"+string(UnitDiscoverJittered) {
+				t.Errorf("cold worker resolved dependency %s %d times", name, n)
+			}
+		}
+		if !reflect.DeepEqual(got, want.Evals[1].Set) {
+			t.Error("wire-path jittered unit diverges from the in-band study")
+		}
+		key, _ := jittered.Key()
+		if _, ok := worker.Cache.Get(key); ok {
+			t.Error("wire-path jittered set cached under a key its coordinates alone name")
+		}
+		wired.Deps = nil
+		if _, err := (&LocalExecutor{}).ExecuteUnit(context.Background(), wired); !errors.Is(err, ErrBadUnit) {
+			t.Errorf("jittered unit without Deps: want ErrBadUnit, got %v", err)
+		}
+	})
+
+	t.Run(string(UnitValidate), func(t *testing.T) {
+		wired := wire(validate)
+		if len(wired.Deps) != 3 {
+			t.Fatalf("validate unit shipped %d artifacts, want its set and both collections", len(wired.Deps))
+		}
+		for _, deps := range [][]InlineArtifact{wired.Deps, nil} {
+			wired.Deps = deps
+			if _, err := (&LocalExecutor{}).ExecuteUnit(context.Background(), wired); !errors.Is(err, ErrBadUnit) {
+				t.Errorf("wire validate unit with %d deps: want ErrBadUnit, got %v", len(deps), err)
+			}
+		}
+	})
 }

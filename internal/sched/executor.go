@@ -41,16 +41,19 @@ const (
 	// variant. Artifact: *core.Collection.
 	UnitCollect UnitKind = "collect"
 	// UnitValidate scores one discovered set against both target
-	// collections. Artifact: core.SetEvaluation.
+	// collections. Artifact: core.SetEvaluation. Its inputs are artifacts
+	// the coordinator already holds, so it never crosses the wire:
+	// RemoteExecutor scores it in process, and a wire-path executor
+	// refuses it as ErrBadUnit.
 	UnitValidate UnitKind = "validate"
 )
 
 // UnitRequest names one unit of study work. The JSON-visible fields fully
 // describe the computation, so a request can be shipped to another process
 // and executed there. A unit's dependency artifacts travel with it: in
-// process as the in-band Base/Set/Cols pointers, on the wire serialised
-// in Deps. No executor recomputes a dependency; a jittered or validate
-// unit that arrives without its artifacts is ErrBadUnit.
+// process as the in-band Base/Set/Cols pointers, on the wire (a jittered
+// run's baseline only) serialised in Deps. No executor recomputes a
+// dependency; a unit that arrives without its artifacts is ErrBadUnit.
 type UnitRequest struct {
 	Kind UnitKind `json:"kind"`
 	// App names the workload; executors without an in-band Build resolve
@@ -77,13 +80,13 @@ type UnitRequest struct {
 	// Collections are the two configurations a validate unit scores
 	// against (x86_64 first).
 	Collections *[2]core.CollectConfig `json:"collections,omitempty"`
-	// Deps carries the dependency artifacts the unit consumes, in a fixed
-	// order: a jittered run's LDV baseline; a validate unit's set, then
-	// its x86_64 and ARMv8 collections. RemoteExecutor serialises them
-	// from the in-band fields once per unit, and a wire-path
-	// LocalExecutor (no Build) decodes them back; in-process requests
-	// never read it. Workers predating this field reject the request,
-	// which the coordinator absorbs as the dialect-skew local fallback.
+	// Deps carries the dependency artifacts a dispatched unit consumes:
+	// a jittered run's LDV baseline, the only kind that has one.
+	// RemoteExecutor serialises it from the in-band Base once per unit,
+	// and a wire-path LocalExecutor (no Build) decodes it back;
+	// in-process requests never read it. Workers predating this field
+	// reject the request, which the coordinator absorbs as the
+	// dialect-skew local fallback.
 	Deps []InlineArtifact `json:"deps,omitempty"`
 	// Trace is the dispatch span's wire context, set per dispatch attempt
 	// by the RemoteExecutor. A worker receiving it opens its own span
@@ -109,8 +112,8 @@ type InlineArtifact struct {
 	Data  []byte `json:"data"`
 }
 
-// deps returns the unit's in-band dependency artifacts in Deps order, or
-// ErrBadUnit when one is missing.
+// deps returns the unit's in-band dependency artifacts, or ErrBadUnit
+// when one is missing.
 func (r *UnitRequest) deps() ([]any, error) {
 	var deps []any
 	switch r.Kind {
@@ -146,34 +149,21 @@ func (r *UnitRequest) encodeDeps() error {
 	return nil
 }
 
-// decodeDeps reverses encodeDeps on the wire path: the kind's artifacts,
-// in order, or ErrBadUnit.
+// decodeDeps reverses encodeDeps on the wire path: a jittered run's
+// baseline, or ErrBadUnit.
 func (r *UnitRequest) decodeDeps() error {
-	var set core.BarrierPointSet
 	ok := len(r.Deps) == 0
-	switch r.Kind {
-	case UnitDiscoverJittered:
-		ok = len(r.Deps) == 1 && decodeDep(r.Deps[0], &r.Base)
-	case UnitValidate:
-		ok = len(r.Deps) == 3 && decodeDep(r.Deps[0], &set) &&
-			decodeDep(r.Deps[1], &r.Cols[0]) && decodeDep(r.Deps[2], &r.Cols[1])
-		r.Set = &set
+	if r.Kind == UnitDiscoverJittered {
+		ok = false
+		if len(r.Deps) == 1 {
+			v, _ := cachestore.Decode(r.Deps[0].Codec, r.Deps[0].Data) // nil on error
+			r.Base, ok = v.(*core.LDVBaseline)
+		}
 	}
 	if !ok {
 		return fmt.Errorf("%w: %s unit's dependency artifacts are missing or malformed (%d shipped)", ErrBadUnit, r.Kind, len(r.Deps))
 	}
 	return nil
-}
-
-// decodeDep decodes one wire dependency into *dst, reporting whether it
-// decoded to dst's type.
-func decodeDep[T any](a InlineArtifact, dst *T) bool {
-	v, _ := cachestore.Decode(a.Codec, a.Data) // nil on error
-	t, ok := v.(T)
-	if ok {
-		*dst = t
-	}
-	return ok
 }
 
 // Key content-addresses the unit's artifact. Discovery and collection
@@ -325,11 +315,6 @@ func (e *LocalExecutor) verifyFingerprints(req *UnitRequest, build core.ProgramB
 		return check(req.FP, cfg.Threads, isa.Variant{ISA: isa.X8664(), Vectorised: cfg.Vectorised})
 	case UnitCollect:
 		return check(req.FP, req.Collect.Threads, req.Collect.Variant)
-	case UnitValidate:
-		if err := check(req.FP, req.Collections[0].Threads, req.Collections[0].Variant); err != nil {
-			return err
-		}
-		return check(req.FPARM, req.Collections[1].Threads, req.Collections[1].Variant)
 	}
 	return nil
 }

@@ -133,7 +133,9 @@ func newRemoteMetrics(reg *obs.Registry) remoteMetrics {
 
 // NoFallback is a sentinel Executor for RemoteOptions.Fallback that fails
 // units no worker could execute instead of computing them locally (for
-// coordinators that must never burn local CPU on unit work).
+// coordinators that must never burn local CPU on unit work). Validate
+// units are unaffected: the coordinator scores them itself, which costs
+// it less CPU than encoding their collections for a worker would.
 var NoFallback Executor = noFallback{}
 
 type noFallback struct{}
@@ -205,7 +207,8 @@ type RemoteStats struct {
 	Workers []WorkerHealth `json:"workers"`
 	// RemoteUnits counts units resolved by the fleet, LocalFallbacks
 	// units resolved by the fallback executor, Retries dispatches that
-	// failed on one worker and moved to another.
+	// failed on one worker and moved to another. Validate units, scored
+	// on the coordinator, count as neither.
 	RemoteUnits    uint64 `json:"remote_units"`
 	LocalFallbacks uint64 `json:"local_fallbacks"`
 	Retries        uint64 `json:"retries"`
@@ -217,8 +220,10 @@ type RemoteStats struct {
 //
 // Routing is content-addressed: a unit's cache key hashes to a preferred
 // worker, so re-executions and overlapping studies land where the
-// artifact already lives. Every unit carries its dependency artifacts,
-// so no unit needs a particular worker. A transport failure
+// artifact already lives. Every dispatched unit carries its dependency
+// artifacts, so no unit needs a particular worker. Validate units are
+// never dispatched: their inputs are artifacts the coordinator already
+// holds, so it scores them in process. A transport failure
 // quarantines the worker with exponential backoff and retries the unit on
 // the next worker in the ring; when every worker is down or the fleet
 // rejects the unit, execution falls back to the local executor, so a
@@ -356,10 +361,16 @@ func affinity(key resultcache.Key, n int) int {
 	return int(h % uint64(n))
 }
 
-// ExecuteUnit implements Executor: dispatch to the preferred worker,
-// retry the ring on transport failure, fall back to local execution when
-// the fleet cannot resolve the unit.
+// ExecuteUnit implements Executor: score a validate unit in process,
+// dispatch any other to the preferred worker, retry the ring on transport
+// failure, fall back to local execution when the fleet cannot resolve
+// the unit.
 func (e *RemoteExecutor) ExecuteUnit(ctx context.Context, req UnitRequest) (any, error) {
+	if req.Kind == UnitValidate {
+		// Scoring takes microseconds; shipping the set and both
+		// collections would take megabytes.
+		return new(LocalExecutor).ExecuteUnit(ctx, req)
+	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -367,11 +378,7 @@ func (e *RemoteExecutor) ExecuteUnit(ctx context.Context, req UnitRequest) (any,
 	if err != nil {
 		return nil, err
 	}
-	// Validate artifacts are excluded from dispatch-side caching for the
-	// same reason LocalExecutor never caches them: cheap to recompute,
-	// and per-run entries would evict genuinely expensive artifacts.
-	cacheable := req.Kind != UnitValidate
-	if e.cache != nil && cacheable {
+	if e.cache != nil {
 		if v, ok := e.cache.Get(key); ok {
 			return v, nil
 		}
@@ -417,7 +424,7 @@ func (e *RemoteExecutor) ExecuteUnit(ctx context.Context, req UnitRequest) (any,
 				e.mu.Unlock()
 				e.metrics.remoteUnits.Inc()
 				e.metrics.workerUnits.With(w.url).Inc()
-				if e.cache != nil && cacheable {
+				if e.cache != nil {
 					e.cache.Put(key, v)
 				}
 				return v, nil

@@ -15,11 +15,11 @@ import (
 	"barrierpoint/internal/trace"
 )
 
-func testRequest(t *testing.T) StudyRequest {
-	t.Helper()
+func testRequest(tb testing.TB) StudyRequest {
+	tb.Helper()
 	a, err := apps.ByName("MCB")
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	return StudyRequest{
 		App:   "MCB",

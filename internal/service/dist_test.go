@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -15,6 +16,7 @@ import (
 	"time"
 
 	"barrierpoint/internal/apps"
+	"barrierpoint/internal/cachestore"
 	"barrierpoint/internal/core"
 	"barrierpoint/internal/isa"
 	"barrierpoint/internal/obs"
@@ -79,8 +81,9 @@ func reportJSON(t *testing.T, res *core.StudyResult) []byte {
 
 // TestDistributedGoldenEquivalence is the tentpole's acceptance gate: a
 // study executed through a RemoteExecutor over two in-process workers
-// produces a byte-identical WriteJSON report to the local path, with the
-// units really resolved by the fleet.
+// produces a byte-identical WriteJSON report to the local path, with
+// every unit but the validations really resolved by the fleet, and the
+// validations scored on the coordinator.
 func TestDistributedGoldenEquivalence(t *testing.T) {
 	req := distStudy(t)
 	local, err := sched.Run(context.Background(), req, sched.Options{Workers: 4})
@@ -93,7 +96,10 @@ func TestDistributedGoldenEquivalence(t *testing.T) {
 		Fallback: sched.NoFallback, // any fallback would mask a fleet bug
 		Log:      testLogger(t),
 	})
-	dist, err := sched.Run(context.Background(), req, sched.Options{Workers: 4, Executor: remote})
+	reg := obs.NewRegistry()
+	dist, err := sched.Run(context.Background(), req, sched.Options{
+		Workers: 4, Executor: remote, Metrics: sched.NewMetrics(reg),
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,17 +114,117 @@ func TestDistributedGoldenEquivalence(t *testing.T) {
 	if st.LocalFallbacks != 0 {
 		t.Errorf("healthy fleet should need no local fallbacks, got %d", st.LocalFallbacks)
 	}
-	if want := int64(sched.StudyUnits(req.Config)); int64(st.RemoteUnits) != want {
-		t.Errorf("fleet resolved %d units, want %d", st.RemoteUnits, want)
+	runs := req.Config.WithDefaults().Runs
+	if want := uint64(runs + 2); st.RemoteUnits != want {
+		t.Errorf("fleet resolved %d units, want every discovery run and both collections (%d)", st.RemoteUnits, want)
+	}
+	// Validation still flows through the coordinator's instrumented
+	// executor, and never reaches a worker.
+	coord := httptest.NewServer(reg.Handler())
+	t.Cleanup(coord.Close)
+	validations := map[string]string{"kind": "validate"}
+	for name, srv := range map[string]*httptest.Server{"coordinator": coord, "worker 1": w1, "worker 2": w2} {
+		got, _ := seriesValue(scrapeMetrics(t, srv), "bp_sched_unit_seconds_count", validations)
+		want := 0.0
+		if srv == coord {
+			want = float64(runs)
+		}
+		if got != want {
+			t.Errorf("%s scored %v validate units, want %v", name, got, want)
+		}
 	}
 	// Units carry their dependency artifacts, so workers never recompute
 	// one: the fleet misses each cacheable unit (the baseline, the jittered
 	// runs, both collections) exactly once, plus each collection's memory
 	// trace (the two platforms' hierarchies differ, so the traces are
-	// distinct), and validate units touch no cache at all.
+	// distinct).
 	misses := workerHealth(t, w1).Cache.Misses + workerHealth(t, w2).Cache.Misses
-	if want := uint64(req.Config.WithDefaults().Runs + 4); misses != want {
+	if want := uint64(runs + 4); misses != want {
 		t.Errorf("workers missed their caches %d times, want one per cacheable unit and per memory trace (%d)", misses, want)
+	}
+}
+
+// TestDistributedMalformedCollectionFailsStudy: worker output is
+// validated where sets are scored, on the coordinator. A worker whose
+// x86_64 collection does not cover its threads fails the study with
+// Reconstruct's error, not a coordinator panic, and costs the healthy
+// worker no retry and no quarantine: the same executor then completes
+// the study once the worker answers correctly.
+func TestDistributedMalformedCollectionFailsStudy(t *testing.T) {
+	req := distStudy(t)
+	local, err := sched.Run(context.Background(), req, sched.Options{Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	w, err := NewWorker(WorkerConfig{MaxInflight: 8, CacheSize: 128})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { w.Close() })
+	inner := w.Handler()
+	var corrupt atomic.Bool
+	corrupt.Store(true)
+	srv := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+		body, err := io.ReadAll(r.Body)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		r.Body = io.NopCloser(bytes.NewReader(body))
+		var unit sched.UnitRequest
+		x86 := json.Unmarshal(body, &unit) == nil && unit.Kind == sched.UnitCollect &&
+			unit.Collect.Variant.ISA.Name == isa.X8664().Name
+		if !x86 || !corrupt.Load() {
+			inner.ServeHTTP(rw, r)
+			return
+		}
+		// Re-encode the worker's collection without its per-barrier-point
+		// standard deviations.
+		rec := httptest.NewRecorder()
+		inner.ServeHTTP(rec, r)
+		var resp sched.UnitResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+			t.Errorf("worker answered %d: %s", rec.Code, rec.Body)
+			return
+		}
+		v, err := cachestore.Decode(resp.Codec, resp.Data)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		col := *v.(*core.Collection)
+		col.PerBPStd = nil
+		if resp.Codec, resp.Data, err = cachestore.Encode(&col); err != nil {
+			t.Error(err)
+			return
+		}
+		rw.Header().Set("Content-Type", "application/json")
+		json.NewEncoder(rw).Encode(resp)
+	}))
+	t.Cleanup(srv.Close)
+
+	remote := sched.NewRemoteExecutor([]string{srv.URL}, sched.RemoteOptions{
+		Fallback: sched.NoFallback, // the bad collection must come from the fleet
+		Log:      testLogger(t),
+	})
+	_, err = sched.Run(context.Background(), req, sched.Options{Workers: 4, Executor: remote})
+	want := fmt.Sprintf("does not cover its %d threads", req.Config.Threads)
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("study over a malformed collection: err %v, want one containing %q", err, want)
+	}
+	st := remote.Stats()
+	if st.Retries != 0 || st.LocalFallbacks != 0 || st.Workers[0].Failures != 0 || !st.Workers[0].Healthy {
+		t.Errorf("a malformed artifact cost the worker a retry, fallback or quarantine: %+v", st)
+	}
+
+	corrupt.Store(false)
+	dist, err := sched.Run(context.Background(), req, sched.Options{Workers: 4, Executor: remote})
+	if err != nil {
+		t.Fatalf("study on the healthy fleet: %v", err)
+	}
+	if !bytes.Equal(reportJSON(t, local), reportJSON(t, dist)) {
+		t.Error("study after the malformed one differs from the local path")
 	}
 }
 
@@ -543,7 +649,8 @@ func TestWorkerHealthz(t *testing.T) {
 // TestWorkerRejectsGarbage: protocol-level rejections carry the right
 // status codes (the coordinator's retry logic keys off them). A unit
 // without its dependency artifacts is one of them: workers never
-// recompute a dependency.
+// recompute a dependency. A validate unit is another, with its artifacts
+// or without: the coordinator scores sets itself.
 func TestWorkerRejectsGarbage(t *testing.T) {
 	w := newTestWorker(t)
 	u := newWireUnits(t)
@@ -564,9 +671,9 @@ func TestWorkerRejectsGarbage(t *testing.T) {
 		{"unknown kind", strings.NewReader(`{"kind":"frobnicate","app":"MCB"}`), sched.StatusUnitRejected},
 		{"missing config", strings.NewReader(`{"kind":"collect","app":"MCB"}`), sched.StatusUnitRejected},
 		{"over-limit body", overLimit, sched.StatusUnitRejected},
+		{"validate with its deps", bytes.NewReader(unitBody(t, u.validate)), sched.StatusUnitRejected},
 		{"validate without deps", without(u.validate), sched.StatusUnitRejected},
 		{"jittered without deps", without(u.jittered), sched.StatusUnitRejected},
-		{"validate with one dep", without(u.validate, u.validate.Deps[0]), sched.StatusUnitRejected},
 		{"jittered with a set for a baseline", without(u.jittered, u.validate.Deps[0]), sched.StatusUnitRejected},
 		{"baseline of 2^32 rows of 2^32", bytes.NewReader(unitBody(t, u.hugeBaseline)), sched.StatusUnitRejected},
 	} {

@@ -43,10 +43,13 @@ type WorkerConfig struct {
 	Log *obs.Logger
 }
 
-// maxUnitBytes bounds a POST /units body. Units carry their dependency
-// artifacts; the largest legitimate body, an 8-thread 20-rep LULESH
-// validate unit, is about 20 MB.
-const maxUnitBytes = 64 << 20
+// maxUnitBytes bounds a POST /units body. The only dependency artifact a
+// unit carries is a jittered run's LDV baseline, so the largest
+// legitimate body is an 8-thread LULESH jittered unit at about 1.4 MB
+// (the next largest registry app, miniFE, is about 0.2 MB). The bound
+// leaves room for larger signature dimensions and thread counts; a body
+// over it is a 409, and the coordinator runs the unit itself.
+const maxUnitBytes = 8 << 20
 
 // workerTraceSpans bounds the per-unit span subtree a worker builds for
 // a traced request. Units are shallow trees (recv, decode, compute with
@@ -160,8 +163,9 @@ func (w *Worker) Handler() http.Handler {
 
 // handleUnit executes one unit request. Status codes are protocol:
 // 409 (sched.StatusUnitRejected) means "this worker can never run this
-// unit" — an undecodable or oversized body, unknown app or kind, missing
-// or malformed dependency artifacts, or a fingerprint mismatch proving the
+// unit" — an undecodable or oversized body, unknown app or kind, a
+// validate unit (the coordinator scores those itself), missing or
+// malformed dependency artifacts, or a fingerprint mismatch proving the
 // coordinator's program differs from this binary's; 422
 // (sched.StatusUnitFailed) means the computation itself failed (a
 // property of the request — retrying elsewhere would fail identically);

@@ -9,24 +9,27 @@ import (
 	"net/http/httptest"
 	"testing"
 
+	"barrierpoint/internal/apps"
 	"barrierpoint/internal/cachestore"
 	"barrierpoint/internal/core"
 	"barrierpoint/internal/obs"
 	"barrierpoint/internal/sched"
 )
 
-// wireUnits are POST /units requests for distStudy's configuration as a
-// coordinator ships them, coordinates plus serialised dependency
-// artifacts, and two probes whose artifacts decode but are malformed.
+// wireUnits are POST /units requests for distStudy's configuration:
+// units as a coordinator ships them, coordinates plus serialised
+// dependency artifacts; a validate unit, which no coordinator ships; and
+// a probe whose artifact decodes but is malformed.
 type wireUnits struct {
-	// jittered is discovery run 1 with its LDV baseline; validate scores
-	// the baseline run's set against both collections.
-	jittered, validate sched.UnitRequest
+	// collect is the x86_64 collection; jittered is discovery run 1 with
+	// its LDV baseline.
+	collect, jittered sched.UnitRequest
+	// validate scores the baseline run's set, shipped with both
+	// collections: a 409, since the coordinator scores sets itself.
+	validate sched.UnitRequest
 	// hugeBaseline ships a baseline claiming 2^32 rows of 2^32 floats
 	// with none attached, whose n×dim overflows to the carried length.
 	hugeBaseline sched.UnitRequest
-	// noStd ships an x86_64 collection whose PerBPStd is nil.
-	noStd sched.UnitRequest
 }
 
 // artifact serialises v the way the coordinator attaches a dependency.
@@ -71,6 +74,7 @@ func newWireUnits(tb testing.TB) wireUnits {
 		}
 	}
 	u := wireUnits{
+		collect: sched.UnitRequest{Kind: sched.UnitCollect, App: study.App, Collect: &colCfgs[0]},
 		jittered: sched.UnitRequest{
 			Kind: sched.UnitDiscoverJittered, App: study.App, Discovery: &disc, Run: 1,
 			Deps: []sched.InlineArtifact{artifact(tb, base)},
@@ -86,10 +90,6 @@ func newWireUnits(tb testing.TB) wireUnits {
 	}
 	u.hugeBaseline = u.jittered
 	u.hugeBaseline.Deps = []sched.InlineArtifact{{Codec: u.jittered.Deps[0].Codec, Data: raw.Bytes()}}
-	noStd := *cols[0]
-	noStd.PerBPStd = nil
-	u.noStd = u.validate
-	u.noStd.Deps = []sched.InlineArtifact{u.validate.Deps[0], artifact(tb, &noStd), u.validate.Deps[2]}
 	return u
 }
 
@@ -103,21 +103,30 @@ func unitBody(tb testing.TB, req sched.UnitRequest) []byte {
 	return body
 }
 
-// TestWorkerMalformedCollectionFails: a validate unit whose x86_64
-// collection does not cover its threads is a failed computation (422),
-// not a handler panic the coordinator would read as EOF and answer by
-// quarantining a healthy worker.
-func TestWorkerMalformedCollectionFails(t *testing.T) {
-	w := newTestWorker(t)
-	resp, err := http.Post(w.URL+"/units", "application/json",
-		bytes.NewReader(unitBody(t, newWireUnits(t).noStd)))
-	if err != nil {
-		t.Fatalf("transport error instead of a status: %v", err)
+// TestWorkerBodyBoundFitsLargestUnit: the largest body a coordinator
+// sends, an 8-thread LULESH jittered unit carrying its LDV baseline (the
+// registry's largest at the default signature dimension), stays under a
+// quarter of maxUnitBytes.
+func TestWorkerBodyBoundFitsLargestUnit(t *testing.T) {
+	if testing.Short() {
+		t.Skip("discovers LULESH at 8 threads")
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != sched.StatusUnitFailed {
-		body, _ := io.ReadAll(resp.Body)
-		t.Errorf("status %d (%s), want %d", resp.StatusCode, bytes.TrimSpace(body), sched.StatusUnitFailed)
+	a, err := apps.ByName("LULESH")
+	if err != nil {
+		t.Fatal(err)
+	}
+	disc := core.DefaultDiscovery(8, false, 1).WithDefaults()
+	_, base, err := core.DiscoverBaseline(a.Build, disc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := unitBody(t, sched.UnitRequest{
+		Kind: sched.UnitDiscoverJittered, App: a.Name, Discovery: &disc, Run: 1,
+		Deps: []sched.InlineArtifact{artifact(t, base)},
+	})
+	t.Logf("LULESH 8-thread jittered body: %d bytes", len(body))
+	if len(body) >= maxUnitBytes/4 {
+		t.Errorf("LULESH 8-thread jittered body is %d bytes, want under a quarter of the %d-byte bound", len(body), maxUnitBytes)
 	}
 }
 
@@ -127,7 +136,7 @@ func TestWorkerMalformedCollectionFails(t *testing.T) {
 // and 429.
 func FuzzWorkerUnit(f *testing.F) {
 	u := newWireUnits(f)
-	for _, req := range []sched.UnitRequest{u.jittered, u.validate, u.hugeBaseline, u.noStd} {
+	for _, req := range []sched.UnitRequest{u.collect, u.jittered, u.validate, u.hugeBaseline} {
 		f.Add(unitBody(f, req))
 	}
 	w, err := NewWorker(WorkerConfig{MaxInflight: 4, CacheSize: 64, Log: obs.NewLogger(io.Discard, obs.LevelError, 16)})
