@@ -157,19 +157,21 @@ fuzz-cache:
 	$(GO) test -run '^$$' -fuzz '^FuzzCacheExact$$' -fuzztime 10s ./internal/mem
 
 # fuzz-units feeds the worker's POST /units handler arbitrary bodies for
-# 10 s, seeded with real collect and jittered units, a validate unit (a
-# 409: the coordinator scores sets itself) and a malformed dependency
-# probe, and fails on a panic or on any status outside 200, 409, 422 and
-# 429. Seeds are multi-KB bodies, so minimising each new input under the
-# default 60 s budget would eat the whole run.
+# 10 s, seeded with real collect and jittered units, a validate body as a
+# coordinator that shipped set scoring to workers sent it (a 409:
+# validation is a study's assembly step, not a unit kind) and a malformed
+# dependency probe, and fails on a panic or on any status outside 200,
+# 409, 422 and 429. Seeds are multi-KB bodies, so minimising each new
+# input under the default 60 s budget would eat the whole run.
 fuzz-units:
 	$(GO) test -run '^$$' -fuzz '^FuzzWorkerUnit$$' -fuzztime 10s -fuzzminimizetime 2s ./internal/service
 
 # fuzz-codecs feeds cachestore.Decode arbitrary bytes under every artifact
 # codec internal/sched registers for 10 s, seeded with real MCB encodings
 # of each, and scores whatever decodes to a collection or a set against a
-# valid counterpart: a malformed artifact, shipped in a unit's deps or
-# read back from a cachestore file, must be an error, never a panic.
+# valid counterpart, as a study's assembly step would: a malformed
+# artifact, shipped in a unit's deps or read back from a cachestore file,
+# must be an error, never a panic.
 # Minimising is capped at 200 calls per new input; a time budget, even
 # fuzz-units' 2 s, leaves the multi-KB seeds fuzzing for a fraction of
 # the run.

@@ -140,10 +140,10 @@ func PersistCache(dir string, maxBytes int64) (close func() error, err error) {
 }
 
 // RunStudy executes the whole workflow for one workload/configuration on
-// the concurrent study scheduler (internal/sched): discovery runs, native
-// collections and validations fan out across a worker pool and repeated
-// intermediates are served from an in-process cache (persistent across
-// processes after PersistCache). The result is byte-identical to the
+// the concurrent study scheduler (internal/sched): discovery runs and
+// native collections fan out across a worker pool, the study scores its
+// sets as it assembles, and repeated intermediates are served from an
+// in-process cache (persistent across processes after PersistCache). The result is byte-identical to the
 // serial core.RunStudy reference for the same arguments.
 //
 // Each call returns its own StudyResult and Evals slice, so reordering or

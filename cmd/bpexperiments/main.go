@@ -1,10 +1,10 @@
 // Command bpexperiments regenerates the paper's tables and figures.
 //
 // Experiments render concurrently on the study scheduler — each study's
-// discovery runs, collections and validations fan out across a bounded
-// worker pool, and experiments sharing studies deduplicate through the
-// runner's result cache — but output is printed in experiment order and
-// is byte-identical for any -workers value.
+// discovery runs and collections fan out across a bounded worker pool,
+// and experiments sharing studies deduplicate through the runner's
+// result cache — but output is printed in experiment order and is
+// byte-identical for any -workers value.
 //
 // Usage:
 //

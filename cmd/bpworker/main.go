@@ -1,9 +1,9 @@
 // Command bpworker serves BarrierPoint study units over HTTP: one process
 // in the worker fleet behind a distributed coordinator (bpserved or
-// bpexperiments started with -workers). Units — discovery runs,
-// collections, validations — are pure functions of their requests, so a
-// worker holds no job state: it computes, memoises, and returns
-// codec-serialised artifacts.
+// bpexperiments started with -workers). Units — discovery runs and
+// collections — are pure functions of their requests, so a worker holds
+// no job state: it computes, memoises, and returns codec-serialised
+// artifacts.
 //
 // Pointing the whole fleet (and its coordinator) at one shared -cache-dir
 // makes every process's artifacts serve every other's misses, so

@@ -117,8 +117,9 @@ func (r *StudyResult) MinMaxSelected() (min, max int) {
 }
 
 // EvaluateSet validates one discovered barrier point set against both
-// target collections (Steps 4+5 for one set). Evaluations of different
-// sets are independent of each other, so the scheduler fans them out.
+// target collections (Steps 4+5 for one set). It is arithmetic over
+// artifacts already computed, so the scheduler runs it as a study's
+// assembly step, over every set in run order, rather than as a unit.
 func EvaluateSet(app string, idx int, set *BarrierPointSet, x86Col, armCol *Collection) (SetEvaluation, error) {
 	eval := SetEvaluation{Set: *set}
 	var err error
@@ -173,8 +174,9 @@ func AssembleStudy(app string, cfg StudyConfig, evals []SetEvaluation, x86Col, a
 
 // RunStudy executes the full Section V workflow for one workload and
 // configuration. It is the serial reference composition of the study's
-// units — discovery runs, per-variant collections, per-set validations —
-// which internal/sched executes concurrently with byte-identical results.
+// units — discovery runs and per-variant collections — and its per-set
+// validations, which internal/sched executes concurrently with
+// byte-identical results.
 func RunStudy(app string, build ProgramBuilder, cfg StudyConfig) (*StudyResult, error) {
 	cfg = cfg.WithDefaults()
 

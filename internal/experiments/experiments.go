@@ -213,7 +213,7 @@ func (r *Runner) Study(app string, threads int, vectorised bool) (*core.StudyRes
 	// serving an old binary's results), and the runner's entry is the
 	// same one sched.Run reads and writes — shared with bpserved. The
 	// outer Do stays for singleflight across concurrent Study calls
-	// (validations are not unit-cached); its cost is one redundant put of
+	// (set scoring is not unit-cached); its cost is one redundant put of
 	// the already-stored result on a cold study, accepted over moving
 	// singleflight into sched.Run, which would couple cancellation of
 	// concurrent identical studies across otherwise independent callers.

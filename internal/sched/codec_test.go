@@ -13,14 +13,14 @@ import (
 // reach.
 var artifactCodecs = []string{
 	"sched.baselineArtifact.v2", "core.LDVBaseline", "core.BarrierPointSet",
-	"core.Collection", "core.SetEvaluation", "core.StudyResult", "omp.MemTrace",
+	"core.Collection", "core.StudyResult", "omp.MemTrace",
 }
 
 // FuzzArtifactDecode feeds cachestore.Decode arbitrary bytes under every
 // artifact codec, seeded with each one's real encoding from an MCB
 // 2-thread study. Decoding must succeed or fail, never panic; a decoded
 // collection or set must then score against a valid counterpart, or fail
-// to, without panicking, as it would on the coordinator.
+// to, without panicking, as it would in a study's assembly.
 func FuzzArtifactDecode(f *testing.F) {
 	req := testRequest(f)
 	cfg := req.Config.WithDefaults()
@@ -37,7 +37,7 @@ func FuzzArtifactDecode(f *testing.F) {
 		f.Fatal(err)
 	}
 	for i, v := range []any{baselineArtifact{set: set, base: base}, base, set,
-		res.X86Col, res.Evals[0], res, mem} {
+		res.X86Col, res, mem} {
 		codec, data, err := cachestore.Encode(v)
 		if err != nil {
 			f.Fatal(err)

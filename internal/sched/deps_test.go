@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"barrierpoint/internal/cachestore"
 	"barrierpoint/internal/core"
 	"barrierpoint/internal/obs"
 	"barrierpoint/internal/resultcache"
@@ -41,10 +42,11 @@ func cacheSpans(t *testing.T, worker *LocalExecutor, req UnitRequest) (any, map[
 // TestUnitRequestDepsRoundTrip: a jittered unit shipped with its LDV
 // baseline in Deps executes on a cold wire-path worker without resolving
 // any dependency, produces exactly the artifact the in-band path does,
-// and is ErrBadUnit once Deps is stripped. A validate unit is scored in
-// band only: on the wire it is ErrBadUnit, with or without its
-// artifacts. The JSON round trip stands in for the wire: it drops every
-// in-band field and keeps Deps.
+// and is ErrBadUnit once Deps is stripped. A validate unit, as a
+// coordinator that shipped set scoring to workers sent it, is ErrBadUnit
+// with or without its artifacts: validation is a study's assembly step,
+// not a unit kind. The JSON round trip stands in for the wire: it drops
+// every in-band field and keeps Deps.
 func TestUnitRequestDepsRoundTrip(t *testing.T) {
 	req := testRequest(t)
 	cfg := req.Config.WithDefaults()
@@ -88,13 +90,8 @@ func TestUnitRequestDepsRoundTrip(t *testing.T) {
 		Discovery: &discCfg, Run: 1, Build: req.Build, Base: base.base,
 	}
 	set := exec(jittered).(core.BarrierPointSet)
-	validate := UnitRequest{
-		Kind: UnitValidate, App: req.App, FP: fpX86, FPARM: fpARM,
-		Discovery: &discCfg, Run: 1, Collections: &colCfgs,
-		Build: req.Build, Set: &set, Cols: cols,
-	}
-	if !reflect.DeepEqual(exec(validate), want.Evals[1]) {
-		t.Error("in-band validate unit diverges from the study")
+	if !reflect.DeepEqual(set, want.Evals[1].Set) {
+		t.Error("in-band jittered unit diverges from the study")
 	}
 
 	// wire ships a unit the way RemoteExecutor would, its in-band
@@ -112,7 +109,7 @@ func TestUnitRequestDepsRoundTrip(t *testing.T) {
 		if err := json.Unmarshal(data, &wired); err != nil {
 			t.Fatal(err)
 		}
-		if wired.Build != nil || wired.Base != nil || wired.Set != nil || wired.Cols != [2]*core.Collection{} {
+		if wired.Build != nil || wired.Base != nil {
 			t.Fatal("in-band fields leaked onto the wire")
 		}
 		return wired
@@ -140,10 +137,25 @@ func TestUnitRequestDepsRoundTrip(t *testing.T) {
 		}
 	})
 
-	t.Run(string(UnitValidate), func(t *testing.T) {
-		wired := wire(validate)
-		if len(wired.Deps) != 3 {
-			t.Fatalf("validate unit shipped %d artifacts, want its set and both collections", len(wired.Deps))
+	t.Run("validate", func(t *testing.T) {
+		deps := make([]InlineArtifact, 3)
+		for i, v := range []any{set, cols[0], cols[1]} {
+			codec, data, err := cachestore.Encode(v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			deps[i] = InlineArtifact{Codec: codec, Data: data}
+		}
+		body, err := json.Marshal(map[string]any{
+			"kind": "validate", "app": req.App, "fp": fpX86, "fp_arm": fpARM,
+			"discovery": discCfg, "run": 1, "collections": colCfgs, "deps": deps,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wired UnitRequest
+		if err := json.Unmarshal(body, &wired); err != nil {
+			t.Fatal(err)
 		}
 		for _, deps := range [][]InlineArtifact{wired.Deps, nil} {
 			wired.Deps = deps

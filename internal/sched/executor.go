@@ -23,7 +23,7 @@ import (
 // failure.
 var ErrBadUnit = errors.New("sched: malformed unit request")
 
-// UnitKind names one of the four unit types a study decomposes into.
+// UnitKind names one of the three unit types a study decomposes into.
 type UnitKind string
 
 // The unit kinds. Every kind is a pure function of its request: the same
@@ -40,19 +40,13 @@ const (
 	// UnitCollect is one native counter collection for one binary
 	// variant. Artifact: *core.Collection.
 	UnitCollect UnitKind = "collect"
-	// UnitValidate scores one discovered set against both target
-	// collections. Artifact: core.SetEvaluation. Its inputs are artifacts
-	// the coordinator already holds, so it never crosses the wire:
-	// RemoteExecutor scores it in process, and a wire-path executor
-	// refuses it as ErrBadUnit.
-	UnitValidate UnitKind = "validate"
 )
 
 // UnitRequest names one unit of study work. The JSON-visible fields fully
 // describe the computation, so a request can be shipped to another process
-// and executed there. A unit's dependency artifacts travel with it: in
-// process as the in-band Base/Set/Cols pointers, on the wire (a jittered
-// run's baseline only) serialised in Deps. No executor recomputes a
+// and executed there. A jittered run's LDV baseline, the only dependency
+// artifact a unit has, travels with it: in process as the in-band Base
+// pointer, on the wire serialised in Deps. No executor recomputes a
 // dependency; a unit that arrives without its artifacts is ErrBadUnit.
 type UnitRequest struct {
 	Kind UnitKind `json:"kind"`
@@ -60,26 +54,18 @@ type UnitRequest struct {
 	// it through the apps registry.
 	App string `json:"app"`
 	// FP is the content fingerprint of the unit's program (the x86_64
-	// variant for discovery and validation, the collect variant for
-	// collections). A remote worker refuses a request whose fingerprint
-	// does not match the program it resolves for App — the guard that
-	// keeps a custom in-process builder from silently executing as the
-	// registry app of the same name.
+	// variant for discovery, the collect variant for collections). A
+	// remote worker refuses a request whose fingerprint does not match
+	// the program it resolves for App — the guard that keeps a custom
+	// in-process builder from silently executing as the registry app of
+	// the same name.
 	FP string `json:"fp,omitempty"`
-	// FPARM is the ARMv8 collection's program fingerprint (validate
-	// units only; HPGMG-FV builds a different program per ISA).
-	FPARM string `json:"fp_arm,omitempty"`
-	// Discovery parameterises the discovery kinds and names the set a
-	// validate unit scores.
+	// Discovery parameterises the discovery kinds.
 	Discovery *core.DiscoveryConfig `json:"discovery,omitempty"`
-	// Run is the discovery-run index: the jittered run to execute, or
-	// the set a validate unit scores.
+	// Run is the discovery-run index of a jittered run.
 	Run int `json:"run,omitempty"`
 	// Collect parameterises a collect unit.
 	Collect *core.CollectConfig `json:"collect,omitempty"`
-	// Collections are the two configurations a validate unit scores
-	// against (x86_64 first).
-	Collections *[2]core.CollectConfig `json:"collections,omitempty"`
 	// Deps carries the dependency artifacts a dispatched unit consumes:
 	// a jittered run's LDV baseline, the only kind that has one.
 	// RemoteExecutor serialises it from the in-band Base once per unit,
@@ -96,12 +82,10 @@ type UnitRequest struct {
 	// dialect-skew local fallback.
 	Trace *obs.TraceContext `json:"trace,omitempty"`
 
-	// In-band fields, never serialised: the builder, and the dependency
-	// artifacts the coordinator attaches from the units it already ran.
-	Build core.ProgramBuilder   `json:"-"`
-	Base  *core.LDVBaseline     `json:"-"`
-	Set   *core.BarrierPointSet `json:"-"`
-	Cols  [2]*core.Collection   `json:"-"`
+	// In-band fields, never serialised: the builder, and the baseline
+	// the coordinator attaches from the unit it already ran.
+	Build core.ProgramBuilder `json:"-"`
+	Base  *core.LDVBaseline   `json:"-"`
 }
 
 // InlineArtifact is one dependency artifact serialised into a unit
@@ -115,23 +99,13 @@ type InlineArtifact struct {
 // deps returns the unit's in-band dependency artifacts, or ErrBadUnit
 // when one is missing.
 func (r *UnitRequest) deps() ([]any, error) {
-	var deps []any
-	switch r.Kind {
-	case UnitDiscoverJittered:
-		if r.Base != nil {
-			deps = []any{r.Base}
-		}
-	case UnitValidate:
-		if r.Set != nil && r.Cols[0] != nil && r.Cols[1] != nil {
-			deps = []any{*r.Set, r.Cols[0], r.Cols[1]}
-		}
-	default:
+	if r.Kind != UnitDiscoverJittered {
 		return nil, nil
 	}
-	if deps == nil {
+	if r.Base == nil {
 		return nil, fmt.Errorf("%w: %s unit without its dependency artifacts", ErrBadUnit, r.Kind)
 	}
-	return deps, nil
+	return []any{r.Base}, nil
 }
 
 // encodeDeps serialises the in-band dependency artifacts into Deps.
@@ -189,17 +163,6 @@ func (r *UnitRequest) Key() (resultcache.Key, error) {
 			return "", fmt.Errorf("%w: collection needs a binary variant", ErrBadUnit)
 		}
 		return collectKey(r.FP, *r.Collect), nil
-	case UnitValidate:
-		if r.Discovery == nil || r.Collections == nil {
-			return "", fmt.Errorf("%w: validate unit needs discovery and collection configurations", ErrBadUnit)
-		}
-		if r.Collections[0].Variant.ISA == nil || r.Collections[1].Variant.ISA == nil {
-			return "", fmt.Errorf("%w: collection needs a binary variant", ErrBadUnit)
-		}
-		return resultcache.NewKey("validate", r.FP, r.FPARM,
-			fmt.Sprintf("%#v run=%d", r.Discovery.WithDefaults(), r.Run),
-			string(collectKey(r.FP, r.Collections[0])),
-			string(collectKey(r.FPARM, r.Collections[1]))), nil
 	default:
 		return "", fmt.Errorf("%w: unknown unit kind %q", ErrBadUnit, r.Kind)
 	}
@@ -210,7 +173,6 @@ func (r *UnitRequest) Key() (resultcache.Key, error) {
 //	UnitDiscoverBaseline → BaselineArtifact (unexported; carries set+LDVs)
 //	UnitDiscoverJittered → core.BarrierPointSet
 //	UnitCollect          → *core.Collection
-//	UnitValidate         → core.SetEvaluation
 //
 // Executors must be safe for concurrent use: the scheduler fans a study's
 // independent units out across many goroutines against one executor.
@@ -230,18 +192,13 @@ var ErrFingerprintMismatch = errors.New("sched: unit program fingerprint does no
 // discovery and collection artifacts through an optional result cache.
 // It is the default executor: the bounded worker pool around it is
 // SweepPlan's, which Run and Discover execute through. A request without
-// a Build is the wire path: the builder is resolved by app name and the
-// dependency artifacts are decoded from Deps. The zero value is valid (no
-// cache, apps-registry resolution).
+// a Build is the wire path: the builder is resolved by app name through
+// the apps registry and the dependency artifacts are decoded from Deps.
+// The zero value is valid (no cache).
 type LocalExecutor struct {
 	// Cache memoises discovery baselines, jittered sets and collections;
 	// nil computes everything.
 	Cache *resultcache.Cache
-	// Resolve maps an app name to its program builder for requests that
-	// arrive without an in-band Build (the wire path). Defaults to the
-	// apps registry. Resolution must be stable: fingerprints of resolved
-	// programs are memoised per (app, threads, variant).
-	Resolve func(app string) (core.ProgramBuilder, error)
 
 	// fpMemo caches resolved programs' fingerprints so wire-path
 	// verification costs one program build per (app, threads, variant)
@@ -257,24 +214,14 @@ func (e *LocalExecutor) resolveBuild(req *UnitRequest) (core.ProgramBuilder, err
 	if req.Build != nil {
 		return req.Build, nil
 	}
-	resolve := e.Resolve
-	if resolve == nil {
-		resolve = func(app string) (core.ProgramBuilder, error) {
-			a, err := apps.ByName(app)
-			if err != nil {
-				return nil, err
-			}
-			return a.Build, nil
-		}
-	}
-	build, err := resolve(req.App)
+	a, err := apps.ByName(req.App)
 	if err != nil {
 		return nil, err
 	}
-	if err := e.verifyFingerprints(req, build); err != nil {
+	if err := e.verifyFingerprints(req, a.Build); err != nil {
 		return nil, err
 	}
-	return build, nil
+	return a.Build, nil
 }
 
 // memoFingerprint returns the fingerprint of the resolved app's program
@@ -364,10 +311,6 @@ func (e *LocalExecutor) ExecuteUnit(ctx context.Context, req UnitRequest) (any, 
 		return cachedDo(ctx, e.Cache, string(req.Kind), key, func() (any, error) {
 			return e.collect(ctx, build, req.FP, *req.Collect)
 		})
-	case UnitValidate:
-		// Validation is cheap once its dependencies exist, so its result
-		// is not cached.
-		return core.EvaluateSet(req.App, req.Run, req.Set, req.Cols[0], req.Cols[1])
 	}
 	return nil, fmt.Errorf("%w: unknown unit kind %q", ErrBadUnit, req.Kind)
 }

@@ -50,7 +50,6 @@ func TestRunDecomposesOntoExecutor(t *testing.T) {
 		UnitDiscoverBaseline: 1,
 		UnitDiscoverJittered: runs - 1,
 		UnitCollect:          2,
-		UnitValidate:         runs,
 	}
 	ce.mu.Lock()
 	defer ce.mu.Unlock()

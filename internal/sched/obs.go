@@ -60,7 +60,7 @@ func (e obsExecutor) ExecuteUnit(ctx context.Context, req UnitRequest) (any, err
 	sp := obs.SpanFromContext(ctx).Child("unit:" + string(req.Kind))
 	if sp != nil {
 		sp.SetAttr("app", req.App)
-		if req.Kind == UnitDiscoverJittered || req.Kind == UnitValidate {
+		if req.Kind == UnitDiscoverJittered {
 			sp.SetAttr("run", fmt.Sprintf("%d", req.Run))
 		}
 		if req.Kind == UnitCollect && req.Collect != nil && req.Collect.Variant.ISA != nil {

@@ -26,9 +26,6 @@ func init() {
 	cachestore.RegisterGob[core.BarrierPointSet]("core.BarrierPointSet")
 	cachestore.RegisterGob[*core.Collection]("core.Collection")
 	cachestore.RegisterGob[*core.StudyResult]("core.StudyResult")
-	// Every unit kind's artifact has a codec, the validate unit's too,
-	// although validation runs on the coordinator and is never cached.
-	cachestore.RegisterGob[core.SetEvaluation]("core.SetEvaluation")
 	// A collection's memory trace has its own compact binary form, whose
 	// decoder rejects malformed input (a cache miss for the store).
 	cachestore.Register(cachestore.Codec{

@@ -1,18 +1,20 @@
 // Package sched executes BarrierPoint studies concurrently.
 //
 // A study decomposes into typed units — the canonical discovery run, the
-// jittered re-runs behind it, the per-variant native collections, and
-// the per-set validations. CompileSweep plans one or many studies as a
-// single dependency DAG of those units, deduplicated by content-addressed
-// key, and SweepPlan.Execute releases each unit onto a bounded worker
-// pool the moment its dependencies land. Run is a one-member plan and
-// Discover a one-member plan of discovery units only, so there is one
-// executor for a study and for a sweep. Expensive intermediates are
-// memoised through internal/resultcache, and every member assembles in
-// deterministic unit order: the same request produces a byte-identical
+// jittered re-runs behind it, and the per-variant native collections.
+// CompileSweep plans one or many studies as a single dependency DAG of
+// those units, deduplicated by content-addressed key, and
+// SweepPlan.Execute releases each unit onto a bounded worker pool the
+// moment its dependencies land. Run is a one-member plan and Discover a
+// one-member plan of discovery units only, so there is one executor for a
+// study and for a sweep. Expensive intermediates are memoised through
+// internal/resultcache. Validation is not a unit: when a member's last
+// unit lands, it scores every discovered set against both collections in
+// run order and assembles, so the same request produces a byte-identical
 // core.StudyResult whether it runs on one worker or many, alone or in a
 // sweep. A failing member reports its lowest-ranked failing unit in
-// planning order, whatever order units finish in.
+// planning order, whatever order units finish in, or else the first set
+// that fails to score.
 package sched
 
 import (

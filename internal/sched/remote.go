@@ -57,23 +57,11 @@ type RemoteOptions struct {
 	// (default 4). Dispatch blocks (honouring ctx) when the chosen
 	// worker is at its limit, providing backpressure per worker.
 	PerWorkerInflight int
-	// Backoff is the quarantine after a worker's first transport failure;
-	// it doubles per consecutive failure up to MaxBackoff (defaults
-	// 500ms and 30s). A quarantined worker is skipped until its deadline
+	// Backoff is the quarantine after a worker's first transport failure
+	// (default 500ms); it doubles per consecutive failure up to
+	// maxBackoff. A quarantined worker is skipped until its deadline
 	// passes, then retried — the retry-with-backoff loop.
-	Backoff    time.Duration
-	MaxBackoff time.Duration
-	// Client issues the unit requests (default http.DefaultClient; unit
-	// deadlines come from the caller's ctx and UnitTimeout, not a client
-	// timeout).
-	Client *http.Client
-	// UnitTimeout bounds one dispatch attempt (default 15m). It is the
-	// stall detector — a worker that accepted a unit and then froze
-	// (SIGSTOP, blackholed connection) produces no transport error on its
-	// own, and without a bound the unit would wait on it forever instead
-	// of quarantining the worker and retrying elsewhere. Set it above the
-	// slowest expected unit; <0 disables.
-	UnitTimeout time.Duration
+	Backoff time.Duration
 	// Fallback executes units locally when no worker can (all down, or
 	// the fleet rejected the unit). Nil means a LocalExecutor over
 	// Cache; use NoFallback to fail instead.
@@ -92,6 +80,18 @@ type RemoteOptions struct {
 	// per-worker inflight/units/failures series.
 	Registry *obs.Registry
 }
+
+const (
+	// maxBackoff caps a worker's quarantine, however many transport
+	// failures in a row it has had.
+	maxBackoff = 30 * time.Second
+	// unitTimeout bounds one dispatch attempt. It is the stall detector: a
+	// worker that accepted a unit and then froze (SIGSTOP, blackholed
+	// connection) produces no transport error on its own, and without a
+	// bound the unit would wait on it forever instead of quarantining the
+	// worker and retrying elsewhere. It sits far above the slowest unit.
+	unitTimeout = 15 * time.Minute
+)
 
 // remoteMetrics are the dispatch-side instrumentation handles. The zero
 // value (every handle nil) is a valid no-op.
@@ -133,9 +133,7 @@ func newRemoteMetrics(reg *obs.Registry) remoteMetrics {
 
 // NoFallback is a sentinel Executor for RemoteOptions.Fallback that fails
 // units no worker could execute instead of computing them locally (for
-// coordinators that must never burn local CPU on unit work). Validate
-// units are unaffected: the coordinator scores them itself, which costs
-// it less CPU than encoding their collections for a worker would.
+// coordinators that must never burn local CPU on unit work).
 var NoFallback Executor = noFallback{}
 
 type noFallback struct{}
@@ -174,7 +172,7 @@ func (w *remoteWorker) succeeded() {
 
 // failed records a transport failure and quarantines the worker with
 // exponential backoff.
-func (w *remoteWorker) failed(now time.Time, backoff, maxBackoff time.Duration) time.Duration {
+func (w *remoteWorker) failed(now time.Time, backoff time.Duration) time.Duration {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.failures++
@@ -207,8 +205,7 @@ type RemoteStats struct {
 	Workers []WorkerHealth `json:"workers"`
 	// RemoteUnits counts units resolved by the fleet, LocalFallbacks
 	// units resolved by the fallback executor, Retries dispatches that
-	// failed on one worker and moved to another. Validate units, scored
-	// on the coordinator, count as neither.
+	// failed on one worker and moved to another.
 	RemoteUnits    uint64 `json:"remote_units"`
 	LocalFallbacks uint64 `json:"local_fallbacks"`
 	Retries        uint64 `json:"retries"`
@@ -221,9 +218,7 @@ type RemoteStats struct {
 // Routing is content-addressed: a unit's cache key hashes to a preferred
 // worker, so re-executions and overlapping studies land where the
 // artifact already lives. Every dispatched unit carries its dependency
-// artifacts, so no unit needs a particular worker. Validate units are
-// never dispatched: their inputs are artifacts the coordinator already
-// holds, so it scores them in process. A transport failure
+// artifacts, so no unit needs a particular worker. A transport failure
 // quarantines the worker with exponential backoff and retries the unit on
 // the next worker in the ring; when every worker is down or the fleet
 // rejects the unit, execution falls back to the local executor, so a
@@ -231,15 +226,11 @@ type RemoteStats struct {
 // behaviour. Safe for concurrent use.
 type RemoteExecutor struct {
 	workers  []*remoteWorker
-	client   *http.Client
 	fallback Executor
 	cache    *resultcache.Cache
 	backoff  time.Duration
-	maxBack  time.Duration
-	unitTO   time.Duration
 	log      *obs.Logger
 	metrics  remoteMetrics
-	now      func() time.Time // test hook
 
 	mu             sync.Mutex
 	remoteUnits    uint64
@@ -278,15 +269,6 @@ func NewRemoteExecutor(workerAddrs []string, opts RemoteOptions) *RemoteExecutor
 	if opts.Backoff <= 0 {
 		opts.Backoff = 500 * time.Millisecond
 	}
-	if opts.MaxBackoff <= 0 {
-		opts.MaxBackoff = 30 * time.Second
-	}
-	if opts.Client == nil {
-		opts.Client = http.DefaultClient
-	}
-	if opts.UnitTimeout == 0 {
-		opts.UnitTimeout = 15 * time.Minute
-	}
 	if opts.Fallback == nil {
 		opts.Fallback = &LocalExecutor{Cache: opts.Cache}
 	}
@@ -294,15 +276,11 @@ func NewRemoteExecutor(workerAddrs []string, opts RemoteOptions) *RemoteExecutor
 		opts.Log = obs.DefaultLogger()
 	}
 	e := &RemoteExecutor{
-		client:   opts.Client,
 		fallback: opts.Fallback,
 		cache:    opts.Cache,
 		backoff:  opts.Backoff,
-		maxBack:  opts.MaxBackoff,
-		unitTO:   opts.UnitTimeout,
 		log:      opts.Log,
 		metrics:  newRemoteMetrics(opts.Registry),
-		now:      time.Now,
 	}
 	for _, addr := range workerAddrs {
 		addr = strings.TrimSuffix(strings.TrimSpace(addr), "/")
@@ -325,7 +303,7 @@ func (e *RemoteExecutor) Workers() int { return len(e.workers) }
 
 // Stats snapshots the dispatch counters and per-worker health.
 func (e *RemoteExecutor) Stats() RemoteStats {
-	now := e.now()
+	now := time.Now()
 	st := RemoteStats{Workers: make([]WorkerHealth, 0, len(e.workers))}
 	for _, w := range e.workers {
 		w.mu.Lock()
@@ -361,16 +339,10 @@ func affinity(key resultcache.Key, n int) int {
 	return int(h % uint64(n))
 }
 
-// ExecuteUnit implements Executor: score a validate unit in process,
-// dispatch any other to the preferred worker, retry the ring on transport
-// failure, fall back to local execution when the fleet cannot resolve
-// the unit.
+// ExecuteUnit implements Executor: dispatch the unit to its preferred
+// worker, retry the ring on transport failure, fall back to local
+// execution when the fleet cannot resolve the unit.
 func (e *RemoteExecutor) ExecuteUnit(ctx context.Context, req UnitRequest) (any, error) {
-	if req.Kind == UnitValidate {
-		// Scoring takes microseconds; shipping the set and both
-		// collections would take megabytes.
-		return new(LocalExecutor).ExecuteUnit(ctx, req)
-	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -413,7 +385,7 @@ func (e *RemoteExecutor) ExecuteUnit(ctx context.Context, req UnitRequest) (any,
 				return nil, err
 			}
 			w := e.workers[(start+attempt)%n]
-			if !w.available(e.now()) {
+			if !w.available(time.Now()) {
 				continue
 			}
 			v, err, verdict := e.tryWorker(ctx, w, req)
@@ -445,7 +417,7 @@ func (e *RemoteExecutor) ExecuteUnit(ctx context.Context, req UnitRequest) (any,
 				if ctx.Err() != nil {
 					return nil, ctx.Err()
 				}
-				d := w.failed(e.now(), e.backoff, e.maxBack)
+				d := w.failed(time.Now(), e.backoff)
 				e.log.Warn(ctx, "worker quarantined after transport failure",
 					"worker", w.url, "kind", string(req.Kind), "backoff", d, "err", err)
 				e.mu.Lock()
@@ -523,14 +495,14 @@ func (v unitVerdict) String() string {
 // already queued on that worker (possibly a stalled one) while the rest
 // of the ring sits idle; the caller's busy sweep handles the waiting.
 func (e *RemoteExecutor) tryWorker(ctx context.Context, w *remoteWorker, req UnitRequest) (v any, err error, verdict unitVerdict) {
-	start := e.now()
+	start := time.Now()
 	sp := obs.SpanFromContext(ctx).Child("dispatch")
 	// Propagate the trace across the wire: the worker opens its own span
 	// subtree under this dispatch span and returns it in the response.
 	// req is a per-attempt copy, so each dispatch carries its own span.
 	req.Trace = sp.WireContext()
 	defer func() {
-		e.metrics.dispatchSeconds.With(verdict.String()).Observe(e.now().Sub(start).Seconds())
+		e.metrics.dispatchSeconds.With(verdict.String()).Observe(time.Since(start).Seconds())
 		if sp != nil {
 			sp.SetAttr("worker", w.url)
 			sp.SetAttr("outcome", verdict.String())
@@ -548,13 +520,10 @@ func (e *RemoteExecutor) tryWorker(ctx context.Context, w *remoteWorker, req Uni
 		<-w.sem
 	}()
 
-	if e.unitTO > 0 {
-		// The stall bound: a frozen worker otherwise never errors, and
-		// quarantine/retry only engage on an error.
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, e.unitTO)
-		defer cancel()
-	}
+	// The stall bound: a frozen worker otherwise never errors, and
+	// quarantine/retry only engage on an error.
+	ctx, cancel := context.WithTimeout(ctx, unitTimeout)
+	defer cancel()
 	body, err := json.Marshal(req)
 	if err != nil {
 		return nil, fmt.Errorf("sched: encoding %s unit: %w", req.Kind, err), unitRejected
@@ -564,7 +533,7 @@ func (e *RemoteExecutor) tryWorker(ctx context.Context, w *remoteWorker, req Uni
 		return nil, err, unitRejected
 	}
 	httpReq.Header.Set("Content-Type", "application/json")
-	resp, err := e.client.Do(httpReq)
+	resp, err := http.DefaultClient.Do(httpReq)
 	if err != nil {
 		return nil, err, unitTransport
 	}

@@ -67,6 +67,34 @@ func TestRunMatchesSerialReference(t *testing.T) {
 	}
 }
 
+// TestRunKeepsRegionCountMismatch: HPGMG-FV builds a different program
+// per ISA, so its x86_64 barrier points do not map onto the ARMv8 run.
+// Scoring keeps that outcome in the set's evaluation instead of failing
+// the study, and so must the plan's assembly: sched.Run equals
+// core.RunStudy, and the best set's ARMErr is the region-count mismatch.
+func TestRunKeepsRegionCountMismatch(t *testing.T) {
+	a, err := apps.ByName("HPGMG-FV")
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := StudyRequest{App: a.Name, Build: a.Build,
+		Config: core.StudyConfig{Threads: 2, Runs: 2, Reps: 3, Seed: 41}}
+	want, err := core.RunStudy(req.App, req.Build, req.Config)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Run(context.Background(), req, Options{Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(want, got) {
+		t.Error("sched.Run diverges from the serial core.RunStudy reference")
+	}
+	if best := got.BestEval(); !errors.Is(best.ARMErr, core.ErrRegionCountMismatch) {
+		t.Errorf("best set's ARMErr = %v, want the region-count mismatch", best.ARMErr)
+	}
+}
+
 // TestDiscoverMatchesCoreDiscover pins sched.Discover to the serial
 // core.Discover at several worker counts, with and without a cache.
 func TestDiscoverMatchesCoreDiscover(t *testing.T) {

@@ -139,26 +139,29 @@ func studyKeyFrom(fpX86, fpARM string, cfg core.StudyConfig) resultcache.Key {
 }
 
 // StudyUnits returns how many units of work a study decomposes into: one
-// per discovery run, one per native collection, one per set validation.
-// It is the denominator of a member's SweepOptions.Progress reports,
-// computed from the request alone so callers can display a total before
-// execution starts.
+// per discovery run and one per native collection. Validation is not a
+// unit: it is the member's assembly once they have all landed. It is the
+// denominator of a member's SweepOptions.Progress reports, computed from
+// the request alone so callers can display a total before execution
+// starts.
 func StudyUnits(cfg core.StudyConfig) int {
 	cfg = cfg.WithDefaults()
-	return 2*cfg.Runs + 2
+	return cfg.Runs + 2
 }
 
 // Run executes the full Section V workflow for one workload. It runs the
 // same per-unit primitives as core.RunStudy — the canonical discovery
-// run, the jittered re-runs, both native collections, and the per-set
-// validations — as a one-member sweep plan: CompileSweep decomposes the
-// request into typed UnitRequests resolved by opts' Executor (in-process
-// by default, a remote worker fleet with RemoteExecutor) and answers a
-// whole-study hit from opts.Cache, and Execute releases each unit across
-// opts.Workers goroutines as soon as its dependencies land. Results are
-// assembled in unit order, so the same request yields a byte-identical
+// run, the jittered re-runs and both native collections — as a
+// one-member sweep plan: CompileSweep decomposes the request into typed
+// UnitRequests resolved by opts' Executor (in-process by default, a
+// remote worker fleet with RemoteExecutor) and answers a whole-study hit
+// from opts.Cache, and Execute releases each unit across opts.Workers
+// goroutines as soon as its dependencies land. Once the last unit lands,
+// the study scores every set against both collections in run order and
+// assembles, in process, so the same request yields a byte-identical
 // *core.StudyResult for any worker count and any executor backend; a
-// failing study reports its lowest-ranked failing unit.
+// failing study reports its lowest-ranked failing unit, or else its first
+// set that fails to score.
 func Run(ctx context.Context, req StudyRequest, opts Options) (*core.StudyResult, error) {
 	plan, err := CompileSweep(ctx, []StudyRequest{req}, opts)
 	if err != nil {
@@ -194,7 +197,7 @@ func Discover(ctx context.Context, req DiscoverRequest, opts Options) ([]core.Ba
 		Discovery: &st.discCfg, Build: req.Build,
 	}, nil)
 	if err == nil {
-		_, err = p.planJittered(st, fp, baseline)
+		err = p.planJittered(st, fp, baseline)
 	}
 	if err != nil {
 		return nil, err

@@ -53,13 +53,13 @@ type SweepOptions struct {
 	// different members may arrive concurrently; OnStudy must not block.
 	OnStudy func(study int, res *core.StudyResult, err error)
 	// Progress, when non-nil, is called after each unit that advances a
-	// member study (a discovery run, a collection, a set validation) with
-	// that member's done/total counts. Calls may arrive from concurrent
-	// workers; done values are issued in increasing order but may be
-	// *observed* out of order, so consumers that need monotonic display
-	// should keep a running maximum. A whole-study cache hit reports
-	// total/total once. Progress must not block: it runs on the worker
-	// that finished the unit.
+	// member study (a discovery run or a collection) with that member's
+	// done/total counts. Calls may arrive from concurrent workers; done
+	// values are issued in increasing order but may be *observed* out of
+	// order, so consumers that need monotonic display should keep a
+	// running maximum. A whole-study cache hit reports total/total once.
+	// Progress must not block: it runs on the worker that finished the
+	// unit.
 	Progress func(study, done, total int)
 }
 
@@ -74,19 +74,15 @@ type unitConsumer struct {
 }
 
 // plannedUnit is one node of the merged DAG: a unit request, the units it
-// depends on, the units waiting on it, and every member study consuming
-// its artifact. result is written by the executing worker before the
-// unit's dependents are released, so dependents read it without locks;
-// it stays nil when the unit failed or was skipped.
+// depends on (a jittered run's baseline), the units waiting on it, and
+// every member study consuming its artifact. result is written by the
+// executing worker before the unit's dependents are released, so
+// dependents read it without locks; it stays nil when the unit failed or
+// was skipped.
 type plannedUnit struct {
-	req  UnitRequest
-	key  resultcache.Key
-	deps []*plannedUnit
-	// Typed dependency views for in-band artifact attachment.
-	depBaseline *plannedUnit
-	depDisc     *plannedUnit
-	depCols     [2]*plannedUnit
-
+	req        UnitRequest
+	key        resultcache.Key
+	deps       []*plannedUnit
 	dependents []*plannedUnit
 	consumers  []unitConsumer
 	// waiting is the count of unfinished dependencies; guarded by the
@@ -98,7 +94,8 @@ type plannedUnit struct {
 
 // sweepStudy is one member study's assembly state: artifact slots filled
 // by completing units, in unit order, and the member's lowest-ranked
-// failure.
+// failure. Once every slot is filled, settle scores the sets against the
+// collections and assembles the study.
 type sweepStudy struct {
 	idx     int
 	app     string
@@ -114,10 +111,9 @@ type sweepStudy struct {
 	// total is the member's progress denominator.
 	total int
 
-	mu    sync.Mutex
-	sets  []core.BarrierPointSet
-	cols  [2]*core.Collection
-	evals []core.SetEvaluation
+	mu   sync.Mutex
+	sets []core.BarrierPointSet
+	cols [2]*core.Collection
 	// remaining counts the member's units that have not surfaced yet.
 	// While planning it counts the units requested so far, which ranks
 	// each new one.
@@ -216,7 +212,6 @@ func CompileSweep(ctx context.Context, reqs []StudyRequest, opts Options) (*Swee
 			}
 		}
 		st.sets = make([]core.BarrierPointSet, st.cfg.Runs)
-		st.evals = make([]core.SetEvaluation, st.cfg.Runs)
 		if err := p.planStudy(st, fpX86, fpARM); err != nil {
 			return nil, err
 		}
@@ -225,10 +220,10 @@ func CompileSweep(ctx context.Context, reqs []StudyRequest, opts Options) (*Swee
 }
 
 // planStudy appends one member's units to the DAG, in the order that
-// ranks them: the canonical baseline run, both native collections, the
-// jittered runs (behind the baseline), and the per-set validations
-// (behind their run and both collections) — core.RunStudy's steps as a
-// dependency graph.
+// ranks them: the canonical baseline run, both native collections, and
+// the jittered runs behind the baseline — core.RunStudy's discovery and
+// collection steps as a dependency graph. Its validation step is the
+// member's assembly (see settle).
 func (p *SweepPlan) planStudy(st *sweepStudy, fpX86, fpARM string) error {
 	baseline, err := p.addUnit(st, 0, UnitRequest{
 		Kind: UnitDiscoverBaseline, App: st.app, FP: fpX86,
@@ -237,52 +232,29 @@ func (p *SweepPlan) planStudy(st *sweepStudy, fpX86, fpARM string) error {
 	if err != nil {
 		return err
 	}
-	colX, err := p.addUnit(st, 0, UnitRequest{
-		Kind: UnitCollect, App: st.app, FP: fpX86,
-		Collect: &st.colCfgs[0], Build: st.build,
-	}, nil)
-	if err != nil {
-		return err
+	for i, fp := range []string{fpX86, fpARM} {
+		if _, err := p.addUnit(st, i, UnitRequest{
+			Kind: UnitCollect, App: st.app, FP: fp,
+			Collect: &st.colCfgs[i], Build: st.build,
+		}, nil); err != nil {
+			return err
+		}
 	}
-	colA, err := p.addUnit(st, 1, UnitRequest{
-		Kind: UnitCollect, App: st.app, FP: fpARM,
-		Collect: &st.colCfgs[1], Build: st.build,
-	}, nil)
-	if err != nil {
-		return err
-	}
-	disc, err := p.planJittered(st, fpX86, baseline)
-	if err != nil {
-		return err
-	}
-	for run := 0; run < st.cfg.Runs; run++ {
+	return p.planJittered(st, fpX86, baseline)
+}
+
+// planJittered appends the member's jittered discovery runs behind its
+// baseline.
+func (p *SweepPlan) planJittered(st *sweepStudy, fp string, baseline *plannedUnit) error {
+	for run := 1; run < st.discCfg.Runs; run++ {
 		if _, err := p.addUnit(st, run, UnitRequest{
-			Kind: UnitValidate, App: st.app, FP: fpX86, FPARM: fpARM,
-			Discovery: &st.discCfg, Run: run, Collections: &st.colCfgs,
-			Build: st.build,
-		}, []*plannedUnit{disc[run], colX, colA}); err != nil {
+			Kind: UnitDiscoverJittered, App: st.app, FP: fp,
+			Discovery: &st.discCfg, Run: run, Build: st.build,
+		}, []*plannedUnit{baseline}); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// planJittered appends the member's jittered discovery runs behind its
-// baseline and returns every discovery unit in run order.
-func (p *SweepPlan) planJittered(st *sweepStudy, fp string, baseline *plannedUnit) ([]*plannedUnit, error) {
-	disc := make([]*plannedUnit, st.discCfg.Runs)
-	disc[0] = baseline
-	for run := 1; run < st.discCfg.Runs; run++ {
-		u, err := p.addUnit(st, run, UnitRequest{
-			Kind: UnitDiscoverJittered, App: st.app, FP: fp,
-			Discovery: &st.discCfg, Run: run, Build: st.build,
-		}, []*plannedUnit{baseline})
-		if err != nil {
-			return nil, err
-		}
-		disc[run] = u
-	}
-	return disc, nil
 }
 
 // addUnit requests one unit for st, merging with an already-planned unit
@@ -298,13 +270,6 @@ func (p *SweepPlan) addUnit(st *sweepStudy, slot int, req UnitRequest, deps []*p
 	u := p.byKey[key]
 	if u == nil {
 		u = &plannedUnit{req: req, key: key, deps: deps, waiting: len(deps)}
-		switch req.Kind {
-		case UnitDiscoverJittered:
-			u.depBaseline = deps[0]
-		case UnitValidate:
-			u.depDisc = deps[0]
-			u.depCols = [2]*plannedUnit{deps[1], deps[2]}
-		}
 		for _, d := range deps {
 			d.dependents = append(d.dependents, u)
 		}
@@ -367,10 +332,12 @@ func (p *SweepPlan) CancelStudy(i int) {
 // per-member slots in unit order, so each member's StudyResult is
 // byte-identical to core.RunStudy of the same request. Member failures
 // are isolated and deterministic: a member reports its lowest-ranked
-// failing unit (planStudy's order), whatever order units finish in.
-// After a member records a failure its later-ranked units are skipped
-// while earlier-ranked ones still run, and it finalises once all its
-// units have surfaced; a cancellation never replaces a unit's own error.
+// failing unit (planStudy's order), whatever order units finish in, and a
+// member whose units all land reports the first set, in run order, that
+// fails to score. After a member records a failure its later-ranked units
+// are skipped while earlier-ranked ones still run, and it finalises once
+// all its units have surfaced; a cancellation never replaces a unit's own
+// error.
 // Execute returns one outcome per member (submission order) and a
 // non-nil error only for sweep-level cancellation via ctx. It must be
 // called at most once.
@@ -471,25 +438,15 @@ func (p *SweepPlan) runUnit(ctx context.Context, exec Executor, u *plannedUnit) 
 	p.settle(u, v, err)
 }
 
-// executeUnit attaches the unit's in-band dependency artifacts, which
-// artifactError typed when they landed, and resolves the unit.
+// executeUnit attaches a jittered run's in-band baseline, which
+// artifactError typed when it landed, and resolves the unit.
 func (p *SweepPlan) executeUnit(ctx context.Context, exec Executor, u *plannedUnit) (any, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	req := u.req
-	switch req.Kind {
-	case UnitDiscoverJittered:
-		req.Base = u.depBaseline.result.(baselineArtifact).base
-	case UnitValidate:
-		set, ok := u.depDisc.result.(core.BarrierPointSet)
-		if !ok {
-			set = u.depDisc.result.(baselineArtifact).set
-		}
-		req.Set = &set
-		for i, d := range u.depCols {
-			req.Cols[i] = d.result.(*core.Collection)
-		}
+	if req.Kind == UnitDiscoverJittered {
+		req.Base = u.deps[0].result.(baselineArtifact).base
 	}
 	v, err := exec.ExecuteUnit(ctx, req)
 	if err != nil {
@@ -552,7 +509,7 @@ func (p *SweepPlan) unitNeeded(u *plannedUnit) bool {
 // member's others (err non-nil), or, skipped, it only counts. A member
 // finalises once its last unit has surfaced: with its lowest-ranked
 // failure if it recorded one, otherwise assembled (a Discover member
-// keeps just its sets).
+// keeps just its sets). Only a study that assembles is cached.
 func (p *SweepPlan) settle(u *plannedUnit, v any, err error) {
 	for _, c := range u.consumers {
 		st := c.st
@@ -573,8 +530,6 @@ func (p *SweepPlan) settle(u *plannedUnit, v any, err error) {
 				st.sets[c.slot] = v.(core.BarrierPointSet)
 			case UnitCollect:
 				st.cols[c.slot] = v.(*core.Collection)
-			case UnitValidate:
-				st.evals[c.slot] = v.(core.SetEvaluation)
 			}
 			st.done++
 		}
@@ -593,13 +548,28 @@ func (p *SweepPlan) settle(u *plannedUnit, v any, err error) {
 		case st.discover:
 			p.finalizeStudy(st, nil, nil)
 		default:
-			res := core.AssembleStudy(st.app, st.cfg, st.evals, st.cols[0], st.cols[1])
-			if p.opts.Cache != nil {
+			res, err := assemble(st)
+			if err == nil && p.opts.Cache != nil {
 				p.opts.Cache.Put(st.key, res)
 			}
-			p.finalizeStudy(st, res, nil)
+			p.finalizeStudy(st, res, err)
 		}
 	}
+}
+
+// assemble is a member's validation step, once all its units have landed:
+// it scores every set against both collections in run order, as
+// core.RunStudy does, and builds the study. The first set that fails to
+// score fails the member.
+func assemble(st *sweepStudy) (*core.StudyResult, error) {
+	evals := make([]core.SetEvaluation, len(st.sets))
+	for i := range st.sets {
+		var err error
+		if evals[i], err = core.EvaluateSet(st.app, i, &st.sets[i], st.cols[0], st.cols[1]); err != nil {
+			return nil, err
+		}
+	}
+	return core.AssembleStudy(st.app, st.cfg, evals, st.cols[0], st.cols[1]), nil
 }
 
 // finalizeStudy records one member's outcome exactly once and streams it
@@ -637,10 +607,6 @@ func artifactError(kind UnitKind, v any) error {
 	case UnitCollect:
 		if _, ok := v.(*core.Collection); !ok {
 			return fmt.Errorf("sched: collect unit returned %T, want *core.Collection", v)
-		}
-	case UnitValidate:
-		if _, ok := v.(core.SetEvaluation); !ok {
-			return fmt.Errorf("sched: validate unit returned %T, want core.SetEvaluation", v)
 		}
 	}
 	return nil

@@ -12,6 +12,7 @@ import (
 
 	"barrierpoint/internal/apps"
 	"barrierpoint/internal/core"
+	"barrierpoint/internal/isa"
 	"barrierpoint/internal/resultcache"
 )
 
@@ -74,7 +75,7 @@ func TestSweepPlanDedup(t *testing.T) {
 	ce := &countingExecutor{inner: &LocalExecutor{}}
 	outs, stats := executeSweep(t, []StudyRequest{req, req}, Options{Workers: 4, Executor: ce})
 
-	perStudy := StudyUnits(req.Config) // 2*runs + 2
+	perStudy := StudyUnits(req.Config) // runs + 2
 	want := PlanStats{Studies: 2, NaiveUnits: 2 * perStudy, PlannedUnits: perStudy, DedupedUnits: perStudy}
 	if stats != want {
 		t.Errorf("PlanStats = %+v, want %+v", stats, want)
@@ -96,8 +97,8 @@ func TestSweepPlanDedup(t *testing.T) {
 }
 
 // TestSweepPlanSubsumption: a 4-run and a 2-run discovery of the same
-// configuration share runs — the subset study plans no discovery of its
-// own, only its per-run-count validations.
+// configuration share runs — the subset study plans no unit of its own,
+// and scores its two sets itself.
 func TestSweepPlanSubsumption(t *testing.T) {
 	if testing.Short() {
 		t.Skip("executes full studies; covered by make test-sweep")
@@ -109,12 +110,12 @@ func TestSweepPlanSubsumption(t *testing.T) {
 
 	// The subset study reuses the baseline and run 1 (subsumed: key-equal
 	// discovery configs differing only in Runs) and both collections
-	// (deduped: Runs is not a collection parameter); only its two
-	// validations are new, because validation keys carry the run count.
+	// (deduped: Runs is not a collection parameter), so the DAG holds the
+	// superset study's units alone.
 	want := PlanStats{
 		Studies:       2,
 		NaiveUnits:    StudyUnits(big.Config) + StudyUnits(small.Config),
-		PlannedUnits:  StudyUnits(big.Config) + small.Config.Runs,
+		PlannedUnits:  StudyUnits(big.Config),
 		DedupedUnits:  2,
 		SubsumedUnits: 2,
 	}
@@ -151,7 +152,6 @@ func TestSweepSharedBaselineExecutesOnce(t *testing.T) {
 		UnitDiscoverBaseline: 1,
 		UnitDiscoverJittered: runs - 1,
 		UnitCollect:          2 * members, // reps is a collection parameter
-		UnitValidate:         runs * members,
 	}
 	if !reflect.DeepEqual(kinds, wantKinds) {
 		t.Errorf("executed unit kinds = %v, want %v", kinds, wantKinds)
@@ -384,6 +384,76 @@ func TestSweepFailureIsolation(t *testing.T) {
 	}
 	if outs[1].Err.Error() != serialErr.Error() {
 		t.Errorf("batch error %q differs from serial error %q", outs[1].Err, serialErr)
+	}
+}
+
+// stripStdExecutor strips the per-barrier-point standard deviations from
+// one app's x86_64 collection, handing out a copy so the unit cache keeps
+// the real one.
+type stripStdExecutor struct {
+	inner Executor
+	app   string
+}
+
+func (e *stripStdExecutor) ExecuteUnit(ctx context.Context, req UnitRequest) (any, error) {
+	v, err := e.inner.ExecuteUnit(ctx, req)
+	if err != nil || req.App != e.app || req.Kind != UnitCollect ||
+		req.Collect.Variant.ISA.Name != isa.X8664().Name {
+		return v, err
+	}
+	col := *v.(*core.Collection)
+	col.PerBPStd = nil
+	return &col, nil
+}
+
+// TestSweepScoringFailureStaysWithMember: a member whose units all land
+// but whose sets fail to score (its x86_64 collection does not cover its
+// threads) fails with the scoring error serial submission reports, and
+// leaves no whole-study cache entry; its sibling finishes, equal to
+// core.RunStudy.
+func TestSweepScoringFailureStaysWithMember(t *testing.T) {
+	bad := sweepRequest(t, "MCB", 2, 2, 3)
+	ok := sweepRequest(t, "CoMD", 2, 2, 3)
+	exec := &stripStdExecutor{inner: &LocalExecutor{}, app: bad.App}
+
+	_, serialErr := Run(context.Background(), bad, Options{Workers: 4, Executor: exec})
+	if serialErr == nil {
+		t.Fatal("serial run of the unscorable study should fail")
+	}
+
+	cache := resultcache.New(128)
+	plan, err := CompileSweep(context.Background(), []StudyRequest{bad, ok},
+		Options{Workers: 4, Executor: exec, Cache: cache})
+	if err != nil {
+		t.Fatal(err)
+	}
+	outs, err := plan.Execute(context.Background(), SweepOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if outs[0].Err == nil || outs[0].Result != nil {
+		t.Fatalf("unscorable member = %v, %v; want a failure", outs[0].Result, outs[0].Err)
+	}
+	for _, want := range []string{"validating set 0 on x86_64", "does not cover its"} {
+		if !strings.Contains(outs[0].Err.Error(), want) {
+			t.Errorf("unscorable member err = %q, want it to say %q", outs[0].Err, want)
+		}
+	}
+	if outs[0].Err.Error() != serialErr.Error() {
+		t.Errorf("batch error %q differs from serial error %q", outs[0].Err, serialErr)
+	}
+	key, err := StudyKey(bad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, hit := cache.Get(key); hit {
+		t.Error("a study that failed to score was cached")
+	}
+	if outs[1].Err != nil {
+		t.Fatalf("sibling of an unscorable member failed: %v", outs[1].Err)
+	}
+	if !reflect.DeepEqual(serialStudy(t, ok), outs[1].Result) {
+		t.Error("sibling result diverges from core.RunStudy")
 	}
 }
 

@@ -79,11 +79,11 @@ func reportJSON(t *testing.T, res *core.StudyResult) []byte {
 	return buf.Bytes()
 }
 
-// TestDistributedGoldenEquivalence is the tentpole's acceptance gate: a
-// study executed through a RemoteExecutor over two in-process workers
-// produces a byte-identical WriteJSON report to the local path, with
-// every unit but the validations really resolved by the fleet, and the
-// validations scored on the coordinator.
+// TestDistributedGoldenEquivalence is the distributed path's acceptance
+// gate: a study executed through a RemoteExecutor over two in-process
+// workers produces a byte-identical WriteJSON report to the local path,
+// with every unit really resolved by the fleet, and its sets scored on
+// the coordinator as the study assembles.
 func TestDistributedGoldenEquivalence(t *testing.T) {
 	req := distStudy(t)
 	local, err := sched.Run(context.Background(), req, sched.Options{Workers: 4})
@@ -118,19 +118,14 @@ func TestDistributedGoldenEquivalence(t *testing.T) {
 	if want := uint64(runs + 2); st.RemoteUnits != want {
 		t.Errorf("fleet resolved %d units, want every discovery run and both collections (%d)", st.RemoteUnits, want)
 	}
-	// Validation still flows through the coordinator's instrumented
-	// executor, and never reaches a worker.
+	// Validation is the study's assembly, not a unit: no process, the
+	// coordinator included, reports a validate unit.
 	coord := httptest.NewServer(reg.Handler())
 	t.Cleanup(coord.Close)
 	validations := map[string]string{"kind": "validate"}
 	for name, srv := range map[string]*httptest.Server{"coordinator": coord, "worker 1": w1, "worker 2": w2} {
-		got, _ := seriesValue(scrapeMetrics(t, srv), "bp_sched_unit_seconds_count", validations)
-		want := 0.0
-		if srv == coord {
-			want = float64(runs)
-		}
-		if got != want {
-			t.Errorf("%s scored %v validate units, want %v", name, got, want)
+		if got, ok := seriesValue(scrapeMetrics(t, srv), "bp_sched_unit_seconds_count", validations); ok {
+			t.Errorf("%s reports %v validate units, want none", name, got)
 		}
 	}
 	// Units carry their dependency artifacts, so workers never recompute
@@ -649,8 +644,9 @@ func TestWorkerHealthz(t *testing.T) {
 // TestWorkerRejectsGarbage: protocol-level rejections carry the right
 // status codes (the coordinator's retry logic keys off them). A unit
 // without its dependency artifacts is one of them: workers never
-// recompute a dependency. A validate unit is another, with its artifacts
-// or without: the coordinator scores sets itself.
+// recompute a dependency. A validate body, as a coordinator that shipped
+// set scoring to workers sent it, is another, with its artifacts or
+// without: validation is a study's assembly step, not a unit kind.
 func TestWorkerRejectsGarbage(t *testing.T) {
 	w := newTestWorker(t)
 	u := newWireUnits(t)
@@ -671,10 +667,10 @@ func TestWorkerRejectsGarbage(t *testing.T) {
 		{"unknown kind", strings.NewReader(`{"kind":"frobnicate","app":"MCB"}`), sched.StatusUnitRejected},
 		{"missing config", strings.NewReader(`{"kind":"collect","app":"MCB"}`), sched.StatusUnitRejected},
 		{"over-limit body", overLimit, sched.StatusUnitRejected},
-		{"validate with its deps", bytes.NewReader(unitBody(t, u.validate)), sched.StatusUnitRejected},
-		{"validate without deps", without(u.validate), sched.StatusUnitRejected},
+		{"validate with its deps", bytes.NewReader(u.validate), sched.StatusUnitRejected},
+		{"validate without deps", bytes.NewReader(u.validateBare), sched.StatusUnitRejected},
 		{"jittered without deps", without(u.jittered), sched.StatusUnitRejected},
-		{"jittered with a set for a baseline", without(u.jittered, u.validate.Deps[0]), sched.StatusUnitRejected},
+		{"jittered with a set for a baseline", without(u.jittered, u.set), sched.StatusUnitRejected},
 		{"baseline of 2^32 rows of 2^32", bytes.NewReader(unitBody(t, u.hugeBaseline)), sched.StatusUnitRejected},
 	} {
 		resp, err := http.Post(w.URL+"/units", "application/json", tc.body)

@@ -110,7 +110,7 @@ func TestMetricsEndToEnd(t *testing.T) {
 		name   string
 		labels map[string]string
 	}{
-		{"bp_sched_unit_seconds_count", map[string]string{"kind": "validate"}},
+		{"bp_sched_unit_seconds_count", map[string]string{"kind": "collect"}},
 		{"bp_sched_unit_seconds_count", map[string]string{"kind": "discover-baseline"}},
 		{"bp_jobs_total", map[string]string{"state": "queued"}},
 		{"bp_jobs_total", map[string]string{"state": "done"}},

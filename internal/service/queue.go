@@ -80,14 +80,6 @@ type jobQueue struct {
 type queueMetrics struct {
 	depth *obs.GaugeVec
 	wait  *obs.HistogramVec
-	now   func() time.Time
-}
-
-func (m queueMetrics) clock() time.Time {
-	if m.now != nil {
-		return m.now()
-	}
-	return time.Now()
 }
 
 func newJobQueue(depth int) *jobQueue {
@@ -116,7 +108,7 @@ func (q *jobQueue) push(sw *sweep, pri int) error {
 		return errQueueFull
 	}
 	q.seq++
-	it := &queueItem{sw: sw, pri: pri, seq: q.seq, enq: q.met.clock()}
+	it := &queueItem{sw: sw, pri: pri, seq: q.seq, enq: time.Now()}
 	heap.Push(&q.items, it)
 	q.bySweep[sw] = it
 	q.met.depth.With(band(pri)).Inc()
@@ -139,7 +131,7 @@ func (q *jobQueue) pop() (*sweep, bool) {
 	it := heap.Pop(&q.items).(*queueItem)
 	delete(q.bySweep, it.sw)
 	q.met.depth.With(band(it.pri)).Dec()
-	q.met.wait.With(band(it.pri)).Observe(q.met.clock().Sub(it.enq).Seconds())
+	q.met.wait.With(band(it.pri)).Observe(time.Since(it.enq).Seconds())
 	return it.sw, true
 }
 

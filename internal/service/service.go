@@ -116,9 +116,10 @@ type SubmitRequest struct {
 	Priority   *int   `json:"priority,omitempty"`
 }
 
-// Progress counts a job's completed units of work (discovery runs,
-// collections, validations). UnitsDone increases monotonically from 0 to
-// UnitsTotal while the job runs.
+// Progress counts a job's completed units of work (discovery runs and
+// collections; scoring the sets is the study's assembly, not a unit).
+// UnitsDone increases monotonically from 0 to UnitsTotal while the job
+// runs.
 type Progress struct {
 	UnitsDone  int `json:"units_done"`
 	UnitsTotal int `json:"units_total"`
@@ -292,8 +293,6 @@ type Config struct {
 	// MaxSweepStudies bounds how many member studies one POST
 	// /studies:batch may carry (default 64).
 	MaxSweepStudies int
-	// Now overrides the clock, for tests. Defaults to time.Now.
-	Now func() time.Time
 	// Log sinks server diagnostics (job transitions, dispatch failures,
 	// encoding errors) as structured events and backs the coordinator's
 	// GET /debug/events ring. Defaults to obs.DefaultLogger (JSONL on
@@ -321,7 +320,6 @@ type Server struct {
 	opts       sched.Options
 	cache      *resultcache.Cache
 	remote     *sched.RemoteExecutor // nil in local mode
-	now        func() time.Time
 	log        *obs.Logger
 	defaultPri int
 
@@ -372,9 +370,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.MaxJobs <= 0 {
 		cfg.MaxJobs = 1024
 	}
-	if cfg.Now == nil {
-		cfg.Now = time.Now
-	}
 	if cfg.Log == nil {
 		cfg.Log = obs.DefaultLogger()
 	}
@@ -401,12 +396,11 @@ func New(cfg Config) (*Server, error) {
 			Store:      store,
 			Log:        cfg.Log,
 		}),
-		now:        cfg.Now,
 		log:        cfg.Log,
 		defaultPri: cfg.DefaultPriority,
 		reg:        obs.NewRegistry(),
 		tracer:     obs.NewTracer(64, 4096),
-		start:      cfg.Now(),
+		start:      time.Now(),
 		ctx:        ctx,
 		cancel:     cancel,
 		queue:      newJobQueue(cfg.QueueDepth),
@@ -423,14 +417,13 @@ func New(cfg Config) (*Server, error) {
 	s.jobsTotal = s.reg.CounterVec("bp_jobs_total",
 		"Job state transitions, by the state entered.", "state")
 	s.reg.GaugeFunc("bp_uptime_seconds", "Seconds since the server started.",
-		func() float64 { return s.now().Sub(s.start).Seconds() })
+		func() float64 { return time.Since(s.start).Seconds() })
 	s.queue.instrument(queueMetrics{
 		depth: s.reg.GaugeVec("bp_queue_depth",
 			"Queued submissions (a batch counts once), by priority band.", "band"),
 		wait: s.reg.HistogramVec("bp_queue_wait_seconds",
 			"Time submissions spent queued before an executor claimed them, by priority band.",
 			nil, "band"),
-		now: s.now,
 	})
 	registerCacheMetrics(s.reg, s.cache)
 	s.registerSweepMetrics()
@@ -590,7 +583,7 @@ func (s *Server) submit(req SubmitRequest) (JobStatus, int, error) {
 // submission rejected by a full or closed queue leaves nothing behind and
 // evicts nothing.
 func (s *Server) enqueue(members []*job, pri int, listed bool) (*sweep, error) {
-	now := s.now()
+	now := time.Now()
 	sw := &sweep{members: members, listed: listed, status: SweepStatus{
 		State: StateQueued, Priority: pri, SubmittedAt: now,
 	}}
@@ -934,7 +927,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	}
 	h := Health{
 		Status:          "ok",
-		UptimeSeconds:   s.now().Sub(s.start).Seconds(),
+		UptimeSeconds:   time.Since(s.start).Seconds(),
 		Workers:         s.opts.Workers,
 		Jobs:            counts,
 		QueueDepth:      s.queue.len(),

@@ -275,7 +275,7 @@ func (j *job) outcome(st State, err error) (State, string) {
 // terminalizeMember moves one member job to a terminal state exactly
 // once, keeping res as a done member's result.
 func (s *Server) terminalizeMember(j *job, st State, res *core.StudyResult, err error) {
-	finished := s.now()
+	finished := time.Now()
 	j.mu.Lock()
 	if j.status.State.terminal() {
 		j.mu.Unlock()
@@ -322,7 +322,7 @@ func (s *Server) abortSweep(sw *sweep, err error) {
 	for _, j := range sw.members {
 		s.terminalizeMember(j, StateCancelled, nil, err)
 	}
-	s.finishSweep(sw, s.now(), StateCancelled, err)
+	s.finishSweep(sw, time.Now(), StateCancelled, err)
 }
 
 // stopSweep stops a whole sweep: a still-queued one leaves the queue and
@@ -349,7 +349,7 @@ func (s *Server) stopSweep(sw *sweep) bool {
 // itself fails only if a member failed, and cancels only when stopped or
 // at server shutdown.
 func (s *Server) runSweep(sw *sweep) {
-	started := s.now()
+	started := time.Now()
 	ctx, cancel := context.WithCancel(s.ctx)
 	defer cancel()
 
@@ -447,7 +447,7 @@ func (s *Server) runSweep(sw *sweep) {
 		for _, j := range sw.members {
 			terminalize(j, final, nil, err)
 		}
-		s.finishSweep(sw, s.now(), final, err)
+		s.finishSweep(sw, time.Now(), final, err)
 		return
 	}
 	planSeconds := time.Since(planStart).Seconds()
@@ -492,7 +492,7 @@ func (s *Server) runSweep(sw *sweep) {
 		},
 	})
 
-	finished := s.now()
+	finished := time.Now()
 	sw.mu.Lock()
 	sw.plan = nil
 	sw.mu.Unlock()

@@ -193,7 +193,7 @@ func TestBatchSweepEndToEnd(t *testing.T) {
 		t.Error("finished sweep still holds its plan")
 	}
 	// Shared discovery: 3 units planned once, deduped for the other 15
-	// members. Collections and validations are per-member (reps differs).
+	// members. Collections are per-member (reps differs).
 	if want := (members - 1) * 3; final.Plan.DedupedUnits != want {
 		t.Errorf("plan deduped %d units, want %d", final.Plan.DedupedUnits, want)
 	}

@@ -163,10 +163,11 @@ func (w *Worker) Handler() http.Handler {
 
 // handleUnit executes one unit request. Status codes are protocol:
 // 409 (sched.StatusUnitRejected) means "this worker can never run this
-// unit" — an undecodable or oversized body, unknown app or kind, a
-// validate unit (the coordinator scores those itself), missing or
-// malformed dependency artifacts, or a fingerprint mismatch proving the
-// coordinator's program differs from this binary's; 422
+// unit" — an undecodable or oversized body, unknown app or kind (a
+// validate body too: scoring sets is a study's assembly step on the
+// coordinator, not a unit), missing or malformed dependency artifacts, or
+// a fingerprint mismatch proving the coordinator's program differs from
+// this binary's; 422
 // (sched.StatusUnitFailed) means the computation itself failed (a
 // property of the request — retrying elsewhere would fail identically);
 // 429 means at capacity. The coordinator maps them to fall-back, fail,

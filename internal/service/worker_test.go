@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -18,15 +19,19 @@ import (
 
 // wireUnits are POST /units requests for distStudy's configuration:
 // units as a coordinator ships them, coordinates plus serialised
-// dependency artifacts; a validate unit, which no coordinator ships; and
-// a probe whose artifact decodes but is malformed.
+// dependency artifacts; validate bodies, which no coordinator ships any
+// more; and a probe whose artifact decodes but is malformed.
 type wireUnits struct {
 	// collect is the x86_64 collection; jittered is discovery run 1 with
 	// its LDV baseline.
 	collect, jittered sched.UnitRequest
-	// validate scores the baseline run's set, shipped with both
-	// collections: a 409, since the coordinator scores sets itself.
-	validate sched.UnitRequest
+	// set is the baseline run's set as a dependency artifact.
+	set sched.InlineArtifact
+	// validate and validateBare score the baseline run's set the way a
+	// coordinator that shipped set scoring to workers sent them, with
+	// the set and both collections in deps and without: 409s, since
+	// validation is a study's assembly step, not a unit kind.
+	validate, validateBare []byte
 	// hugeBaseline ships a baseline claiming 2^32 rows of 2^32 floats
 	// with none attached, whose n×dim overflows to the carried length.
 	hugeBaseline sched.UnitRequest
@@ -79,11 +84,10 @@ func newWireUnits(tb testing.TB) wireUnits {
 			Kind: sched.UnitDiscoverJittered, App: study.App, Discovery: &disc, Run: 1,
 			Deps: []sched.InlineArtifact{artifact(tb, base)},
 		},
-		validate: sched.UnitRequest{
-			Kind: sched.UnitValidate, App: study.App, Discovery: &disc, Collections: &colCfgs,
-			Deps: []sched.InlineArtifact{artifact(tb, set), artifact(tb, cols[0]), artifact(tb, cols[1])},
-		},
+		set: artifact(tb, set),
 	}
+	u.validate = validateBody(tb, study.App, disc, colCfgs, u.set, artifact(tb, cols[0]), artifact(tb, cols[1]))
+	u.validateBare = validateBody(tb, study.App, disc, colCfgs)
 	var raw bytes.Buffer
 	if err := gob.NewEncoder(&raw).Encode(rawBaseline{N: 1 << 32, Dim: 1 << 32}); err != nil {
 		tb.Fatal(err)
@@ -91,6 +95,23 @@ func newWireUnits(tb testing.TB) wireUnits {
 	u.hugeBaseline = u.jittered
 	u.hugeBaseline.Deps = []sched.InlineArtifact{{Codec: u.jittered.Deps[0].Codec, Data: raw.Bytes()}}
 	return u
+}
+
+// validateBody renders a validate unit as a coordinator that shipped set
+// scoring to workers sent it: the set's discovery configuration, both
+// collection configurations, the ARMv8 fingerprint and the given
+// dependency artifacts.
+func validateBody(tb testing.TB, app string, disc core.DiscoveryConfig, cols [2]core.CollectConfig, deps ...sched.InlineArtifact) []byte {
+	tb.Helper()
+	var fields [3][]byte
+	for i, v := range []any{disc, cols, deps} {
+		var err error
+		if fields[i], err = json.Marshal(v); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return []byte(fmt.Sprintf(`{"kind":"validate","app":%q,"fp_arm":"0123456789abcdef","discovery":%s,"collections":%s,"deps":%s}`,
+		app, fields[0], fields[1], fields[2]))
 }
 
 // unitBody renders a unit request as a POST /units body.
@@ -136,8 +157,8 @@ func TestWorkerBodyBoundFitsLargestUnit(t *testing.T) {
 // and 429.
 func FuzzWorkerUnit(f *testing.F) {
 	u := newWireUnits(f)
-	for _, req := range []sched.UnitRequest{u.collect, u.jittered, u.validate, u.hugeBaseline} {
-		f.Add(unitBody(f, req))
+	for _, body := range [][]byte{unitBody(f, u.collect), unitBody(f, u.jittered), u.validate, unitBody(f, u.hugeBaseline)} {
+		f.Add(body)
 	}
 	w, err := NewWorker(WorkerConfig{MaxInflight: 4, CacheSize: 64, Log: obs.NewLogger(io.Discard, obs.LevelError, 16)})
 	if err != nil {
