@@ -1,22 +1,11 @@
 package experiments
 
-import (
-	"os"
-	"testing"
-)
+import "testing"
 
 func TestAblationsQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow sweep")
 	}
 	r := NewRunner(Config{Seed: 7, Runs: 2, Reps: 5, Threads: []int{2}})
-	for _, name := range []string{"ablation-signature", "ablation-drop", "ablation-runs", "ablation-dim"} {
-		e, err := ByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := e.Run(r, os.Stdout); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-	}
+	renderGolden(t, r, "ablation-signature", "ablation-drop", "ablation-runs", "ablation-dim")
 }

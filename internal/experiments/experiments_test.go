@@ -41,30 +41,11 @@ func TestByNameLookup(t *testing.T) {
 }
 
 func TestTable1Output(t *testing.T) {
-	var b strings.Builder
-	if err := Table1(tinyRunner(), &b); err != nil {
-		t.Fatal(err)
-	}
-	for _, app := range []string{"AMGMk", "CoMD", "graph500", "HPCG",
-		"HPGMG-FV", "LULESH", "MCB", "miniFE", "PathFinder", "RSBench", "XSBench"} {
-		if !strings.Contains(b.String(), app) {
-			t.Errorf("Table I missing %s", app)
-		}
-	}
+	renderGolden(t, tinyRunner(), "table1")
 }
 
 func TestTable2Output(t *testing.T) {
-	var b strings.Builder
-	if err := Table2(tinyRunner(), &b); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	for _, want := range []string{"Intel Core i7-3770", "AppliedMicro X-Gene",
-		"3.4 GHz", "2.4 GHz", "256-bit", "128-bit", "8 MB"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("Table II missing %q", want)
-		}
-	}
+	renderGolden(t, tinyRunner(), "table2")
 }
 
 func TestRunnerCachesStudies(t *testing.T) {
@@ -89,14 +70,7 @@ func TestRunnerUnknownApp(t *testing.T) {
 }
 
 func TestFig1Output(t *testing.T) {
-	var b strings.Builder
-	if err := Fig1(tinyRunner(), &b); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	if !strings.Contains(out, "BP_10") || !strings.Contains(out, "BP Set 1") {
-		t.Errorf("Figure 1 incomplete:\n%s", out)
-	}
+	renderGolden(t, tinyRunner(), "fig1")
 }
 
 func TestFig1MPKIRises(t *testing.T) {
@@ -117,34 +91,14 @@ func TestHeadlineOutput(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow sweep")
 	}
-	var b strings.Builder
-	r := NewRunner(Config{Seed: 7, Runs: 2, Reps: 10, Threads: []int{2}})
-	if err := Headline(r, &b); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	for _, want := range []string{"worst cycle estimation error", "simulation-time reduction"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("headline missing %q", want)
-		}
-	}
+	renderGolden(t, NewRunner(Config{Seed: 7, Runs: 2, Reps: 10, Threads: []int{2}}), "headline")
 }
 
 func TestLimitsOutput(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow sweep")
 	}
-	var b strings.Builder
-	if err := Limits(tinyRunner(), &b); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	if !strings.Contains(out, "RSBench") || !strings.Contains(out, "single parallel region") {
-		t.Error("limits study missing single-region diagnosis")
-	}
-	if !strings.Contains(out, "HPGMG-FV") || !strings.Contains(out, "mismatch") {
-		t.Error("limits study missing HPGMG-FV mismatch diagnosis")
-	}
+	renderGolden(t, tinyRunner(), "limits")
 }
 
 func TestConfigDefaults(t *testing.T) {
@@ -178,46 +132,12 @@ func TestTable3And4QuickRun(t *testing.T) {
 		t.Skip("slow sweep")
 	}
 	r := NewRunner(Config{Seed: 7, Runs: 1, Reps: 5, Threads: []int{2}})
-	var b strings.Builder
-	if err := Table3(r, &b); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	for _, app := range []string{"AMGMk", "LULESH", "miniFE"} {
-		if !strings.Contains(out, app) {
-			t.Errorf("Table III missing %s", app)
-		}
-	}
-	b.Reset()
-	if err := Table4(r, &b); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(b.String(), "Speedup") {
-		t.Error("Table IV missing speed-up column")
-	}
-	b.Reset()
-	if err := Fig2(r, &b); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(b.String(), "LULESH") || !strings.Contains(b.String(), "CoMD") {
-		t.Error("Figure 2 missing sub-figures")
-	}
+	renderGolden(t, r, "table3", "table4", "fig1", "fig2", "headline", "ablation-drop")
 }
 
 func TestOverheadVariabilityQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow sweep")
 	}
-	r := NewRunner(Config{Seed: 7, Runs: 1, Reps: 5, Threads: []int{2}})
-	var b strings.Builder
-	if err := OverheadVariability(r, &b); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	if !strings.Contains(out, "HPGMG-FV") {
-		t.Error("overhead study must include HPGMG-FV")
-	}
-	if !strings.Contains(out, "CoMD") {
-		t.Error("overhead study must include CoMD")
-	}
+	renderGolden(t, NewRunner(Config{Seed: 7, Runs: 1, Reps: 5, Threads: []int{2}}), "overhead")
 }

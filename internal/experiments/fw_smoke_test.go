@@ -1,22 +1,11 @@
 package experiments
 
-import (
-	"os"
-	"testing"
-)
+import "testing"
 
 func TestFutureWorkQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow sweep")
 	}
 	r := NewRunner(Config{Seed: 7, Runs: 1, Reps: 10, Threads: []int{4}})
-	for _, name := range []string{"fw-coretypes", "fw-coarsen", "fw-multiplex"} {
-		e, err := ByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := e.Run(r, os.Stdout); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-	}
+	renderGolden(t, r, "fw-coretypes", "fw-coarsen", "fw-multiplex", "fw-refine", "fw-isadiff")
 }
