@@ -19,7 +19,8 @@ BENCH_COUNT ?= 5
 BENCH_OUT ?= BENCH_pipeline.json
 
 .PHONY: ci fmt-check vet lint lint-smoke build test-short test test-race \
-	test-persist test-dist test-obs test-sweep test-purego fuzz-kmeans \
+	test-persist test-dist test-obs test-sweep suite-check golden-update \
+	test-purego fuzz-kmeans \
 	fuzz-sqdist fuzz-cache fuzz-units fuzz-codecs fuzz-batch fuzz-memtrace bench \
 	bench-json bench-json-smoke bench-diff
 
@@ -27,13 +28,14 @@ BENCH_OUT ?= BENCH_pipeline.json
 # project's own bpvet analyzers), build, fast tests, the race detector
 # over the whole tree, the persistence suite, the distributed-execution
 # suite, the observability suite, the batch-sweep suite, the
-# scalar-fallback kernel leg, short fuzzes of the accelerated k-means
+# evaluation suite's stdout against its golden, the scalar-fallback
+# kernel leg, short fuzzes of the accelerated k-means
 # against its plain-Lloyd oracle, of the k-means distance kernel against
 # sqDist, of the recency-ordered cache against its timestamped-LRU oracle,
 # of the worker's POST /units decoder, of the artifact codecs, of the
 # POST /studies:batch decoder and of the memory-trace decoder and replay,
 # and a 1x smoke of the bench-json harness so it cannot bit-rot.
-ci: fmt-check vet lint build test-short test-race test-persist test-dist test-obs test-sweep test-purego fuzz-kmeans fuzz-sqdist fuzz-cache fuzz-units fuzz-codecs fuzz-batch fuzz-memtrace bench-json-smoke
+ci: fmt-check vet lint build test-short test-race test-persist test-dist test-obs test-sweep suite-check test-purego fuzz-kmeans fuzz-sqdist fuzz-cache fuzz-units fuzz-codecs fuzz-batch fuzz-memtrace bench-json-smoke
 
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -123,6 +125,32 @@ test-obs:
 test-sweep:
 	$(GO) test -race -timeout 30m -run 'Sweep|BatchSweep|BatchStudies|StudySpecs' \
 		./internal/sched/... ./internal/service/... ./internal/experiments/...
+
+# suite-check runs the whole evaluation suite at its quick configuration
+# on one worker and on four, and compares each stdout byte for byte with
+# cmd/bpexperiments/testdata/quick.golden, so the output depends neither
+# on the worker budget nor on drift from the committed bytes. It checks
+# -list against list.golden too.
+SUITE_DIR = .suite_build
+suite-check:
+	$(GO) build -o $(SUITE_DIR)/bpexperiments ./cmd/bpexperiments
+	$(SUITE_DIR)/bpexperiments -list > $(SUITE_DIR)/list.out
+	cmp $(SUITE_DIR)/list.out cmd/bpexperiments/testdata/list.golden
+	$(SUITE_DIR)/bpexperiments -exp all -quick -unit-workers 1 > $(SUITE_DIR)/quick-1.out
+	cmp $(SUITE_DIR)/quick-1.out cmd/bpexperiments/testdata/quick.golden
+	$(SUITE_DIR)/bpexperiments -exp all -quick -unit-workers 4 > $(SUITE_DIR)/quick-4.out
+	cmp $(SUITE_DIR)/quick-4.out cmd/bpexperiments/testdata/quick.golden
+
+# golden-update re-blesses every committed output after a deliberate
+# behaviour change: the experiment goldens under
+# internal/experiments/testdata through the tests' -update flag, and
+# suite-check's two goldens from a fresh build. Review the diff before
+# committing it.
+golden-update:
+	$(GO) test -count=1 ./internal/experiments -update
+	$(GO) build -o $(SUITE_DIR)/bpexperiments ./cmd/bpexperiments
+	$(SUITE_DIR)/bpexperiments -list > cmd/bpexperiments/testdata/list.golden
+	$(SUITE_DIR)/bpexperiments -exp all -quick > cmd/bpexperiments/testdata/quick.golden
 
 # test-purego proves the scalar fallbacks of the projection and k-means
 # kernels stay healthy on both of their paths: the purego build tag

@@ -50,8 +50,13 @@ func main() {
 	flag.Parse()
 
 	if *list {
-		for _, e := range experiments.All() {
-			fmt.Printf("%-9s %s\n", e.Name, e.Description)
+		all := experiments.All()
+		width := 0
+		for _, e := range all {
+			width = max(width, len(e.Name))
+		}
+		for _, e := range all {
+			fmt.Printf("%-*s  %s\n", width, e.Name, e.Description)
 		}
 		return
 	}
