@@ -1,18 +1,18 @@
 // Command bpexperiments regenerates the paper's tables and figures.
 //
-// Experiments render concurrently on the study scheduler — each study's
-// discovery runs and collections fan out across a bounded worker pool,
-// and experiments sharing studies deduplicate through the runner's
-// result cache — but output is printed in experiment order and is
-// byte-identical for any -workers value.
+// A run has three steps. Each selected experiment declares the studies it
+// reads; the union runs as one deduplicated sweep (the same compiler as
+// POST /studies:batch) across the whole -unit-workers budget; then the
+// experiments render concurrently from the cache, up to -unit-workers at
+// once. Output is printed in experiment order and is byte-identical for
+// any -unit-workers value and any -workers fleet.
 //
 // Usage:
 //
 //	bpexperiments -exp table4          # one experiment
 //	bpexperiments -exp all             # everything (slow: full sweep)
 //	bpexperiments -exp fig2 -quick     # reduced sweep for a fast look
-//	bpexperiments -batch               # pre-plan the study sweep as one DAG
-//	bpexperiments -unit-workers 16     # widen the scheduler
+//	bpexperiments -unit-workers 16     # widen the worker budget
 //	bpexperiments -workers host1:8081,host2:8081   # shard units across bpworkers
 //	bpexperiments -list                # available experiments
 package main
@@ -38,11 +38,9 @@ func main() {
 		quick       = flag.Bool("quick", false, "reduced sweep: fewer discovery runs and thread counts")
 		seed        = flag.Uint64("seed", 2017, "experiment seed")
 		runs        = flag.Int("runs", 0, "override discovery runs (0 = preset)")
-		unitWorkers = flag.Int("unit-workers", 0, "total worker budget across experiments and per-study units (0 = GOMAXPROCS)")
+		unitWorkers = flag.Int("unit-workers", 0, "worker budget for the study sweep and for rendering experiments (0 = GOMAXPROCS)")
 		workers     = flag.String("workers", "", "comma-separated bpworker addresses (host:port,...) to shard units across (empty = in-process)")
 		winflight   = flag.Int("worker-inflight", 0, "concurrent units dispatched per remote worker (0 = default 4)")
-		serial      = flag.Bool("serial", false, "render experiments one at a time (same output, for timing comparisons)")
-		batch       = flag.Bool("batch", false, "pre-plan the whole study sweep as one deduplicated unit DAG before rendering (same output)")
 		list        = flag.Bool("list", false, "list experiments and exit")
 		cacheDir    = flag.String("cache-dir", "", "persistent cache directory shared across invocations (empty = memory only)")
 		cacheMax    = flag.Int64("cache-max-bytes", 0, "persistent cache size bound in bytes (0 = unbounded)")
@@ -75,21 +73,9 @@ func main() {
 		}
 	}
 
-	// -unit-workers is one total budget, split between the two levels of
-	// parallelism: `width` experiments render concurrently and each study
-	// inside them fans units across `budget/width` workers, so the product
-	// stays ≈ the budget instead of squaring it. A single experiment gets
-	// the whole budget for its per-study units.
 	budget := *unitWorkers
 	if budget <= 0 {
 		budget = runtime.GOMAXPROCS(0)
-	}
-	width := budget
-	if width > len(selected) {
-		width = len(selected)
-	}
-	if *serial {
-		width = 1
 	}
 
 	cfg := experiments.Default()
@@ -100,7 +86,7 @@ func main() {
 	if *runs > 0 {
 		cfg.Runs = *runs
 	}
-	cfg.Workers = budget / width
+	cfg.Workers = budget
 	// Distributed mode: study units are shipped to the bpworker fleet;
 	// the local budget then only bounds dispatch concurrency.
 	urls, err := sched.ParseWorkerList(*workers)
@@ -128,31 +114,10 @@ func main() {
 		runner = experiments.NewRunner(cfg)
 	}
 
-	if *batch {
-		// Batch mode: compile the full evaluation sweep into one
-		// deduplicated unit DAG and execute it up front, so the renderers
-		// below hit the cache for every study. Output is unchanged — the
-		// batch plan feeds the same whole-study cache entries.
-		specs := runner.Config().StudySpecs()
-		t0 := time.Now()
-		if _, stats, err := runner.BatchStudies(specs); err != nil {
-			fmt.Fprintln(os.Stderr, "bpexperiments:", err)
-			if cerr := runner.Close(); cerr != nil {
-				fmt.Fprintln(os.Stderr, "bpexperiments: closing cache:", cerr)
-			}
-			os.Exit(1)
-		} else {
-			fmt.Fprintf(os.Stderr, "[batch: %d studies planned as %d units (%d naive, %d deduped, %d subsumed) in %v]\n",
-				stats.Studies, stats.PlannedUnits, stats.NaiveUnits, stats.DedupedUnits,
-				stats.SubsumedUnits, time.Since(t0).Round(time.Millisecond))
-		}
-	}
-
 	// Experiments render into per-experiment buffers so they can run
 	// concurrently without interleaving; each experiment's output is
 	// printed whole once it and every lower-indexed experiment have
-	// finished. The bytes match the old serial loop exactly, but appear
-	// per completed experiment rather than line by line.
+	// finished, so the bytes do not depend on completion order.
 	outs := make([]bytes.Buffer, len(selected))
 	took := make([]time.Duration, len(selected))
 	var (
@@ -168,20 +133,28 @@ func main() {
 			next++
 		}
 	}
+	// The studies the experiments declare run first, as one sweep on the
+	// whole budget, so rendering reads them from the cache.
 	start := time.Now()
-	err = sched.ForEach(context.Background(), len(selected), width,
-		func(ctx context.Context, i int) error {
-			t0 := time.Now()
-			if err := selected[i].Run(runner, &outs[i]); err != nil {
-				return fmt.Errorf("%s: %w", selected[i].Name, err)
-			}
-			mu.Lock()
-			took[i] = time.Since(t0)
-			done[i] = true
-			flush()
-			mu.Unlock()
-			return nil
-		})
+	plan, err := runner.PlanStudies(selected)
+	if err == nil {
+		fmt.Fprintf(os.Stderr, "[plan: %d studies as %d units (%d naive, %d deduped, %d subsumed, %d cached) in %v]\n",
+			plan.Studies, plan.PlannedUnits, plan.NaiveUnits, plan.DedupedUnits,
+			plan.SubsumedUnits, plan.CachedStudies, time.Since(start).Round(time.Millisecond))
+		err = sched.ForEach(context.Background(), len(selected), budget,
+			func(ctx context.Context, i int) error {
+				t0 := time.Now()
+				if err := selected[i].Run(runner, &outs[i]); err != nil {
+					return fmt.Errorf("%s: %w", selected[i].Name, err)
+				}
+				mu.Lock()
+				took[i] = time.Since(t0)
+				done[i] = true
+				flush()
+				mu.Unlock()
+				return nil
+			})
+	}
 	// Close before exiting either way: pending write-behinds must reach
 	// the persistent store even when an experiment failed.
 	if cerr := runner.Close(); cerr != nil {

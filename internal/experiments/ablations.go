@@ -34,6 +34,13 @@ func ablationValidate(r *Runner, disc core.DiscoveryConfig) (*core.Validation, *
 	if err != nil {
 		return nil, nil, err
 	}
+	return bestValidation(sets, col)
+}
+
+// bestValidation validates every discovered set against col and returns
+// the set with the lowest mean error (the first on a tie) with its
+// validation.
+func bestValidation(sets []core.BarrierPointSet, col *core.Collection) (*core.Validation, *core.BarrierPointSet, error) {
 	var best *core.Validation
 	var bestSet *core.BarrierPointSet
 	for i := range sets {
@@ -51,7 +58,7 @@ func ablationValidate(r *Runner, disc core.DiscoveryConfig) (*core.Validation, *
 // AblationSignature compares the paper's combined BBV+LDV signatures
 // against BBV-only and LDV-only selection.
 func AblationSignature(r *Runner, w io.Writer) error {
-	threads := r.cfg.Threads[len(r.cfg.Threads)-1]
+	threads := r.cfg.maxThreads()
 	t := report.Table{
 		Title:  fmt.Sprintf("Ablation: signature components (%s, %d threads)", ablationApp, threads),
 		Header: []string{"Signature", "BPs", "Err cyc (%)", "Err ins (%)", "Err L1D (%)", "Err L2D (%)"},
@@ -87,7 +94,7 @@ func AblationSignature(r *Runner, w io.Writer) error {
 // the original BarrierPoint methodology does) hurts the cache-miss
 // estimates, which is why this work keeps all selected points.
 func AblationDropInsignificant(r *Runner, w io.Writer) error {
-	threads := r.cfg.Threads[len(r.cfg.Threads)-1]
+	threads := r.cfg.maxThreads()
 	res, err := r.Study(ablationApp, threads, false)
 	if err != nil {
 		return err
@@ -146,7 +153,7 @@ func AblationDropInsignificant(r *Runner, w io.Writer) error {
 // barrier point sets (Section VI-B): the best of N runs versus a single
 // run.
 func AblationDiscoveryRuns(r *Runner, w io.Writer) error {
-	threads := r.cfg.Threads[len(r.cfg.Threads)-1]
+	threads := r.cfg.maxThreads()
 	t := report.Table{
 		Title:  fmt.Sprintf("Ablation: number of discovery runs (%s, %d threads, x86_64)", ablationApp, threads),
 		Header: []string{"Runs", "Best-set mean err (%)", "BPs"},
@@ -166,7 +173,7 @@ func AblationDiscoveryRuns(r *Runner, w io.Writer) error {
 // AblationProjectionDim sweeps the random-projection dimensionality of the
 // signature vectors around SimPoint's default of 15.
 func AblationProjectionDim(r *Runner, w io.Writer) error {
-	threads := r.cfg.Threads[len(r.cfg.Threads)-1]
+	threads := r.cfg.maxThreads()
 	t := report.Table{
 		Title:  fmt.Sprintf("Ablation: signature projection dimension (%s, %d threads, x86_64)", ablationApp, threads),
 		Header: []string{"Dim", "Best-set mean err (%)", "BPs"},

@@ -3,15 +3,17 @@
 // overhead studies, from the simulated platforms.
 //
 // Each experiment has a driver function writing the paper-shaped output to
-// an io.Writer; cmd/bpexperiments exposes them on the command line and the
-// repository benchmarks exercise each one.
+// an io.Writer, and declares the studies the driver reads, so a suite runs
+// in two steps: Runner.PlanStudies executes every declared study as one
+// sweep, then the drivers render from the cache. cmd/bpexperiments exposes
+// them on the command line and the repository benchmarks exercise each
+// one.
 package experiments
 
 import (
 	"context"
 	"fmt"
 	"io"
-	"sync"
 
 	"barrierpoint/internal/apps"
 	"barrierpoint/internal/cachestore"
@@ -33,9 +35,10 @@ type Config struct {
 	Threads []int
 	// MaxK caps clustering.
 	MaxK int
-	// Workers bounds the scheduler's per-study unit concurrency
-	// (0 = GOMAXPROCS). The same seed regenerates identical tables for
-	// any worker count.
+	// Workers is the suite's one worker budget (0 = GOMAXPROCS):
+	// PlanStudies runs the whole declared sweep on that many workers, and
+	// so does each Study, Discover or Collect call a renderer makes. The
+	// same seed regenerates identical tables for any worker count.
 	Workers int
 	// WorkerURLs lists remote unit workers (bpworker processes) to shard
 	// study units across; empty runs everything in-process. The same
@@ -73,22 +76,14 @@ func (c Config) withDefaults() Config {
 // Runner runs and caches the per-configuration studies shared by several
 // experiments (Table III, Table IV, and Figure 2 all consume the same
 // studies). Studies execute on the internal/sched worker pool, with all
-// expensive intermediates memoised in a shared result cache, and
-// concurrent Study calls for the same configuration deduplicate into one
-// execution. It is safe for concurrent use.
+// expensive intermediates, whole studies included, memoised in a shared
+// result cache. It is safe for concurrent use.
 type Runner struct {
 	cfg   Config
 	cache *resultcache.Cache
 	// exec is non-nil when the runner dispatches units to a remote
 	// worker fleet (Config.WorkerURLs).
 	exec sched.Executor
-
-	// keyMu/keys memoise sched.StudyKey per (app, threads, vectorised):
-	// computing it builds both program variants for fingerprinting, which
-	// is cheap once but not free on every repeated (memory-hit) Study
-	// call of a sweep.
-	keyMu sync.Mutex
-	keys  map[string]resultcache.Key
 }
 
 // runnerCacheEntries comfortably covers a full sweep: 11 apps × 4 thread
@@ -150,35 +145,18 @@ func (r *Runner) Config() Config { return r.cfg }
 // CacheStats reports the shared result cache's counters.
 func (r *Runner) CacheStats() resultcache.Stats { return r.cache.Stats() }
 
-// StudySpec names one member study of a sweep by the triple the runner
-// derives everything else from (runs, reps, seed and clustering come from
-// the runner's Config).
+// StudySpec names one study by the triple the runner derives everything
+// else from (runs, reps, seed and clustering come from the runner's
+// Config).
 type StudySpec struct {
 	App        string
 	Threads    int
 	Vectorised bool
 }
 
-// StudySpecs enumerates the configuration's full evaluation sweep: every
-// evaluated Table I application crossed with every configured thread
-// count, scalar and vectorised — the same studies Table III, Table IV and
-// Figure 2 consume one at a time.
-func (c Config) StudySpecs() []StudySpec {
-	c = c.withDefaults()
-	var specs []StudySpec
-	for _, a := range apps.Evaluated() {
-		for _, threads := range c.Threads {
-			for _, vect := range []bool{false, true} {
-				specs = append(specs, StudySpec{App: a.Name, Threads: threads, Vectorised: vect})
-			}
-		}
-	}
-	return specs
-}
-
 // specRequest builds the scheduler request for one spec. Study and
-// BatchStudies share it, so a batch-planned study addresses exactly the
-// cache entries a serial Study call reads and writes.
+// PlanStudies share it, so a planned study addresses exactly the cache
+// entry a later Study call reads.
 //
 //bp:keyfields StudySpec
 func (r *Runner) specRequest(sp StudySpec) (sched.StudyRequest, error) {
@@ -200,74 +178,68 @@ func (r *Runner) specRequest(sp StudySpec) (sched.StudyRequest, error) {
 	}, nil
 }
 
-// Study returns the cached cross-architecture study for one configuration,
-// running it on the scheduler on first use.
-func (r *Runner) Study(app string, threads int, vectorised bool) (*core.StudyResult, error) {
-	req, err := r.specRequest(StudySpec{App: app, Threads: threads, Vectorised: vectorised})
-	if err != nil {
-		return nil, fmt.Errorf("experiments: study %s/%dt/vect=%v: %w", app, threads, vectorised, err)
-	}
-	// Memoise under the scheduler's own whole-study key: it carries the
-	// program fingerprints and the full configuration, so a persistent
-	// entry goes stale when the workload changes (instead of silently
-	// serving an old binary's results), and the runner's entry is the
-	// same one sched.Run reads and writes — shared with bpserved. The
-	// outer Do stays for singleflight across concurrent Study calls
-	// (set scoring is not unit-cached); its cost is one redundant put of
-	// the already-stored result on a cold study, accepted over moving
-	// singleflight into sched.Run, which would couple cancellation of
-	// concurrent identical studies across otherwise independent callers.
-	key, err := r.studyKey(req)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: study %s/%dt/vect=%v: %w", app, threads, vectorised, err)
-	}
-	v, _, err := r.cache.Do(key, func() (any, error) {
-		return sched.Run(context.Background(), req, r.schedOptions())
-	})
-	if err != nil {
-		return nil, fmt.Errorf("experiments: study %s/%dt/vect=%v: %w", app, threads, vectorised, err)
-	}
-	return v.(*core.StudyResult), nil
+func studyErr(sp StudySpec, err error) error {
+	return fmt.Errorf("experiments: study %s/%dt/vect=%v: %w", sp.App, sp.Threads, sp.Vectorised, err)
 }
 
-// BatchStudies plans and executes the specs as one deduplicated sweep:
-// the whole batch is compiled into a single unit DAG (sched.CompileSweep)
-// so discovery runs, collections and baselines shared between member
-// studies execute exactly once, with subsumption slicing larger discovery
-// sweeps for smaller siblings. Results return in spec order and land in
-// the same whole-study cache entries Study reads, so subsequent Study
-// calls for any member hit. The first member error aborts with that
-// error; the returned PlanStats report the compiler's dedup accounting
-// either way.
-func (r *Runner) BatchStudies(specs []StudySpec) ([]*core.StudyResult, sched.PlanStats, error) {
-	reqs := make([]sched.StudyRequest, len(specs))
-	for i, sp := range specs {
-		req, err := r.specRequest(sp)
-		if err != nil {
-			return nil, sched.PlanStats{}, fmt.Errorf("experiments: study %s/%dt/vect=%v: %w",
-				sp.App, sp.Threads, sp.Vectorised, err)
+// Study returns the cross-architecture study for one configuration. It is
+// a one-member sched.Run on the runner's cache, so a study PlanStudies
+// (or an earlier Study call) already ran is a whole-study cache hit that
+// returns the stored result.
+func (r *Runner) Study(app string, threads int, vectorised bool) (*core.StudyResult, error) {
+	sp := StudySpec{App: app, Threads: threads, Vectorised: vectorised}
+	req, err := r.specRequest(sp)
+	if err != nil {
+		return nil, studyErr(sp, err)
+	}
+	res, err := sched.Run(context.Background(), req, r.schedOptions())
+	if err != nil {
+		return nil, studyErr(sp, err)
+	}
+	return res, nil
+}
+
+// PlanStudies runs every study the experiments declare (Experiment.Studies)
+// as one sweep: sched.CompileSweep plans their union as one deduplicated
+// unit DAG, which executes on Config.Workers workers. Each result lands in
+// the whole-study cache entry Study reads, so the experiments' drivers
+// then render without computing a study. The first failing study, in
+// declaration order, aborts with its error; the PlanStats report the
+// planner's accounting either way.
+func (r *Runner) PlanStudies(exps []Experiment) (sched.PlanStats, error) {
+	var specs []StudySpec
+	var reqs []sched.StudyRequest
+	seen := map[StudySpec]bool{}
+	for _, e := range exps {
+		if e.Studies == nil {
+			continue
 		}
-		reqs[i] = req
+		for _, sp := range e.Studies(r.cfg) {
+			if seen[sp] {
+				continue
+			}
+			seen[sp] = true
+			req, err := r.specRequest(sp)
+			if err != nil {
+				return sched.PlanStats{}, studyErr(sp, err)
+			}
+			specs, reqs = append(specs, sp), append(reqs, req)
+		}
 	}
 	plan, err := sched.CompileSweep(context.Background(), reqs, r.schedOptions())
 	if err != nil {
-		return nil, sched.PlanStats{}, fmt.Errorf("experiments: compiling %d-study sweep: %w", len(specs), err)
+		return sched.PlanStats{}, fmt.Errorf("experiments: compiling %d-study sweep: %w", len(reqs), err)
 	}
-	stats := plan.Stats()
 	outcomes, err := plan.Execute(context.Background(), sched.SweepOptions{})
 	if err != nil {
-		return nil, stats, fmt.Errorf("experiments: executing %d-study sweep: %w", len(specs), err)
+		return plan.Stats(), fmt.Errorf("experiments: executing %d-study sweep: %w", len(reqs), err)
 	}
-	results := make([]*core.StudyResult, len(outcomes))
 	for i, out := range outcomes {
 		if out.Err != nil {
-			sp := specs[i]
-			return nil, stats, fmt.Errorf("experiments: study %s/%dt/vect=%v: %w",
-				sp.App, sp.Threads, sp.Vectorised, out.Err)
+			return plan.Stats(), studyErr(specs[i], out.Err)
 		}
-		results[i] = out.Result
 	}
-	return results, stats, nil
+	return plan.Stats(), nil
 }
 
 // Discover runs Step 2 for one builder on the scheduler, memoising the
@@ -289,31 +261,6 @@ func (r *Runner) Collect(app string, build core.ProgramBuilder, cfg core.Collect
 	}, r.schedOptions())
 }
 
-// studyKey returns (computing once per configuration) the whole-study
-// cache key for a request. A runner's requests are fully determined by
-// (app, threads, vectorised) — the remaining config fields come from
-// r.cfg — so that triple is the memo key.
-func (r *Runner) studyKey(req sched.StudyRequest) (resultcache.Key, error) {
-	memo := fmt.Sprintf("%s/%d/%v", req.App, req.Config.Threads, req.Config.Vectorised)
-	r.keyMu.Lock()
-	key, ok := r.keys[memo]
-	r.keyMu.Unlock()
-	if ok {
-		return key, nil
-	}
-	key, err := sched.StudyKey(req)
-	if err != nil {
-		return "", err
-	}
-	r.keyMu.Lock()
-	if r.keys == nil {
-		r.keys = make(map[string]resultcache.Key)
-	}
-	r.keys[memo] = key
-	r.keyMu.Unlock()
-	return key, nil
-}
-
 func boolBit(b bool) uint64 {
 	if b {
 		return 1
@@ -330,34 +277,72 @@ func hashName(s string) uint64 {
 	return h
 }
 
-// An Experiment pairs a name with its driver.
+// An Experiment pairs a name with its driver and the studies the driver
+// reads.
 type Experiment struct {
 	Name        string
 	Description string
 	Run         func(r *Runner, w io.Writer) error
+	// Studies declares every study Run reads through Runner.Study at a
+	// runner's configuration, so PlanStudies can run them all as one
+	// sweep before Run. Nil when Run reads none; the drivers that call
+	// Discover or Collect with their own configurations run those calls
+	// themselves.
+	Studies func(Config) []StudySpec
 }
+
+// studyGrid crosses apps with thread counts, scalar then vectorised, in
+// the order the drivers read them.
+func studyGrid(names []string, threads []int) []StudySpec {
+	var specs []StudySpec
+	for _, name := range names {
+		for _, t := range threads {
+			specs = append(specs, StudySpec{name, t, false}, StudySpec{name, t, true})
+		}
+	}
+	return specs
+}
+
+// evaluatedApps names the applications the paper evaluates (Table I).
+func evaluatedApps() []string {
+	var names []string
+	for _, a := range apps.Evaluated() {
+		names = append(names, a.Name)
+	}
+	return names
+}
+
+// maxThreads is the largest configured thread count, at which the
+// single-configuration experiments run.
+func (c Config) maxThreads() int { return c.Threads[len(c.Threads)-1] }
 
 // All returns every experiment in the DESIGN.md index order.
 func All() []Experiment {
 	return []Experiment{
-		{"table1", "Table I: applications deployed and their descriptions", Table1},
-		{"table2", "Table II: micro-architectural parameters of the two platforms", Table2},
-		{"table3", "Table III: total and selected barrier points per application", Table3},
-		{"table4", "Table IV: selection, error and speed-up for the 8-thread configurations", Table4},
-		{"fig1", "Figure 1: MCB per-barrier-point CPI and L2D MPKI with two barrier point sets", Fig1},
-		{"fig2", "Figure 2: estimation error per application, thread count and prediction target", Fig2},
-		{"limits", "Section V-B: applicability limitations", Limits},
-		{"overhead", "Section V-C: measurement variability and instrumentation overhead", OverheadVariability},
-		{"headline", "Section VI headline: accuracy and simulation-time reduction summary", Headline},
-		{"ablation-signature", "Ablation: BBV+LDV vs BBV-only vs LDV-only signatures", AblationSignature},
-		{"ablation-drop", "Ablation: dropping insignificant barrier points", AblationDropInsignificant},
-		{"ablation-runs", "Ablation: number of discovery runs", AblationDiscoveryRuns},
-		{"ablation-dim", "Ablation: signature projection dimension", AblationProjectionDim},
-		{"fw-coretypes", "Future work: in-order vs out-of-order target cores", FutureWorkCoreTypes},
-		{"fw-coarsen", "Future work: coarsening LULESH's short barrier points", FutureWorkCoarsen},
-		{"fw-multiplex", "Future work: counter multiplexing cost", FutureWorkMultiplex},
-		{"fw-refine", "Future work: interval-splitting single-region applications", FutureWorkRefine},
-		{"fw-isadiff", "Future work: quantifying cross-ISA differences", FutureWorkISADiff},
+		{"table1", "Table I: applications deployed and their descriptions", Table1, nil},
+		{"table2", "Table II: micro-architectural parameters of the two platforms", Table2, nil},
+		{"table3", "Table III: total and selected barrier points per application", Table3,
+			func(c Config) []StudySpec { return studyGrid(evaluatedApps(), c.Threads) }},
+		{"table4", "Table IV: selection, error and speed-up for the 8-thread configurations", Table4,
+			func(Config) []StudySpec { return studyGrid(evaluatedApps(), []int{table4Threads}) }},
+		{"fig1", "Figure 1: MCB per-barrier-point CPI and L2D MPKI with two barrier point sets", Fig1,
+			func(Config) []StudySpec { return []StudySpec{fig1Study} }},
+		{"fig2", "Figure 2: estimation error per application, thread count and prediction target", Fig2,
+			func(c Config) []StudySpec { return studyGrid(fig2Apps, c.Threads) }},
+		{"limits", "Section V-B: applicability limitations", Limits, nil},
+		{"overhead", "Section V-C: measurement variability and instrumentation overhead", OverheadVariability, nil},
+		{"headline", "Section VI headline: accuracy and simulation-time reduction summary", Headline,
+			func(c Config) []StudySpec { return studyGrid(headlineApps, []int{c.maxThreads()}) }},
+		{"ablation-signature", "Ablation: BBV+LDV vs BBV-only vs LDV-only signatures", AblationSignature, nil},
+		{"ablation-drop", "Ablation: dropping insignificant barrier points", AblationDropInsignificant,
+			func(c Config) []StudySpec { return []StudySpec{{App: ablationApp, Threads: c.maxThreads()}} }},
+		{"ablation-runs", "Ablation: number of discovery runs", AblationDiscoveryRuns, nil},
+		{"ablation-dim", "Ablation: signature projection dimension", AblationProjectionDim, nil},
+		{"fw-coretypes", "Future work: in-order vs out-of-order target cores", FutureWorkCoreTypes, nil},
+		{"fw-coarsen", "Future work: coarsening LULESH's short barrier points", FutureWorkCoarsen, nil},
+		{"fw-multiplex", "Future work: counter multiplexing cost", FutureWorkMultiplex, nil},
+		{"fw-refine", "Future work: interval-splitting single-region applications", FutureWorkRefine, nil},
+		{"fw-isadiff", "Future work: quantifying cross-ISA differences", FutureWorkISADiff, nil},
 	}
 }
 

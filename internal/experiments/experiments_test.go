@@ -176,12 +176,38 @@ func TestExperimentsDeterministic(t *testing.T) {
 	}
 }
 
+// TestTable3And4QuickRun is the suite path: PlanStudies runs the union of
+// the studies the six declaring experiments read as one sweep, and
+// rendering them afterwards matches the goldens without a single cache
+// miss, so no experiment reads a study it does not declare.
 func TestTable3And4QuickRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow sweep")
 	}
 	r := NewRunner(Config{Seed: 7, Runs: 1, Reps: 5, Threads: []int{2}})
-	renderGolden(t, r, "table3", "table4", "fig1", "fig2", "headline", "ablation-drop")
+	names := []string{"table3", "table4", "fig1", "fig2", "headline", "ablation-drop"}
+	var exps []Experiment
+	for _, name := range names {
+		e, err := ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		exps = append(exps, e)
+	}
+	stats, err := r.PlanStudies(exps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// 7 apps x {2, 8} threads x {scalar, vectorised}, plus fig1's MCB at
+	// 1 thread; the other declarations fall inside that union.
+	if stats.Studies != 29 || stats.NaiveUnits != stats.PlannedUnits+stats.DedupedUnits+stats.SubsumedUnits {
+		t.Errorf("plan stats %+v, want 29 studies and units that add up", stats)
+	}
+	misses := r.CacheStats().Misses
+	renderGolden(t, r, names...)
+	if n := r.CacheStats().Misses - misses; n != 0 {
+		t.Errorf("rendering after the plan missed the cache %d times", n)
+	}
 }
 
 func TestOverheadVariabilityQuick(t *testing.T) {

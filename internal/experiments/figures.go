@@ -9,13 +9,16 @@ import (
 	"barrierpoint/internal/report"
 )
 
+// fig1Study is Figure 1's one configuration, whatever thread counts the
+// runner evaluates.
+var fig1Study = StudySpec{App: "MCB", Threads: 1}
+
 // Fig1 reproduces Figure 1: MCB's per-barrier-point CPI and L2 data MPKI
 // (relative to the first barrier point) on the x86_64 platform in the
 // 1-thread, non-vectorised configuration, together with two discovered
 // barrier point sets and their resulting L2D estimation errors.
 func Fig1(r *Runner, w io.Writer) error {
-	threads := 1
-	res, err := r.Study("MCB", threads, false)
+	res, err := r.Study(fig1Study.App, fig1Study.Threads, fig1Study.Vectorised)
 	if err != nil {
 		return err
 	}
@@ -94,44 +97,42 @@ func Fig2(r *Runner, w io.Writer) error {
 			Header: []string{"Threads", "Prediction",
 				"Cycles", "Instructions", "L1D Misses", "L2D Misses", "Max StdDev"},
 		}
-		for _, threads := range r.cfg.Threads {
-			for _, vect := range []bool{false, true} {
-				res, err := r.Study(app, threads, vect)
-				if err != nil {
-					return err
+		for _, sp := range studyGrid([]string{app}, r.cfg.Threads) {
+			res, err := r.Study(sp.App, sp.Threads, sp.Vectorised)
+			if err != nil {
+				return err
+			}
+			best := res.BestEval()
+			type target struct {
+				name string
+				v    *core.Validation
+			}
+			targets := []target{
+				{"x86_64", best.X86},
+				{"ARMv8", best.ARM},
+			}
+			for _, tg := range targets {
+				name := tg.name
+				if sp.Vectorised {
+					name += "-vect"
 				}
-				best := res.BestEval()
-				type target struct {
-					name string
-					v    *core.Validation
+				if tg.v == nil {
+					t.AddRow(fmt.Sprint(sp.Threads), name, "n/a", "n/a", "n/a", "n/a", "n/a")
+					continue
 				}
-				targets := []target{
-					{"x86_64", best.X86},
-					{"ARMv8", best.ARM},
-				}
-				for _, tg := range targets {
-					name := tg.name
-					if vect {
-						name += "-vect"
+				maxSD := 0.0
+				for _, sd := range tg.v.MaxStdDevPct {
+					if sd > maxSD {
+						maxSD = sd
 					}
-					if tg.v == nil {
-						t.AddRow(fmt.Sprint(threads), name, "n/a", "n/a", "n/a", "n/a", "n/a")
-						continue
-					}
-					maxSD := 0.0
-					for _, sd := range tg.v.MaxStdDevPct {
-						if sd > maxSD {
-							maxSD = sd
-						}
-					}
-					t.AddRow(fmt.Sprint(threads), name,
-						report.Pct(tg.v.AvgAbsErrPct[machine.Cycles]),
-						report.Pct(tg.v.AvgAbsErrPct[machine.Instructions]),
-						report.Pct(tg.v.AvgAbsErrPct[machine.L1DMisses]),
-						report.Pct(tg.v.AvgAbsErrPct[machine.L2DMisses]),
-						report.Pct(maxSD),
-					)
 				}
+				t.AddRow(fmt.Sprint(sp.Threads), name,
+					report.Pct(tg.v.AvgAbsErrPct[machine.Cycles]),
+					report.Pct(tg.v.AvgAbsErrPct[machine.Instructions]),
+					report.Pct(tg.v.AvgAbsErrPct[machine.L1DMisses]),
+					report.Pct(tg.v.AvgAbsErrPct[machine.L2DMisses]),
+					report.Pct(maxSD),
+				)
 			}
 		}
 		t.Render(w)

@@ -18,7 +18,7 @@ import (
 // binary running on the out-of-order X-Gene and on an in-order
 // (Cortex-A53-class) implementation of the same ISA.
 func FutureWorkCoreTypes(r *Runner, w io.Writer) error {
-	threads := r.cfg.Threads[len(r.cfg.Threads)-1]
+	threads := r.cfg.maxThreads()
 	t := report.Table{
 		Title: fmt.Sprintf("Future work: in-order vs out-of-order target cores (%d threads, non-vectorised)", threads),
 		Header: []string{"Application", "Target core",
@@ -48,15 +48,9 @@ func FutureWorkCoreTypes(r *Runner, w io.Writer) error {
 			if err != nil {
 				return err
 			}
-			var best *core.Validation
-			for i := range sets {
-				v, err := core.Validate(&sets[i], col)
-				if err != nil {
-					return err
-				}
-				if best == nil || v.MeanErrPct() < best.MeanErrPct() {
-					best = v
-				}
+			best, _, err := bestValidation(sets, col)
+			if err != nil {
+				return err
 			}
 			kind := "out-of-order"
 			if target.Name != machine.APMXGene().Name {
@@ -78,7 +72,7 @@ func FutureWorkCoreTypes(r *Runner, w io.Writer) error {
 // thousands of very short regions are fused in groups, and the estimation
 // error falls as the measurable units grow.
 func FutureWorkCoarsen(r *Runner, w io.Writer) error {
-	threads := r.cfg.Threads[len(r.cfg.Threads)-1]
+	threads := r.cfg.maxThreads()
 	t := report.Table{
 		Title: fmt.Sprintf("Future work: coarsening LULESH's barrier points (%d threads, x86_64)", threads),
 		Header: []string{"Fusion factor", "Barrier points", "BPs selected",
@@ -107,16 +101,9 @@ func FutureWorkCoarsen(r *Runner, w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		var best *core.Validation
-		var bestSet *core.BarrierPointSet
-		for i := range sets {
-			v, err := core.Validate(&sets[i], col)
-			if err != nil {
-				return err
-			}
-			if best == nil || v.MeanErrPct() < best.MeanErrPct() {
-				best, bestSet = v, &sets[i]
-			}
+		best, bestSet, err := bestValidation(sets, col)
+		if err != nil {
+			return err
 		}
 		t.AddRow(fmt.Sprintf("%dx", factor),
 			fmt.Sprint(bestSet.TotalPoints),
@@ -137,7 +124,7 @@ func FutureWorkCoarsen(r *Runner, w io.Writer) error {
 // forces PAPI-style multiplexing, whose extrapolation variance propagates
 // into the barrier point estimates.
 func FutureWorkMultiplex(r *Runner, w io.Writer) error {
-	threads := r.cfg.Threads[len(r.cfg.Threads)-1]
+	threads := r.cfg.maxThreads()
 	t := report.Table{
 		Title: fmt.Sprintf("Future work: counter multiplexing cost (HPCG, %d threads, x86_64)", threads),
 		Header: []string{"Event groups", "Err cyc (%)", "Err ins (%)", "Err L1D (%)", "Err L2D (%)",
@@ -166,15 +153,9 @@ func FutureWorkMultiplex(r *Runner, w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		var best *core.Validation
-		for i := range sets {
-			v, err := core.Validate(&sets[i], col)
-			if err != nil {
-				return err
-			}
-			if best == nil || v.MeanErrPct() < best.MeanErrPct() {
-				best = v
-			}
+		best, _, err := bestValidation(sets, col)
+		if err != nil {
+			return err
 		}
 		maxSD := 0.0
 		for _, sd := range best.MaxStdDevPct {
@@ -199,7 +180,7 @@ func FutureWorkMultiplex(r *Runner, w io.Writer) error {
 // is split into intervals, restoring a simulation-time gain while keeping
 // the estimates accurate.
 func FutureWorkRefine(r *Runner, w io.Writer) error {
-	threads := r.cfg.Threads[len(r.cfg.Threads)-1]
+	threads := r.cfg.maxThreads()
 	t := report.Table{
 		Title: fmt.Sprintf("Future work: splitting RSBench's single region into intervals (%d threads)", threads),
 		Header: []string{"Intervals", "BPs selected", "Instr selected (%)", "Speedup",
@@ -272,7 +253,7 @@ func FutureWorkRefine(r *Runner, w io.Writer) error {
 // observation is that instruction counts barely differ while cycles track
 // the micro-architecture).
 func FutureWorkISADiff(r *Runner, w io.Writer) error {
-	threads := r.cfg.Threads[len(r.cfg.Threads)-1]
+	threads := r.cfg.maxThreads()
 	t := report.Table{
 		Title: fmt.Sprintf("Future work: cross-ISA differences (ARMv8 / x86_64 ratios, %d threads)", threads),
 		Header: []string{"Application", "Instr ratio (scalar)", "Instr ratio (vect)",

@@ -21,7 +21,7 @@ func Limits(r *Runner, w io.Writer) error {
 		Title:  "Section V-B: methodology applicability limitations",
 		Header: []string{"Application", "Barrier points (x86/ARM)", "Applicable", "Reason"},
 	}
-	threads := r.cfg.Threads[len(r.cfg.Threads)-1]
+	threads := r.cfg.maxThreads()
 
 	for _, name := range []string{"RSBench", "XSBench", "PathFinder", "HPGMG-FV", "LULESH"} {
 		a, err := apps.ByName(name)
@@ -84,7 +84,7 @@ func OverheadVariability(r *Runner, w io.Writer) error {
 		names = append(names, a.Name)
 	}
 	names = append(names, "HPGMG-FV")
-	threads := r.cfg.Threads[len(r.cfg.Threads)-1]
+	threads := r.cfg.maxThreads()
 
 	for _, name := range names {
 		a, err := apps.ByName(name)
@@ -192,34 +192,32 @@ type HeadlineNumbers struct {
 // estimation error, the range of instructions selected and the best
 // simulation-time reduction over them.
 func HeadlineResults(r *Runner) (HeadlineNumbers, error) {
-	h := HeadlineNumbers{Threads: r.cfg.Threads[len(r.cfg.Threads)-1], MinSelectedPct: 100}
-	for _, name := range headlineApps {
-		for _, vect := range []bool{false, true} {
-			res, err := r.Study(name, h.Threads, vect)
-			if err != nil {
-				return HeadlineNumbers{}, err
-			}
-			best := res.BestEval()
-			row := HeadlineRow{App: name, Vectorised: vect,
-				Selected: len(best.Set.Selected), Total: best.Set.TotalPoints,
-				SelectedPct: best.Set.InstructionsSelectedPct(), Speedup: best.Set.Speedup()}
-			for _, v := range []*core.Validation{best.X86, best.ARM} {
-				if v != nil {
-					raise(&row.CycErrPct, v.AvgAbsErrPct[machine.Cycles])
-					raise(&row.InsErrPct, v.AvgAbsErrPct[machine.Instructions])
-				}
-			}
-			h.Rows = append(h.Rows, row)
-			raise(&h.WorstCycErrPct, row.CycErrPct)
-			raise(&h.WorstInsErrPct, row.InsErrPct)
-			if row.SelectedPct > 0 {
-				if row.SelectedPct < h.MinSelectedPct {
-					h.MinSelectedPct = row.SelectedPct
-				}
-				raise(&h.MaxSelectedPct, row.SelectedPct)
-			}
-			raise(&h.BestSpeedup, row.Speedup)
+	h := HeadlineNumbers{Threads: r.cfg.maxThreads(), MinSelectedPct: 100}
+	for _, sp := range studyGrid(headlineApps, []int{h.Threads}) {
+		res, err := r.Study(sp.App, sp.Threads, sp.Vectorised)
+		if err != nil {
+			return HeadlineNumbers{}, err
 		}
+		best := res.BestEval()
+		row := HeadlineRow{App: sp.App, Vectorised: sp.Vectorised,
+			Selected: len(best.Set.Selected), Total: best.Set.TotalPoints,
+			SelectedPct: best.Set.InstructionsSelectedPct(), Speedup: best.Set.Speedup()}
+		for _, v := range []*core.Validation{best.X86, best.ARM} {
+			if v != nil {
+				raise(&row.CycErrPct, v.AvgAbsErrPct[machine.Cycles])
+				raise(&row.InsErrPct, v.AvgAbsErrPct[machine.Instructions])
+			}
+		}
+		h.Rows = append(h.Rows, row)
+		raise(&h.WorstCycErrPct, row.CycErrPct)
+		raise(&h.WorstInsErrPct, row.InsErrPct)
+		if row.SelectedPct > 0 {
+			if row.SelectedPct < h.MinSelectedPct {
+				h.MinSelectedPct = row.SelectedPct
+			}
+			raise(&h.MaxSelectedPct, row.SelectedPct)
+		}
+		raise(&h.BestSpeedup, row.Speedup)
 	}
 	return h, nil
 }

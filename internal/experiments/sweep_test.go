@@ -1,88 +1,12 @@
 package experiments
 
-import (
-	"bytes"
-	"testing"
-)
+import "testing"
 
-func TestConfigStudySpecs(t *testing.T) {
-	cfg := Config{Seed: 7, Runs: 2, Reps: 5, Threads: []int{2, 4}}
-	specs := cfg.StudySpecs()
-	// Every evaluated app × thread count × {scalar, vectorised}.
-	if want := 7 * 2 * 2; len(specs) != want {
-		t.Fatalf("StudySpecs returned %d specs, want %d", len(specs), want)
-	}
-	seen := map[StudySpec]bool{}
-	for _, sp := range specs {
-		if seen[sp] {
-			t.Errorf("duplicate spec %+v", sp)
-		}
-		seen[sp] = true
-	}
-}
-
-// TestBatchStudiesMatchesSerial: the batch-compiled sweep produces the
-// same study results as serial Study calls, and pre-warms the runner's
-// cache so later Study calls are pointer-identical hits.
-func TestBatchStudiesMatchesSerial(t *testing.T) {
-	if testing.Short() {
-		t.Skip("executes full studies; covered by make test-sweep")
-	}
-	specs := []StudySpec{
-		{App: "MCB", Threads: 2, Vectorised: false},
-		{App: "MCB", Threads: 2, Vectorised: true},
-		{App: "LULESH", Threads: 2, Vectorised: false},
-	}
-
-	batch := tinyRunner()
-	results, stats, err := batch.BatchStudies(specs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != len(specs) {
-		t.Fatalf("batch returned %d results for %d specs", len(results), len(specs))
-	}
-	if stats.Studies != len(specs) || stats.PlannedUnits == 0 {
-		t.Errorf("implausible plan stats %+v", stats)
-	}
-	if stats.NaiveUnits != stats.PlannedUnits+stats.DedupedUnits+stats.SubsumedUnits {
-		t.Errorf("plan stats do not add up: %+v", stats)
-	}
-
-	serial := tinyRunner()
-	for i, sp := range specs {
-		want, err := serial.Study(sp.App, sp.Threads, sp.Vectorised)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var got, ref bytes.Buffer
-		if err := results[i].WriteJSON(&got); err != nil {
-			t.Fatal(err)
-		}
-		if err := want.WriteJSON(&ref); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got.Bytes(), ref.Bytes()) {
-			t.Errorf("%+v: batch result differs from serial Study", sp)
-		}
-	}
-
-	// The batch populated the whole-study cache: a later Study call on
-	// the same runner returns the very object the batch produced.
-	for i, sp := range specs {
-		cached, err := batch.Study(sp.App, sp.Threads, sp.Vectorised)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if cached != results[i] {
-			t.Errorf("%+v: Study after batch missed the pre-warmed cache", sp)
-		}
-	}
-}
-
-func TestBatchStudiesUnknownApp(t *testing.T) {
-	_, _, err := tinyRunner().BatchStudies([]StudySpec{{App: "nope", Threads: 2}})
-	if err == nil {
-		t.Error("unknown app in batch should error")
+func TestPlanStudiesUnknownApp(t *testing.T) {
+	bad := Experiment{Name: "bad", Studies: func(Config) []StudySpec {
+		return []StudySpec{{App: "nope", Threads: 2}}
+	}}
+	if _, err := tinyRunner().PlanStudies([]Experiment{bad}); err == nil {
+		t.Error("unknown app in a declared study should error")
 	}
 }

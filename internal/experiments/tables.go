@@ -61,30 +61,31 @@ func Table3(r *Runner, w io.Writer) error {
 		min, max := 0, 0
 		total := 0
 		first := true
-		for _, threads := range r.cfg.Threads {
-			for _, vect := range []bool{false, true} {
-				res, err := r.Study(a.Name, threads, vect)
-				if err != nil {
-					return err
-				}
-				lo, hi := res.MinMaxSelected()
-				if first || lo < min {
-					min = lo
-				}
-				if hi > max {
-					max = hi
-				}
-				if res.TotalBPs > total {
-					total = res.TotalBPs
-				}
-				first = false
+		for _, sp := range studyGrid([]string{a.Name}, r.cfg.Threads) {
+			res, err := r.Study(sp.App, sp.Threads, sp.Vectorised)
+			if err != nil {
+				return err
 			}
+			lo, hi := res.MinMaxSelected()
+			if first || lo < min {
+				min = lo
+			}
+			if hi > max {
+				max = hi
+			}
+			if res.TotalBPs > total {
+				total = res.TotalBPs
+			}
+			first = false
 		}
 		t.AddRow(a.Name, fmt.Sprint(total), fmt.Sprint(min), fmt.Sprint(max))
 	}
 	t.Render(w)
 	return nil
 }
+
+// table4Threads is the one configuration Table IV reports.
+const table4Threads = 8
 
 // Table4 reproduces Table IV: barrier points selected, cycle and
 // instruction estimation error, instructions selected and speed-up for the
@@ -97,33 +98,31 @@ func Table4(r *Runner, w io.Writer) error {
 			"Err Cyc x86/ARM (%)", "Err Ins x86/ARM (%)",
 			"Largest BP (%)", "Total (%)", "Speedup"},
 	}
-	for _, a := range apps.Evaluated() {
-		for _, vect := range []bool{false, true} {
-			res, err := r.Study(a.Name, 8, vect)
-			if err != nil {
-				return err
-			}
-			best := res.BestEval()
-			cfgName := "x86_64 / ARMv8"
-			if vect {
-				cfgName = "x86_64-vect / ARMv8-vect"
-			}
-			armCyc, armIns := "n/a", "n/a"
-			if best.ARM != nil {
-				armCyc = report.Pct(best.ARM.AvgAbsErrPct[machine.Cycles])
-				armIns = report.Pct(best.ARM.AvgAbsErrPct[machine.Instructions])
-			}
-			set := &best.Set
-			t.AddRow(a.Name, cfgName,
-				fmt.Sprintf("%d / %d (%.2f%%)", len(set.Selected), set.TotalPoints,
-					100*float64(len(set.Selected))/float64(set.TotalPoints)),
-				report.Pct(best.X86.AvgAbsErrPct[machine.Cycles])+" / "+armCyc,
-				report.Pct(best.X86.AvgAbsErrPct[machine.Instructions])+" / "+armIns,
-				report.Pct(set.LargestBPPct()),
-				report.Pct(set.InstructionsSelectedPct()),
-				fmt.Sprintf("%.2fx", set.Speedup()),
-			)
+	for _, sp := range studyGrid(evaluatedApps(), []int{table4Threads}) {
+		res, err := r.Study(sp.App, sp.Threads, sp.Vectorised)
+		if err != nil {
+			return err
 		}
+		best := res.BestEval()
+		cfgName := "x86_64 / ARMv8"
+		if sp.Vectorised {
+			cfgName = "x86_64-vect / ARMv8-vect"
+		}
+		armCyc, armIns := "n/a", "n/a"
+		if best.ARM != nil {
+			armCyc = report.Pct(best.ARM.AvgAbsErrPct[machine.Cycles])
+			armIns = report.Pct(best.ARM.AvgAbsErrPct[machine.Instructions])
+		}
+		set := &best.Set
+		t.AddRow(sp.App, cfgName,
+			fmt.Sprintf("%d / %d (%.2f%%)", len(set.Selected), set.TotalPoints,
+				100*float64(len(set.Selected))/float64(set.TotalPoints)),
+			report.Pct(best.X86.AvgAbsErrPct[machine.Cycles])+" / "+armCyc,
+			report.Pct(best.X86.AvgAbsErrPct[machine.Instructions])+" / "+armIns,
+			report.Pct(set.LargestBPPct()),
+			report.Pct(set.InstructionsSelectedPct()),
+			fmt.Sprintf("%.2fx", set.Speedup()),
+		)
 	}
 	t.Notes = []string{
 		"Largest BP bounds simulation time when barrier points run in parallel;",
