@@ -139,9 +139,6 @@ func NewPersistentRunner(cfg Config, dir string, maxBytes int64) (*Runner, error
 // a no-op for memory-only runners.
 func (r *Runner) Close() error { return r.cache.Close() }
 
-// Config returns the runner's effective configuration.
-func (r *Runner) Config() Config { return r.cfg }
-
 // CacheStats reports the shared result cache's counters.
 func (r *Runner) CacheStats() resultcache.Stats { return r.cache.Stats() }
 
