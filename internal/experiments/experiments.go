@@ -3,11 +3,11 @@
 // overhead studies, from the simulated platforms.
 //
 // Each experiment has a driver function writing the paper-shaped output to
-// an io.Writer, and declares the studies the driver reads, so a suite runs
-// in two steps: Runner.PlanStudies executes every declared study as one
-// sweep, then the drivers render from the cache. cmd/bpexperiments exposes
-// them on the command line and the repository benchmarks exercise each
-// one.
+// an io.Writer, and declares the studies that function reads, so a suite
+// runs in two steps: Runner.PlanStudies executes every declared study as
+// one sweep, then the experiments render from the cache. cmd/bpexperiments
+// exposes them on the command line and the repository benchmarks exercise
+// each one.
 package experiments
 
 import (
@@ -199,8 +199,8 @@ func (r *Runner) Study(app string, threads int, vectorised bool) (*core.StudyRes
 // PlanStudies runs every study the experiments declare (Experiment.Studies)
 // as one sweep: sched.CompileSweep plans their union as one deduplicated
 // unit DAG, which executes on Config.Workers workers. Each result lands in
-// the whole-study cache entry Study reads, so the experiments' drivers
-// then render without computing a study. The first failing study, in
+// the whole-study cache entry Study reads, so the experiments then
+// render without computing a study. The first failing study, in
 // declaration order, aborts with its error; the PlanStats report the
 // planner's accounting either way.
 func (r *Runner) PlanStudies(exps []Experiment) (sched.PlanStats, error) {
@@ -274,7 +274,7 @@ func hashName(s string) uint64 {
 	return h
 }
 
-// An Experiment pairs a name with its driver and the studies the driver
+// An Experiment pairs a name with its Run function and the studies Run
 // reads.
 type Experiment struct {
 	Name        string
@@ -282,14 +282,14 @@ type Experiment struct {
 	Run         func(r *Runner, w io.Writer) error
 	// Studies declares every study Run reads through Runner.Study at a
 	// runner's configuration, so PlanStudies can run them all as one
-	// sweep before Run. Nil when Run reads none; the drivers that call
-	// Discover or Collect with their own configurations run those calls
-	// themselves.
+	// sweep before Run. Nil when Run reads none; a Run that calls
+	// Discover or Collect with its own configurations makes those calls
+	// itself.
 	Studies func(Config) []StudySpec
 }
 
 // studyGrid crosses apps with thread counts, scalar then vectorised, in
-// the order the drivers read them.
+// the order the experiments read them.
 func studyGrid(names []string, threads []int) []StudySpec {
 	var specs []StudySpec
 	for _, name := range names {
