@@ -118,14 +118,15 @@ test-obs:
 # batch-vs-serial byte-identity invariant (internal/sched), the
 # POST /studies:batch service surface with cancellation cascades and the
 # 2-worker fleet equivalence run (internal/service), and the evaluation
-# suite's path (internal/experiments): the studies six experiments
-# declare, planned and executed as one sweep, then rendered from the
-# cache against their goldens without a cache miss.
+# suite's path (internal/experiments): planned studies byte-identical to
+# serial Study calls, and the studies six experiments declare, planned and
+# executed as one sweep, then rendered from the cache against their
+# goldens without a cache miss.
 # -timeout 30m: the sched leg's golden equivalence runs (batch plus a
 # serial reference per member) exceed go test's default 10m per-package
 # budget under the race detector's ~10x slowdown.
 test-sweep:
-	$(GO) test -race -timeout 30m -run 'Sweep|BatchSweep|PlanStudies|Table3And4QuickRun' \
+	$(GO) test -race -timeout 30m -run 'Sweep|BatchSweep|BatchStudies|PlanStudies|Table3And4QuickRun' \
 		./internal/sched/... ./internal/service/... ./internal/experiments/...
 
 # suite-check runs the whole evaluation suite at its quick configuration
