@@ -145,12 +145,14 @@ suite-check:
 	cmp $(SUITE_DIR)/quick-4.out cmd/bpexperiments/testdata/quick.golden
 
 # golden-update re-blesses every committed output after a deliberate
-# behaviour change: the experiment goldens under
-# internal/experiments/testdata through the tests' -update flag, and
+# behaviour change: through the tests' -update flag, the experiment
+# goldens under internal/experiments/testdata, the study reports and
+# result digests under internal/core/testdata and internal/sched/testdata
+# and the discovery sets and collection digests beside them; then
 # suite-check's two goldens from a fresh build. Review the diff before
 # committing it.
 golden-update:
-	$(GO) test -count=1 ./internal/experiments -update
+	$(GO) test -count=1 ./internal/experiments ./internal/core ./internal/sched -update
 	$(GO) build -o $(SUITE_DIR)/bpexperiments ./cmd/bpexperiments
 	$(SUITE_DIR)/bpexperiments -list > cmd/bpexperiments/testdata/list.golden
 	$(SUITE_DIR)/bpexperiments -exp all -quick > cmd/bpexperiments/testdata/quick.golden

@@ -3,8 +3,28 @@ package core
 import (
 	"bytes"
 	"encoding/gob"
+	"encoding/json"
 	"testing"
+
+	"barrierpoint/internal/golden"
 )
+
+// baselineDigest digests the LDV baseline of cfg's canonical discovery
+// run: the projected LDV rows every jittered run reuses and a worker
+// receives with a jittered unit. Clustering can pick the same points
+// under a different projection, so the sets alone do not pin the
+// projection; the rows do.
+func baselineDigest(t *testing.T, build ProgramBuilder, cfg DiscoveryConfig) string {
+	t.Helper()
+	_, base, err := DiscoverBaseline(build, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return golden.Digest(struct {
+		N, Dim int
+		Proj   []float64
+	}{base.n, base.dim, base.proj})
+}
 
 // TestGoldenEquivalenceStreamingVsDense is the gate on the streaming
 // signature pipeline: a full Quick-style study executed through the
@@ -14,12 +34,14 @@ import (
 // StudyResult — to the legacy dense path (full-array zeroing, allocating
 // sigvec.Build). Every float along the way feeds k-means seeding and
 // representative selection, so any arithmetic divergence, however small,
-// shows up here.
+// shows up here. The dense path's report, the digest of its whole
+// StudyResult and the digest of the study's LDV baseline are committed
+// under testdata.
 func TestGoldenEquivalenceStreamingVsDense(t *testing.T) {
 	build := phasedBuilder(3, 10)
 	cfg := StudyConfig{Threads: 4, Runs: 3, Reps: 5, Seed: 2017}
 
-	run := func(legacy bool) (report, gobBytes []byte) {
+	run := func(legacy bool) (report, gobBytes []byte, digest string) {
 		t.Helper()
 		legacySignaturePath = legacy
 		defer func() { legacySignaturePath = false }()
@@ -35,11 +57,22 @@ func TestGoldenEquivalenceStreamingVsDense(t *testing.T) {
 		if err := gob.NewEncoder(&g).Encode(res); err != nil {
 			t.Fatalf("legacy=%v: gob: %v", legacy, err)
 		}
-		return rep.Bytes(), g.Bytes()
+		return rep.Bytes(), g.Bytes(), golden.Digest(res)
 	}
 
-	denseRep, denseGob := run(true)
-	streamRep, streamGob := run(false)
+	denseRep, denseGob, denseDigest := run(true)
+	golden.Check(t, "report.json", denseRep)
+	golden.Check(t, "result.sha256", []byte(denseDigest+"\n"))
+	streamRep, streamGob, _ := run(false)
+
+	disc := cfg.WithDefaults().Discovery()
+	legacySignaturePath = true
+	denseBase := baselineDigest(t, build, disc)
+	legacySignaturePath = false
+	golden.Check(t, "baseline.sha256", []byte(denseBase+"\n"))
+	if streamBase := baselineDigest(t, build, disc); streamBase != denseBase {
+		t.Errorf("LDV baselines differ: dense %s, streaming %s", denseBase, streamBase)
+	}
 
 	if !bytes.Equal(denseRep, streamRep) {
 		t.Errorf("study reports differ:\n--- dense ---\n%s\n--- streaming ---\n%s", denseRep, streamRep)
@@ -54,7 +87,9 @@ func TestGoldenEquivalenceStreamingVsDense(t *testing.T) {
 
 // TestGoldenEquivalenceDiscoveryVectors checks equivalence one layer
 // deeper for the signature-ablation shapes RunStudy does not cover
-// (BBV-only, LDV-only): per-run barrier point sets must match exactly.
+// (BBV-only, LDV-only): per-run barrier point sets and the canonical
+// run's LDV baseline must match exactly. The dense path's sets are
+// committed under testdata as JSON, beside the baseline's digest.
 func TestGoldenEquivalenceDiscoveryVectors(t *testing.T) {
 	build := phasedBuilder(4, 8)
 	for _, variant := range []struct {
@@ -75,6 +110,11 @@ func TestGoldenEquivalenceDiscoveryVectors(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			js, err := json.MarshalIndent(want, "", "  ")
+			if err != nil {
+				t.Fatal(err)
+			}
+			golden.Check(t, "sets.json", append(js, '\n'))
 			got, err := Discover(build, cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -89,6 +129,14 @@ func TestGoldenEquivalenceDiscoveryVectors(t *testing.T) {
 			}
 			if !bytes.Equal(a.Bytes(), b.Bytes()) {
 				t.Errorf("barrier point sets differ between dense and streaming paths:\ndense: %+v\nstreaming: %+v", want, got)
+			}
+
+			legacySignaturePath = true
+			denseBase := baselineDigest(t, build, cfg)
+			legacySignaturePath = false
+			golden.Check(t, "baseline.sha256", []byte(denseBase+"\n"))
+			if streamBase := baselineDigest(t, build, cfg); streamBase != denseBase {
+				t.Errorf("LDV baselines differ: dense %s, streaming %s", denseBase, streamBase)
 			}
 		})
 	}

@@ -2,7 +2,9 @@ package sched
 
 import (
 	"context"
+	"fmt"
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -11,6 +13,7 @@ import (
 	"barrierpoint/internal/apps"
 	"barrierpoint/internal/core"
 	"barrierpoint/internal/cpu"
+	"barrierpoint/internal/golden"
 	"barrierpoint/internal/isa"
 	"barrierpoint/internal/machine"
 	"barrierpoint/internal/papi"
@@ -37,10 +40,54 @@ func traceSiblings(threads []int) []core.CollectConfig {
 	return cfgs
 }
 
+// traceLabel names a trace-sibling collection in its golden file.
+func traceLabel(cfg core.CollectConfig) string {
+	m := cfg.Machine
+	if m == nil {
+		m = machine.ForISA(cfg.Variant.ISA)
+	}
+	return fmt.Sprintf("%s %dt on %s", cfg.Variant, cfg.Threads, m.Name)
+}
+
+// oracleDigests returns the committed digests of the collections
+// core.Collect computes without a cache for cfgs, read from
+// testdata/TestSharedTraceCollectionsExact/<app>.sha256: one line per
+// trace sibling at 2 and 8 threads, its label, then its digest. Under
+// -update it first recomputes them all from that oracle.
+func oracleDigests(t *testing.T, a *apps.App, cfgs []core.CollectConfig) []string {
+	t.Helper()
+	name := a.Name + ".sha256"
+	if golden.Updating() {
+		var b strings.Builder
+		for _, cfg := range traceSiblings([]int{2, 8}) {
+			col, err := core.Collect(a.Build, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fmt.Fprintf(&b, "%s %s\n", traceLabel(cfg), golden.Digest(col))
+		}
+		golden.Check(t, name, []byte(b.String()))
+	}
+	byLabel := map[string]string{}
+	for _, line := range strings.Split(strings.TrimSpace(string(golden.Read(t, name))), "\n") {
+		if i := strings.LastIndexByte(line, ' '); i > 0 {
+			byLabel[line[:i]] = line[i+1:]
+		}
+	}
+	want := make([]string, len(cfgs))
+	for i, cfg := range cfgs {
+		if want[i] = byLabel[traceLabel(cfg)]; want[i] == "" {
+			t.Fatalf("%s has no digest for %s (regenerate with -update)", name, traceLabel(cfg))
+		}
+	}
+	return want
+}
+
 // TestSharedTraceCollectionsExact: collections that share a memory trace
 // through one cache equal core.Collect without a cache, field for field
 // (TruePerBP included), whether a sibling finds the trace finished (hit)
-// or joins its simulation in flight.
+// or joins its simulation in flight. The oracle's digests are committed
+// under testdata.
 func TestSharedTraceCollectionsExact(t *testing.T) {
 	// LULESH has the most regions (9,840), graph500 pointer-chases and
 	// MCB's chased references reach L2 and L3.
@@ -58,6 +105,11 @@ func TestSharedTraceCollectionsExact(t *testing.T) {
 		for i, cfg := range cfgs {
 			if want[i], err = core.Collect(a.Build, cfg); err != nil {
 				t.Fatal(err)
+			}
+		}
+		for i, d := range oracleDigests(t, a, cfgs) {
+			if got := golden.Digest(want[i]); got != d {
+				t.Errorf("%s: core.Collect's digest %s differs from the committed %s", traceLabel(cfgs[i]), got, d)
 			}
 		}
 		traces := uint64(len(cfgs) / 2)

@@ -1,15 +1,18 @@
 package sched
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"barrierpoint/internal/apps"
 	"barrierpoint/internal/core"
+	"barrierpoint/internal/golden"
 	"barrierpoint/internal/isa"
 	"barrierpoint/internal/resultcache"
 	"barrierpoint/internal/trace"
@@ -49,9 +52,23 @@ func TestRunDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
+// checkStudyGolden compares a study's report and the digest of its whole
+// result with testdata/<test>/report.json and result.sha256. The goldens
+// pin what sched.Run and core.RunStudy both compose, so they catch a
+// drift in the primitives the two share.
+func checkStudyGolden(t *testing.T, res *core.StudyResult) {
+	t.Helper()
+	var rep bytes.Buffer
+	if err := res.WriteJSON(&rep); err != nil {
+		t.Fatal(err)
+	}
+	golden.Check(t, "report.json", rep.Bytes())
+	golden.Check(t, "result.sha256", []byte(golden.Digest(res)+"\n"))
+}
+
 // TestRunMatchesSerialReference pins the scheduler to core.RunStudy: both
 // compose the same per-unit primitives, so their results must be
-// indistinguishable.
+// indistinguishable, and equal to the committed goldens.
 func TestRunMatchesSerialReference(t *testing.T) {
 	req := testRequest(t)
 	want, err := core.RunStudy(req.App, req.Build, req.Config)
@@ -65,13 +82,41 @@ func TestRunMatchesSerialReference(t *testing.T) {
 	if !reflect.DeepEqual(want, got) {
 		t.Error("sched.Run diverges from the serial core.RunStudy reference")
 	}
+	checkStudyGolden(t, got)
+}
+
+// TestRunSingleRegionStudy: RSBench runs its core loop as one parallel
+// region, so its one barrier point is the whole run and the study reads
+// inapplicable. sched.Run equals core.RunStudy and the committed goldens.
+func TestRunSingleRegionStudy(t *testing.T) {
+	a, err := apps.ByName("RSBench")
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := StudyRequest{App: a.Name, Build: a.Build, Config: testRequest(t).Config}
+	want, err := core.RunStudy(req.App, req.Build, req.Config)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Run(context.Background(), req, Options{Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(want, got) {
+		t.Error("sched.Run diverges from the serial core.RunStudy reference")
+	}
+	if got.TotalBPs != 1 || got.Applicability.OK || !strings.Contains(got.Applicability.Reason, "single parallel region") {
+		t.Errorf("%d barrier points, applicability %+v; want one point and a single-region limitation", got.TotalBPs, got.Applicability)
+	}
+	checkStudyGolden(t, got)
 }
 
 // TestRunKeepsRegionCountMismatch: HPGMG-FV builds a different program
 // per ISA, so its x86_64 barrier points do not map onto the ARMv8 run.
 // Scoring keeps that outcome in the set's evaluation instead of failing
 // the study, and so must the plan's assembly: sched.Run equals
-// core.RunStudy, and the best set's ARMErr is the region-count mismatch.
+// core.RunStudy and the committed goldens, and the best set's ARMErr is
+// the region-count mismatch.
 func TestRunKeepsRegionCountMismatch(t *testing.T) {
 	a, err := apps.ByName("HPGMG-FV")
 	if err != nil {
@@ -93,6 +138,7 @@ func TestRunKeepsRegionCountMismatch(t *testing.T) {
 	if best := got.BestEval(); !errors.Is(best.ARMErr, core.ErrRegionCountMismatch) {
 		t.Errorf("best set's ARMErr = %v, want the region-count mismatch", best.ARMErr)
 	}
+	checkStudyGolden(t, got)
 }
 
 // TestDiscoverMatchesCoreDiscover pins sched.Discover to the serial
