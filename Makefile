@@ -244,7 +244,7 @@ bench:
 # invocation fails, benchjson sees the FAIL line and refuses to record.
 bench-json:
 	{ $(GO) test -run '^$$' -benchmem -benchtime $(BENCHTIME) -count $(BENCH_COUNT) \
-		-bench 'StackDist|^BenchmarkStream|BuildReference|BuilderSparse|BuilderDense' \
+		-bench 'StackDist|^BenchmarkStream|BuilderSparse' \
 		./internal/mem ./internal/pin ./internal/sigvec; \
 	  $(GO) test -run '^$$' -benchmem -benchtime $(BENCHTIME) -count $(BENCH_COUNT) \
 		-bench 'SweepPlanner' ./internal/sched; \

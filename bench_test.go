@@ -285,22 +285,3 @@ func BenchmarkClusterHPCG(b *testing.B) { benchCluster(b, hpcgPoints) }
 // run: 9,840 points of 30 dimensions (2.4 MB, more than a typical L2),
 // the largest point set of the paper suite and most of its clustering.
 func BenchmarkClusterLULESH(b *testing.B) { benchCluster(b, luleshPoints) }
-
-// BenchmarkSignatureProjection measures signature vector construction for
-// a realistic BBV/LDV size (40 blocks x 8 threads, 20 bins x 8 threads).
-func BenchmarkSignatureProjection(b *testing.B) {
-	rng := xrand.New(2)
-	bbv := make([]float64, 40*8)
-	ldv := make([]float64, 20*8)
-	for i := range bbv {
-		bbv[i] = rng.Float64() * 1000
-	}
-	for i := range ldv {
-		ldv[i] = rng.Float64() * 1000
-	}
-	opts := sigvec.DefaultOptions(3)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sigvec.Build(bbv, ldv, opts)
-	}
-}

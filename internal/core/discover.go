@@ -72,25 +72,20 @@ func (cfg DiscoveryConfig) WithDefaults() DiscoveryConfig {
 // canonical run's projected LDV half is, bit for bit, what a jittered run
 // would compute by re-projecting the raw binned LDV — at dim floats per
 // point instead of bins×threads, with no per-point projection work on the
-// jittered runs. (The raw rows are kept only on the legacy golden path,
-// which re-projects through the allocating sigvec.Build.)
+// jittered runs.
 type LDVBaseline struct {
 	n    int
 	dim  int       // floats per projected row (0 when the signature has no LDV component)
 	proj []float64 // n×dim, row i at [i*dim:(i+1)*dim]
-	raw  [][]float64
 }
 
 // NumPoints returns how many barrier points the canonical run observed.
 func (b *LDVBaseline) NumPoints() int { return b.n }
 
 // addPoint records the canonical run's next barrier point: its projected
-// LDV half (copied) and, when keepRaw, the raw binned LDV.
-func (b *LDVBaseline) addPoint(projRow []float64, raw []float64, keepRaw bool) {
+// LDV half, copied.
+func (b *LDVBaseline) addPoint(projRow []float64) {
 	b.proj = append(b.proj, projRow...)
-	if keepRaw {
-		b.raw = append(b.raw, append([]float64(nil), raw...))
-	}
 	b.n++
 }
 
@@ -125,13 +120,6 @@ func discoverySetup(cfg DiscoveryConfig) (isa.Variant, *machine.Machine, sigvec.
 	}
 	return variant, mach, opts, cfg.MaxK, nil
 }
-
-// legacySignaturePath switches discoverRun back to the pre-streaming
-// composition (dense vectors through the allocating sigvec.Build). It
-// exists solely for the golden-equivalence gate, which proves the
-// streaming sparse pipeline produces byte-identical study reports; it is
-// only set by tests in this package.
-var legacySignaturePath = false
 
 // discoverArena is the reusable per-run working set of discoverRun: the
 // signature-vector storage, the point/weight lists handed to clustering,
@@ -242,7 +230,7 @@ func discoverRun(build ProgramBuilder, cfg DiscoveryConfig, run int, base *LDVBa
 	// dead once clustering returns, so the steady-state per-point cost is
 	// the projection arithmetic alone. Jittered runs (run > 0) copy the
 	// canonical run's already-projected LDV rows under the streamed sparse
-	// BBV instead of re-projecting the dense baseline.
+	// BBV instead of re-projecting its LDVs.
 	arena := discoverArenaPool.Get().(*discoverArena)
 	arena.reset()
 	defer discoverArenaPool.Put(arena)
@@ -255,21 +243,8 @@ func discoverRun(build ProgramBuilder, cfg DiscoveryConfig, run int, base *LDVBa
 		newBase = &LDVBaseline{dim: ldvDim, proj: make([]float64, 0, len(prog.Regions)*ldvDim)}
 	}
 	err = pin.Stream(prog, runCfg, pinOpts, func(s pin.Signature) {
-		var vec []float64
-		if !legacySignaturePath {
-			vec = arena.vec(dims)
-		}
+		vec := arena.vec(dims)
 		switch {
-		case legacySignaturePath:
-			ldv := s.LDV
-			if run > 0 && opts.UseLDV {
-				if s.Index < len(base.raw) {
-					ldv = base.raw[s.Index]
-				} else {
-					ldv = make([]float64, pin.NumDistBins*cfg.Threads)
-				}
-			}
-			vec = sigvec.Build(s.BBV, ldv, opts)
 		case run == 0:
 			builder.BuildSparseInto(vec,
 				s.BBVSparse.Idx, s.BBVSparse.Val, s.LDVSparse.Idx, s.LDVSparse.Val)
@@ -286,7 +261,7 @@ func discoverRun(build ProgramBuilder, cfg DiscoveryConfig, run int, base *LDVBa
 			builder.BuildSparseInto(vec, s.BBVSparse.Idx, s.BBVSparse.Val, nil, nil)
 		}
 		if run == 0 {
-			newBase.addPoint(vec[ldvOff:ldvOff+ldvDim], s.LDV, legacySignaturePath)
+			newBase.addPoint(vec[ldvOff : ldvOff+ldvDim])
 		}
 		arena.points = append(arena.points, simpoint.Point{Vec: vec, Weight: s.Instructions})
 		arena.weights = append(arena.weights, s.Instructions)

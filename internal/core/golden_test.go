@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"encoding/gob"
 	"encoding/json"
 	"testing"
 
@@ -26,70 +25,37 @@ func baselineDigest(t *testing.T, build ProgramBuilder, cfg DiscoveryConfig) str
 	}{base.n, base.dim, base.proj})
 }
 
-// TestGoldenEquivalenceStreamingVsDense is the gate on the streaming
-// signature pipeline: a full Quick-style study executed through the
-// refactored path (sparse pin.Stream views into the reusable
-// sigvec.Builder, generation-reset stack distances) must produce a
-// byte-identical study report — and a byte-identical gob of the entire
-// StudyResult — to the legacy dense path (full-array zeroing, allocating
-// sigvec.Build). Every float along the way feeds k-means seeding and
-// representative selection, so any arithmetic divergence, however small,
-// shows up here. The dense path's report, the digest of its whole
-// StudyResult and the digest of the study's LDV baseline are committed
-// under testdata.
+// TestGoldenEquivalenceStreamingVsDense is the gate on the signature
+// pipeline: a full Quick-style study (sparse pin.Stream views into the
+// reusable sigvec.Builder, generation-reset stack distances) must
+// reproduce the committed report, the digest of the entire StudyResult
+// and the digest of the study's LDV baseline byte for byte. The goldens
+// were written by the dense reference path (full-array zeroing, the
+// allocating two-projection composition) while it still existed, and
+// the streaming path matched it then. Every float along the way feeds
+// k-means seeding and representative selection, so any arithmetic
+// divergence, however small, shows up here.
 func TestGoldenEquivalenceStreamingVsDense(t *testing.T) {
 	build := phasedBuilder(3, 10)
 	cfg := StudyConfig{Threads: 4, Runs: 3, Reps: 5, Seed: 2017}
-
-	run := func(legacy bool) (report, gobBytes []byte, digest string) {
-		t.Helper()
-		legacySignaturePath = legacy
-		defer func() { legacySignaturePath = false }()
-		res, err := RunStudy("golden", build, cfg)
-		if err != nil {
-			t.Fatalf("legacy=%v: %v", legacy, err)
-		}
-		var rep bytes.Buffer
-		if err := res.WriteJSON(&rep); err != nil {
-			t.Fatalf("legacy=%v: rendering report: %v", legacy, err)
-		}
-		var g bytes.Buffer
-		if err := gob.NewEncoder(&g).Encode(res); err != nil {
-			t.Fatalf("legacy=%v: gob: %v", legacy, err)
-		}
-		return rep.Bytes(), g.Bytes(), golden.Digest(res)
+	res, err := RunStudy("golden", build, cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	denseRep, denseGob, denseDigest := run(true)
-	golden.Check(t, "report.json", denseRep)
-	golden.Check(t, "result.sha256", []byte(denseDigest+"\n"))
-	streamRep, streamGob, _ := run(false)
-
-	disc := cfg.WithDefaults().Discovery()
-	legacySignaturePath = true
-	denseBase := baselineDigest(t, build, disc)
-	legacySignaturePath = false
-	golden.Check(t, "baseline.sha256", []byte(denseBase+"\n"))
-	if streamBase := baselineDigest(t, build, disc); streamBase != denseBase {
-		t.Errorf("LDV baselines differ: dense %s, streaming %s", denseBase, streamBase)
+	var rep bytes.Buffer
+	if err := res.WriteJSON(&rep); err != nil {
+		t.Fatalf("rendering report: %v", err)
 	}
-
-	if !bytes.Equal(denseRep, streamRep) {
-		t.Errorf("study reports differ:\n--- dense ---\n%s\n--- streaming ---\n%s", denseRep, streamRep)
-	}
-	if !bytes.Equal(denseGob, streamGob) {
-		t.Error("gob-encoded StudyResults differ (beyond the rendered report)")
-	}
-	if len(denseRep) == 0 {
-		t.Fatal("empty report")
-	}
+	golden.Check(t, "report.json", rep.Bytes())
+	golden.Check(t, "result.sha256", []byte(golden.Digest(res)+"\n"))
+	golden.Check(t, "baseline.sha256", []byte(baselineDigest(t, build, cfg.WithDefaults().Discovery())+"\n"))
 }
 
-// TestGoldenEquivalenceDiscoveryVectors checks equivalence one layer
+// TestGoldenEquivalenceDiscoveryVectors checks the pipeline one layer
 // deeper for the signature-ablation shapes RunStudy does not cover
 // (BBV-only, LDV-only): per-run barrier point sets and the canonical
-// run's LDV baseline must match exactly. The dense path's sets are
-// committed under testdata as JSON, beside the baseline's digest.
+// run's LDV baseline must match the committed JSON and digest, also
+// written by the dense reference path.
 func TestGoldenEquivalenceDiscoveryVectors(t *testing.T) {
 	build := phasedBuilder(4, 8)
 	for _, variant := range []struct {
@@ -103,41 +69,16 @@ func TestGoldenEquivalenceDiscoveryVectors(t *testing.T) {
 		t.Run(variant.name, func(t *testing.T) {
 			cfg := DiscoveryConfig{Threads: 2, Runs: 3, Seed: 7}
 			variant.mut(&cfg)
-
-			legacySignaturePath = true
-			want, err := Discover(build, cfg)
-			legacySignaturePath = false
+			sets, err := Discover(build, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			js, err := json.MarshalIndent(want, "", "  ")
+			js, err := json.MarshalIndent(sets, "", "  ")
 			if err != nil {
 				t.Fatal(err)
 			}
 			golden.Check(t, "sets.json", append(js, '\n'))
-			got, err := Discover(build, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			var a, b bytes.Buffer
-			if err := gob.NewEncoder(&a).Encode(want); err != nil {
-				t.Fatal(err)
-			}
-			if err := gob.NewEncoder(&b).Encode(got); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(a.Bytes(), b.Bytes()) {
-				t.Errorf("barrier point sets differ between dense and streaming paths:\ndense: %+v\nstreaming: %+v", want, got)
-			}
-
-			legacySignaturePath = true
-			denseBase := baselineDigest(t, build, cfg)
-			legacySignaturePath = false
-			golden.Check(t, "baseline.sha256", []byte(denseBase+"\n"))
-			if streamBase := baselineDigest(t, build, cfg); streamBase != denseBase {
-				t.Errorf("LDV baselines differ: dense %s, streaming %s", denseBase, streamBase)
-			}
+			golden.Check(t, "baseline.sha256", []byte(baselineDigest(t, build, cfg)+"\n"))
 		})
 	}
 }

@@ -3,7 +3,6 @@ package sched
 import (
 	"context"
 	"fmt"
-	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -86,8 +85,9 @@ func oracleDigests(t *testing.T, a *apps.App, cfgs []core.CollectConfig) []strin
 // TestSharedTraceCollectionsExact: collections that share a memory trace
 // through one cache equal core.Collect without a cache, field for field
 // (TruePerBP included), whether a sibling finds the trace finished (hit)
-// or joins its simulation in flight. The oracle's digests are committed
-// under testdata.
+// or joins its simulation in flight. The oracle is the committed digests
+// of core.Collect's collections, not a recomputation: it costs nothing
+// per run, and it also catches a drift that hits both paths at once.
 func TestSharedTraceCollectionsExact(t *testing.T) {
 	// LULESH has the most regions (9,840), graph500 pointer-chases and
 	// MCB's chased references reach L2 and L3.
@@ -101,17 +101,7 @@ func TestSharedTraceCollectionsExact(t *testing.T) {
 			t.Fatal(err)
 		}
 		cfgs := traceSiblings(threads)
-		want := make([]*core.Collection, len(cfgs))
-		for i, cfg := range cfgs {
-			if want[i], err = core.Collect(a.Build, cfg); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for i, d := range oracleDigests(t, a, cfgs) {
-			if got := golden.Digest(want[i]); got != d {
-				t.Errorf("%s: core.Collect's digest %s differs from the committed %s", traceLabel(cfgs[i]), got, d)
-			}
-		}
+		want := oracleDigests(t, a, cfgs)
 		traces := uint64(len(cfgs) / 2)
 
 		t.Run(name+"/hit", func(t *testing.T) {
@@ -121,9 +111,8 @@ func TestSharedTraceCollectionsExact(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !reflect.DeepEqual(got, want[i]) {
-					t.Errorf("%s %d threads on %s: shared-trace collection differs from core.Collect",
-						cfg.Variant, cfg.Threads, got.Machine.Name)
+				if golden.Digest(got) != want[i] {
+					t.Errorf("%s: shared-trace collection differs from core.Collect's", traceLabel(cfg))
 				}
 			}
 			// One miss per collection and per distinct trace; every second
@@ -182,9 +171,8 @@ func TestSharedTraceCollectionsExact(t *testing.T) {
 				if errs[i] != nil {
 					t.Fatal(errs[i])
 				}
-				if !reflect.DeepEqual(got[i], want[i]) {
-					t.Errorf("%s %d threads on %s: in-flight shared-trace collection differs from core.Collect",
-						cfg.Variant, cfg.Threads, got[i].Machine.Name)
+				if golden.Digest(got[i]) != want[i] {
+					t.Errorf("%s: in-flight shared-trace collection differs from core.Collect's", traceLabel(cfg))
 				}
 			}
 			if st := cache.Stats(); st.Misses != uint64(len(cfgs))+traces {

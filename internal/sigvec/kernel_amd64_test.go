@@ -46,10 +46,10 @@ func TestAVX2MatchesScalarDirect(t *testing.T) {
 }
 
 // TestProjectionAVX2MatchesScalar forces each dispatch path in turn
-// through the full ProjectInto / ProjectSparseInto / Builder surface and
-// requires bit-identical signature vectors. This is the end-to-end
-// equivalence the golden gate in internal/core relies on when CI machines
-// differ in AVX2 support.
+// through the Builder, on a canonical run's point and on a jittered run's
+// (no LDV views), and requires bit-identical signature vectors. This is
+// the end-to-end equivalence the goldens in internal/core rely on when CI
+// machines differ in AVX2 support.
 func TestProjectionAVX2MatchesScalar(t *testing.T) {
 	if !cpu.Host.AVX2 {
 		t.Skip("host has no AVX2")
@@ -62,24 +62,21 @@ func TestProjectionAVX2MatchesScalar(t *testing.T) {
 		outV := make([]float64, b.Dims())
 		outS := make([]float64, b.Dims())
 		for seed := uint64(0); seed < 20; seed++ {
-			bbv, bIdx, bVal := randVecs(seed, 320, 80)
-			ldv, _, _ := randVecs(seed^0xfeed, 160, 40)
-
-			useSIMD = true
-			b.BuildSparseDenseInto(outV, bIdx, bVal, ldv)
-			useSIMD = false
-			b.BuildSparseDenseInto(outS, bIdx, bVal, ldv)
-			if j, ok := sameBits(outV, outS); !ok {
-				t.Fatalf("dim=%d seed=%d: AVX2 and scalar signature vectors diverge at %d: %x != %x",
-					dim, seed, j, math.Float64bits(outV[j]), math.Float64bits(outS[j]))
-			}
-
-			useSIMD = true
-			b.BuildInto(outV, bbv, ldv)
-			useSIMD = false
-			b.BuildInto(outS, bbv, ldv)
-			if j, ok := sameBits(outV, outS); !ok {
-				t.Fatalf("dim=%d seed=%d: dense AVX2/scalar vectors diverge at %d", dim, seed, j)
+			_, bIdx, bVal := randVecs(seed, 320, 80)
+			_, lIdx, lVal := randVecs(seed^0xfeed, 160, 40)
+			for _, jittered := range []bool{false, true} {
+				li, lv := lIdx, lVal
+				if jittered {
+					li, lv = nil, nil
+				}
+				useSIMD = true
+				b.BuildSparseInto(outV, bIdx, bVal, li, lv)
+				useSIMD = false
+				b.BuildSparseInto(outS, bIdx, bVal, li, lv)
+				if j, ok := sameBits(outV, outS); !ok {
+					t.Fatalf("dim=%d seed=%d jittered=%v: AVX2 and scalar signature vectors diverge at %d: %x != %x",
+						dim, seed, jittered, j, math.Float64bits(outV[j]), math.Float64bits(outS[j]))
+				}
 			}
 		}
 	}

@@ -7,16 +7,17 @@ import (
 
 // Projector applies one seeded ±1 random projection repeatedly, the way
 // the discovery hot loop needs it: the projection rows (the per-input-index
-// {-1,+1} patterns Project derives by hashing on every call) are
-// materialised once and reused, L1 normalisation is folded into the
-// projection pass instead of materialising a normalised copy, and results
-// are written into caller-owned storage. One Projector serves every
-// barrier point of a run, so projecting a point allocates nothing.
+// {-1,+1} patterns projEntry derives by hashing) are materialised once and
+// reused, L1 normalisation is folded into the projection pass instead of
+// materialising a normalised copy, and results are written into
+// caller-owned storage. One Projector serves every barrier point of a
+// run, so projecting a point allocates nothing.
 //
-// All entry points are bit-identical to Project(normalizeL1(v), dim, seed):
-// the same normalised values are accumulated in the same index order with
-// the same final scaling. The golden-equivalence gate in internal/core
-// rests on that.
+// The arithmetic is that of projecting the L1-normalised dense vector
+// with the matrix of ±1 entries, scaled by 1/sqrt(dim): the same
+// normalised values accumulated in the same index order with the same
+// final scaling. The package's tests hold it bit for bit to that plain
+// composition, and the goldens in internal/core pin its outputs.
 type Projector struct {
 	dim   int
 	seed  uint64
@@ -100,40 +101,13 @@ func Kernel() string {
 	return "scalar"
 }
 
-// ProjectInto writes the L1-normalised projection of dense v into out,
-// which must have length Dim. It allocates only to extend the cached
-// projection rows the first time a longer input is seen.
-//
-//bp:noalloc
-func (p *Projector) ProjectInto(out, v []float64) {
-	p.checkOut(out) //bp:lint-ok noalloc inlined panic formatting, never runs on the hot path
-	var sum float64
-	for _, x := range v {
-		sum += math.Abs(x)
-	}
-	for j := range out {
-		out[j] = 0
-	}
-	if sum != 0 {
-		p.ensureRows(len(v))
-		for i, x := range v {
-			if x == 0 {
-				continue
-			}
-			if xn := x / sum; xn != 0 {
-				accumulate(out, p.rows[i*p.dim:(i+1)*p.dim], xn)
-			}
-		}
-	}
-	for j := range out {
-		out[j] *= p.scale
-	}
-}
-
-// ProjectSparseInto is ProjectInto over an ordered sparse view: val[k] is
-// the dense entry at index idx[k], idx is ascending, omitted entries are
-// zero. Because a dense pass both sums and accumulates in index order and
-// skips zeros, consuming the sparse view directly is bit-identical.
+// ProjectSparseInto writes the L1-normalised projection of an ordered
+// sparse view into out, which must have length Dim: val[k] is the dense
+// entry at index idx[k], idx is ascending, omitted entries are zero.
+// Because a dense pass both sums and accumulates in index order and skips
+// zeros, consuming the sparse view directly is bit-identical to it. It
+// allocates only to extend the cached projection rows the first time a
+// higher index is seen.
 //
 //bp:noalloc
 func (p *Projector) ProjectSparseInto(out []float64, idx []int32, val []float64) {
@@ -172,18 +146,18 @@ func (p *Projector) checkOut(out []float64) {
 	}
 }
 
-// Builder assembles whole signature vectors (the concatenation of the
-// projected components Options selects) with zero allocations per point.
-// It is the streaming counterpart of Build and produces bit-identical
-// vectors.
+// Builder assembles whole signature vectors with zero allocations per
+// point: each component Options selects is L1-normalised (so signatures
+// compare shape, not magnitude), projected to Options.Dim dimensions
+// (DefaultDim when zero), and the BBV half is followed by the LDV half.
 type Builder struct {
 	opts Options
 	bbv  *Projector
 	ldv  *Projector
 }
 
-// NewBuilder returns a Builder for the options, applying the same
-// defaulting and validation as Build.
+// NewBuilder returns a Builder for the options. It panics when the
+// options select neither component.
 func NewBuilder(opts Options) *Builder {
 	if !opts.UseBBV && !opts.UseLDV {
 		panic("sigvec: signature must use at least one component")
@@ -227,23 +201,11 @@ func (b *Builder) split(out []float64) (bbv, ldv []float64) {
 	return bbv, ldv
 }
 
-// BuildInto writes the signature vector for dense bbv/ldv into out
-// (length Dims). Components Options disables are ignored.
-//
-//bp:noalloc
-func (b *Builder) BuildInto(out, bbv, ldv []float64) {
-	dBBV, dLDV := b.split(out)
-	if b.opts.UseBBV {
-		b.bbv.ProjectInto(dBBV, bbv)
-	}
-	if b.opts.UseLDV {
-		b.ldv.ProjectInto(dLDV, ldv)
-	}
-}
-
 // BuildSparseInto writes the signature vector for ordered sparse BBV and
-// LDV views into out. The discovery hot path feeds pin.Stream's sparse
-// views straight through here: no densification, no per-point allocation.
+// LDV views (see ProjectSparseInto) into out, which must have length
+// Dims; the views of a component Options disables are ignored. The
+// discovery hot path feeds pin.Stream's sparse views straight through
+// here: no densification, no per-point allocation.
 //
 //bp:noalloc
 func (b *Builder) BuildSparseInto(out []float64, bbvIdx []int32, bbvVal []float64, ldvIdx []int32, ldvVal []float64) {
@@ -253,21 +215,5 @@ func (b *Builder) BuildSparseInto(out []float64, bbvIdx []int32, bbvVal []float6
 	}
 	if b.opts.UseLDV {
 		b.ldv.ProjectSparseInto(dLDV, ldvIdx, ldvVal)
-	}
-}
-
-// BuildSparseDenseInto writes the signature vector for a sparse BBV view
-// combined with a dense LDV — the jittered-discovery shape, where BBVs
-// stream from the instrumented run but LDVs are reused from the canonical
-// run's dense baseline.
-//
-//bp:noalloc
-func (b *Builder) BuildSparseDenseInto(out []float64, bbvIdx []int32, bbvVal []float64, ldv []float64) {
-	dBBV, dLDV := b.split(out)
-	if b.opts.UseBBV {
-		b.bbv.ProjectSparseInto(dBBV, bbvIdx, bbvVal)
-	}
-	if b.opts.UseLDV {
-		b.ldv.ProjectInto(dLDV, ldv)
 	}
 }

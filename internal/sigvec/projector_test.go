@@ -26,14 +26,14 @@ func randVecs(seed uint64, n int, zeroPct uint64) (dense []float64, idx []int32,
 }
 
 // TestProjectorMatchesProject: the row-caching fused path must be
-// bit-identical to the reference Project(normalizeL1(v)).
+// bit-identical to the oracle project(normalizeL1(v)).
 func TestProjectorMatchesProject(t *testing.T) {
 	p := NewProjector(15, 99)
 	out := make([]float64, 15)
 	if err := quick.Check(func(seed uint64) bool {
-		dense, _, _ := randVecs(seed, 160, 70)
-		p.ProjectInto(out, dense)
-		want := Project(normalizeL1(dense), 15, 99)
+		dense, idx, val := randVecs(seed, 160, 70)
+		p.ProjectSparseInto(out, idx, val)
+		want := project(normalizeL1(dense), 15, 99)
 		for j := range want {
 			if out[j] != want[j] {
 				t.Logf("seed %d dim %d: %g != %g", seed, j, out[j], want[j])
@@ -46,18 +46,17 @@ func TestProjectorMatchesProject(t *testing.T) {
 	}
 }
 
-// TestProjectorSparseMatchesDense: consuming the ordered sparse view must
-// be bit-identical to the dense pass.
+// TestProjectorSparseMatchesDense: consuming a very sparse ordered view
+// must be bit-identical to the oracle's pass over the dense vector.
 func TestProjectorSparseMatchesDense(t *testing.T) {
 	p := NewProjector(15, 7)
-	outD := make([]float64, 15)
-	outS := make([]float64, 15)
+	out := make([]float64, 15)
 	if err := quick.Check(func(seed uint64) bool {
 		dense, idx, val := randVecs(seed, 200, 85)
-		p.ProjectInto(outD, dense)
-		p.ProjectSparseInto(outS, idx, val)
-		for j := range outD {
-			if outD[j] != outS[j] {
+		p.ProjectSparseInto(out, idx, val)
+		want := project(normalizeL1(dense), 15, 7)
+		for j := range want {
+			if out[j] != want[j] {
 				return false
 			}
 		}
@@ -67,31 +66,27 @@ func TestProjectorSparseMatchesDense(t *testing.T) {
 	}
 }
 
-// TestBuilderMatchesBuild: every Builder entry point must be bit-identical
-// to the reference Build, across component selections.
+// TestBuilderMatchesBuild: the Builder must be bit-identical to the
+// oracle build across component selections, both on a canonical run's
+// point and on a jittered run's, whose LDV views are empty (the
+// discovery loop then copies the baseline's projected row over the zero
+// LDV half, or leaves it zero past the baseline's horizon).
 func TestBuilderMatchesBuild(t *testing.T) {
 	for _, opts := range []Options{
-		DefaultOptions(3),
+		paperOptions(3),
 		{Dim: 8, UseBBV: true, UseLDV: false, Seed: 11},
 		{Dim: 8, UseBBV: false, UseLDV: true, Seed: 11},
-		{UseBBV: true, UseLDV: true}, // zero Dim must default like Build
+		{UseBBV: true, UseLDV: true}, // zero Dim must default like build
 	} {
 		b := NewBuilder(opts)
 		out := make([]float64, b.Dims())
 		if err := quick.Check(func(seed uint64) bool {
 			bbv, bIdx, bVal := randVecs(seed, 320, 80)
 			ldv, lIdx, lVal := randVecs(seed^0xabcdef, 160, 40)
-			want := Build(bbv, ldv, opts)
+			want := build(bbv, ldv, opts)
 			if len(want) != b.Dims() {
-				t.Logf("Dims() = %d, Build produced %d", b.Dims(), len(want))
+				t.Logf("Dims() = %d, build produced %d", b.Dims(), len(want))
 				return false
-			}
-			b.BuildInto(out, bbv, ldv)
-			for j := range want {
-				if out[j] != want[j] {
-					t.Logf("BuildInto mismatch at %d", j)
-					return false
-				}
 			}
 			b.BuildSparseInto(out, bIdx, bVal, lIdx, lVal)
 			for j := range want {
@@ -100,10 +95,11 @@ func TestBuilderMatchesBuild(t *testing.T) {
 					return false
 				}
 			}
-			b.BuildSparseDenseInto(out, bIdx, bVal, ldv)
+			want = build(bbv, nil, opts)
+			b.BuildSparseInto(out, bIdx, bVal, nil, nil)
 			for j := range want {
 				if out[j] != want[j] {
-					t.Logf("BuildSparseDenseInto mismatch at %d", j)
+					t.Logf("BuildSparseInto without LDV views: mismatch at %d", j)
 					return false
 				}
 			}
@@ -114,12 +110,13 @@ func TestBuilderMatchesBuild(t *testing.T) {
 	}
 }
 
-// TestBuilderZeroAllocs: steady-state signature building must not allocate.
+// TestBuilderZeroAllocs: steady-state signature building must not
+// allocate, on a canonical run's point or a jittered run's.
 func TestBuilderZeroAllocs(t *testing.T) {
-	b := NewBuilder(DefaultOptions(5))
+	b := NewBuilder(paperOptions(5))
 	out := make([]float64, b.Dims())
-	bbv, bIdx, bVal := randVecs(123, 320, 80)
-	ldv, lIdx, lVal := randVecs(456, 160, 40)
+	_, bIdx, bVal := randVecs(123, 320, 80)
+	_, lIdx, lVal := randVecs(456, 160, 40)
 	// Warm the row caches.
 	b.BuildSparseInto(out, bIdx, bVal, lIdx, lVal)
 	if n := testing.AllocsPerRun(100, func() {
@@ -128,14 +125,9 @@ func TestBuilderZeroAllocs(t *testing.T) {
 		t.Errorf("BuildSparseInto allocates %v per point, want 0", n)
 	}
 	if n := testing.AllocsPerRun(100, func() {
-		b.BuildSparseDenseInto(out, bIdx, bVal, ldv)
+		b.BuildSparseInto(out, bIdx, bVal, nil, nil)
 	}); n != 0 {
-		t.Errorf("BuildSparseDenseInto allocates %v per point, want 0", n)
-	}
-	if n := testing.AllocsPerRun(100, func() {
-		b.BuildInto(out, bbv, ldv)
-	}); n != 0 {
-		t.Errorf("BuildInto allocates %v per point, want 0", n)
+		t.Errorf("BuildSparseInto without LDV views allocates %v per point, want 0", n)
 	}
 }
 
@@ -143,7 +135,9 @@ func TestBuilderPanicsLikeBuild(t *testing.T) {
 	for name, fn := range map[string]func(){
 		"no components": func() { NewBuilder(Options{Dim: 4}) },
 		"bad dim":       func() { NewProjector(0, 1) },
-		"short out":     func() { NewBuilder(DefaultOptions(1)).BuildInto(make([]float64, 3), nil, nil) },
+		"short out": func() {
+			NewBuilder(paperOptions(1)).BuildSparseInto(make([]float64, 3), nil, nil, nil, nil)
+		},
 		"ragged sparse": func() {
 			NewProjector(4, 1).ProjectSparseInto(make([]float64, 4), []int32{1}, nil)
 		},
@@ -159,50 +153,18 @@ func TestBuilderPanicsLikeBuild(t *testing.T) {
 	}
 }
 
-// benchVecs is the realistic shape also used by the top-level
-// BenchmarkSignatureProjection: 40 blocks x 8 threads, 20 bins x 8
-// threads, with barrier-point-like sparsity.
-func benchVecs() (bbv, ldv []float64, bIdx []int32, bVal []float64, lIdx []int32, lVal []float64) {
-	bbv, bIdx, bVal = randVecs(2, 40*8, 80)
-	ldv, lIdx, lVal = randVecs(3, 20*8, 40)
-	return
-}
-
-// BenchmarkBuildReference is the allocating reference Build — the
-// pre-refactor hot path, kept for before/after comparison.
-func BenchmarkBuildReference(b *testing.B) {
-	bbv, ldv, _, _, _, _ := benchVecs()
-	opts := DefaultOptions(3)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Build(bbv, ldv, opts)
-	}
-}
-
 // BenchmarkBuilderSparse is the streaming pipeline's per-point cost:
 // reusable Builder consuming pin.Stream's sparse views into caller-owned
-// scratch.
+// scratch, at a realistic shape (40 blocks x 8 threads, 20 bins x 8
+// threads) with barrier-point-like sparsity.
 func BenchmarkBuilderSparse(b *testing.B) {
-	_, _, bIdx, bVal, lIdx, lVal := benchVecs()
-	bld := NewBuilder(DefaultOptions(3))
+	_, bIdx, bVal := randVecs(2, 40*8, 80)
+	_, lIdx, lVal := randVecs(3, 20*8, 40)
+	bld := NewBuilder(paperOptions(3))
 	out := make([]float64, bld.Dims())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		bld.BuildSparseInto(out, bIdx, bVal, lIdx, lVal)
-	}
-}
-
-// BenchmarkBuilderDense is the reusable Builder over dense inputs (the
-// jittered-run LDV-baseline shape).
-func BenchmarkBuilderDense(b *testing.B) {
-	bbv, ldv, _, _, _, _ := benchVecs()
-	bld := NewBuilder(DefaultOptions(3))
-	out := make([]float64, bld.Dims())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		bld.BuildInto(out, bbv, ldv)
 	}
 }

@@ -4,30 +4,9 @@
 // projects BBVs to 15 dimensions), and concatenated.
 package sigvec
 
-import (
-	"fmt"
-	"math"
-)
-
 // DefaultDim is the projected dimension used for each of the BBV and LDV
 // halves of a signature vector (SimPoint's default is 15).
 const DefaultDim = 15
-
-// normalizeL1 returns v scaled to unit L1 norm (or zeros if v is all zero).
-func normalizeL1(v []float64) []float64 {
-	var sum float64
-	for _, x := range v {
-		sum += math.Abs(x)
-	}
-	out := make([]float64, len(v))
-	if sum == 0 {
-		return out
-	}
-	for i, x := range v {
-		out[i] = x / sum
-	}
-	return out
-}
 
 // projEntry returns the {-1,+1} entry (i,j) of the seeded random projection
 // matrix, derived by hashing so the matrix never needs materialising.
@@ -43,28 +22,6 @@ func projEntry(i, j int, seed uint64) float64 {
 	return -1
 }
 
-// Project maps v into dim dimensions with a seeded ±1 random projection,
-// preserving relative distances in expectation (Johnson-Lindenstrauss).
-func Project(v []float64, dim int, seed uint64) []float64 {
-	if dim <= 0 {
-		panic(fmt.Sprintf("sigvec: non-positive projection dimension %d", dim))
-	}
-	out := make([]float64, dim)
-	scale := 1 / math.Sqrt(float64(dim))
-	for i, x := range v {
-		if x == 0 {
-			continue
-		}
-		for j := 0; j < dim; j++ {
-			out[j] += x * projEntry(i, j, seed)
-		}
-	}
-	for j := range out {
-		out[j] *= scale
-	}
-	return out
-}
-
 // Options selects which signature components to use. The paper combines
 // BBV and LDV; the ablation benches compare against each alone.
 type Options struct {
@@ -72,47 +29,4 @@ type Options struct {
 	UseBBV bool
 	UseLDV bool
 	Seed   uint64
-}
-
-// DefaultOptions returns the paper's configuration: BBV+LDV, 15+15 dims.
-func DefaultOptions(seed uint64) Options {
-	return Options{Dim: DefaultDim, UseBBV: true, UseLDV: true, Seed: seed}
-}
-
-// Build combines one barrier point's BBV and LDV into its signature
-// vector: each component is L1-normalised (so signatures compare shape,
-// not magnitude), projected to opts.Dim dimensions, and concatenated.
-//
-// Build is the allocating reference implementation; the streaming pipeline
-// uses a reusable Builder, which produces bit-identical vectors with zero
-// heap allocations per point (see the equivalence tests).
-func Build(bbv, ldv []float64, opts Options) []float64 {
-	if !opts.UseBBV && !opts.UseLDV {
-		panic("sigvec: signature must use at least one component")
-	}
-	dim := opts.Dim
-	if dim == 0 {
-		dim = DefaultDim
-	}
-	var out []float64
-	if opts.UseBBV {
-		out = append(out, Project(normalizeL1(bbv), dim, opts.Seed^0xb1b1)...)
-	}
-	if opts.UseLDV {
-		out = append(out, Project(normalizeL1(ldv), dim, opts.Seed^0x1d1d)...)
-	}
-	return out
-}
-
-// Distance returns the Euclidean distance between two equal-length vectors.
-func Distance(a, b []float64) float64 {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("sigvec: dimension mismatch %d vs %d", len(a), len(b)))
-	}
-	var ss float64
-	for i := range a {
-		d := a[i] - b[i]
-		ss += d * d
-	}
-	return math.Sqrt(ss)
 }
