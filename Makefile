@@ -192,9 +192,11 @@ fuzz-cache:
 # fuzz-units feeds the worker's POST /units handler arbitrary bodies for
 # 10 s, seeded with real collect and jittered units, a validate body as a
 # coordinator that shipped set scoring to workers sent it (a 409:
-# validation is a study's assembly step, not a unit kind) and a malformed
-# dependency probe, and fails on a panic or on any status outside 200,
-# 409, 422 and 429. Seeds are multi-KB bodies, so minimising each new
+# validation is a study's assembly step, not a unit kind), a malformed
+# dependency probe and three collect units whose platform cannot be
+# resolved (an unknown ISA, a machine override without its ISA and CPU,
+# a vectorised ISA with no vector width), and fails on a panic or on any
+# status outside 200, 409, 422 and 429. Seeds are multi-KB bodies, so minimising each new
 # input under the default 60 s budget would eat the whole run.
 fuzz-units:
 	$(GO) test -run '^$$' -fuzz '^FuzzWorkerUnit$$' -fuzztime 10s -fuzzminimizetime 2s ./internal/service

@@ -93,7 +93,10 @@ func CollectMem(build ProgramBuilder, cfg CollectConfig, mem *omp.MemTrace) (*Co
 	}
 	mach := cfg.Machine
 	if mach == nil {
-		mach = machine.ForISA(cfg.Variant.ISA)
+		var err error
+		if mach, err = machine.Lookup(cfg.Variant.ISA); err != nil {
+			return nil, nil, fmt.Errorf("core: collecting %s: %w", cfg.Variant, err)
+		}
 	}
 	if mach.ISA.Name != cfg.Variant.ISA.Name {
 		return nil, nil, fmt.Errorf("core: %s binary cannot be collected on %s (a %s machine)",

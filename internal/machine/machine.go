@@ -245,13 +245,24 @@ func ARMInOrder() *Machine {
 	return m
 }
 
-// ForISA returns the platform that executes the given ISA.
-func ForISA(a *isa.ISA) *Machine {
+// Lookup returns the platform that executes the given ISA, or an error
+// for an ISA neither platform of Table II executes.
+func Lookup(a *isa.ISA) (*Machine, error) {
 	switch a.Name {
 	case "x86_64":
-		return IntelI7()
+		return IntelI7(), nil
 	case "ARMv8":
-		return APMXGene()
+		return APMXGene(), nil
 	}
-	panic(fmt.Sprintf("machine: no platform for ISA %q", a.Name))
+	return nil, fmt.Errorf("machine: no platform for ISA %q", a.Name)
+}
+
+// ForISA is Lookup for an ISA known to have a platform: it panics on any
+// other.
+func ForISA(a *isa.ISA) *Machine {
+	m, err := Lookup(a)
+	if err != nil {
+		panic(err)
+	}
+	return m
 }

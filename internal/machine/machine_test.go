@@ -131,6 +131,15 @@ func TestForISA(t *testing.T) {
 	}
 }
 
+func TestLookupRejectsUnknown(t *testing.T) {
+	if m, err := Lookup(&isa.ISA{Name: "riscv"}); err == nil {
+		t.Fatalf("Lookup(riscv) = %s, want an error", m.Name)
+	}
+	if m, err := Lookup(isa.ARMv8()); err != nil || m.Name != APMXGene().Name {
+		t.Errorf("Lookup(ARMv8) = %v, %v; want the X-Gene", m, err)
+	}
+}
+
 func TestForISAPanicsOnUnknown(t *testing.T) {
 	defer func() {
 		if recover() == nil {

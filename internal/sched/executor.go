@@ -11,13 +11,15 @@ import (
 	"barrierpoint/internal/cachestore"
 	"barrierpoint/internal/core"
 	"barrierpoint/internal/isa"
+	"barrierpoint/internal/machine"
 	"barrierpoint/internal/obs"
 	"barrierpoint/internal/omp"
 	"barrierpoint/internal/resultcache"
 )
 
 // ErrBadUnit marks a structurally invalid unit request: unknown kind,
-// missing configuration. Workers map it to a protocol-level reject (the
+// missing configuration, a collection platform that cannot be resolved
+// (see checkPlatform). Workers map it to a protocol-level reject (the
 // requester may be a newer binary speaking a newer dialect — its
 // coordinator can still execute the unit itself), never a compute
 // failure.
@@ -159,13 +161,38 @@ func (r *UnitRequest) Key() (resultcache.Key, error) {
 		if r.Collect == nil {
 			return "", fmt.Errorf("%w: collect unit needs a collect configuration", ErrBadUnit)
 		}
-		if r.Collect.Variant.ISA == nil {
-			return "", fmt.Errorf("%w: collection needs a binary variant", ErrBadUnit)
+		if err := checkPlatform(r.Collect); err != nil {
+			return "", fmt.Errorf("%w: %v", ErrBadUnit, err)
 		}
 		return collectKey(r.FP, *r.Collect), nil
 	default:
 		return "", fmt.Errorf("%w: unknown unit kind %q", ErrBadUnit, r.Kind)
 	}
+}
+
+// checkPlatform checks what a collection's keys and simulation read of
+// its platform. A wire request carries the variant's ISA and any machine
+// override by value, so the ISA must be, field for field, one a Table II
+// platform executes (a zero vector width divides by zero in the program
+// builders), and an override must pass machine.Validate (the key
+// dereferences its ISA and CPU model, the topology divides by its L2
+// scope).
+func checkPlatform(cfg *core.CollectConfig) error {
+	a := cfg.Variant.ISA
+	if a == nil {
+		return fmt.Errorf("collection needs a binary variant")
+	}
+	m, err := machine.Lookup(a)
+	if err != nil {
+		return err
+	}
+	if *a != *m.ISA {
+		return fmt.Errorf("the collection's %s ISA differs from the one the %s executes", a.Name, m.Name)
+	}
+	if cfg.Machine != nil {
+		return cfg.Machine.Validate()
+	}
+	return nil
 }
 
 // An Executor resolves unit requests to artifacts:

@@ -95,13 +95,16 @@ func collectKey(fp string, cfg core.CollectConfig) resultcache.Key {
 // share one fingerprint), the repetitions, the noise seed, the overhead,
 // the multiplex groups and the machine's timing model: sibling
 // collections that differ only there replay one trace. A thread count
-// the machine cannot map keys no trace.
+// the machine cannot map, or an ISA no platform executes, keys no trace.
 //
 //bp:keyfields core.CollectConfig -Reps -Seed -Overhead -MultiplexGroups
 func traceKey(fp string, cfg core.CollectConfig) (resultcache.Key, error) {
 	m := cfg.Machine
 	if m == nil {
-		m = machine.ForISA(cfg.Variant.ISA)
+		var err error
+		if m, err = machine.Lookup(cfg.Variant.ISA); err != nil {
+			return "", err
+		}
 	}
 	hier, err := m.HierarchyConfig(cfg.Threads)
 	if err != nil {

@@ -672,10 +672,17 @@ func TestWorkerRejectsGarbage(t *testing.T) {
 		{"jittered without deps", without(u.jittered), sched.StatusUnitRejected},
 		{"jittered with a set for a baseline", without(u.jittered, u.set), sched.StatusUnitRejected},
 		{"baseline of 2^32 rows of 2^32", bytes.NewReader(unitBody(t, u.hugeBaseline)), sched.StatusUnitRejected},
+		// A handler panic here would drop the connection, which a
+		// coordinator counts as a transport failure and answers by
+		// quarantining a healthy worker.
+		{"collect on an unknown ISA", bytes.NewReader(unitBody(t, u.sparc)), sched.StatusUnitRejected},
+		{"collect on a machine without ISA and CPU", bytes.NewReader(unitBody(t, u.emptyMachine)), sched.StatusUnitRejected},
+		{"vectorised collect with no vector width", bytes.NewReader(unitBody(t, u.noVector)), sched.StatusUnitRejected},
 	} {
 		resp, err := http.Post(w.URL+"/units", "application/json", tc.body)
 		if err != nil {
-			t.Fatal(err)
+			t.Errorf("%s: %v", tc.name, err)
+			continue
 		}
 		resp.Body.Close()
 		if resp.StatusCode != tc.want {

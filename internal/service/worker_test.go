@@ -13,6 +13,8 @@ import (
 	"barrierpoint/internal/apps"
 	"barrierpoint/internal/cachestore"
 	"barrierpoint/internal/core"
+	"barrierpoint/internal/isa"
+	"barrierpoint/internal/machine"
 	"barrierpoint/internal/obs"
 	"barrierpoint/internal/sched"
 )
@@ -35,6 +37,11 @@ type wireUnits struct {
 	// hugeBaseline ships a baseline claiming 2^32 rows of 2^32 floats
 	// with none attached, whose n×dim overflows to the carried length.
 	hugeBaseline sched.UnitRequest
+	// sparc, emptyMachine and noVector are the collect unit with a
+	// platform that cannot be resolved: an ISA no platform executes, a
+	// machine override without its ISA and CPU model ("Machine":{}), and
+	// a vectorised variant whose x86_64 ISA has a zero vector width.
+	sparc, emptyMachine, noVector sched.UnitRequest
 }
 
 // artifact serialises v the way the coordinator attaches a dependency.
@@ -94,6 +101,13 @@ func newWireUnits(tb testing.TB) wireUnits {
 	}
 	u.hugeBaseline = u.jittered
 	u.hugeBaseline.Deps = []sched.InlineArtifact{{Codec: u.jittered.Deps[0].Codec, Data: raw.Bytes()}}
+	sparc, emptyMachine, noVector := colCfgs[0], colCfgs[0], colCfgs[0]
+	sparc.Variant.ISA = &isa.ISA{Name: "sparc", VectorBits: 128, Expand: isa.X8664().Expand}
+	emptyMachine.Machine = &machine.Machine{}
+	noVector.Variant = isa.Variant{ISA: isa.X8664(), Vectorised: true}
+	noVector.Variant.ISA.VectorBits = 0
+	u.sparc, u.emptyMachine, u.noVector = u.collect, u.collect, u.collect
+	u.sparc.Collect, u.emptyMachine.Collect, u.noVector.Collect = &sparc, &emptyMachine, &noVector
 	return u
 }
 
@@ -157,7 +171,8 @@ func TestWorkerBodyBoundFitsLargestUnit(t *testing.T) {
 // and 429.
 func FuzzWorkerUnit(f *testing.F) {
 	u := newWireUnits(f)
-	for _, body := range [][]byte{unitBody(f, u.collect), unitBody(f, u.jittered), u.validate, unitBody(f, u.hugeBaseline)} {
+	for _, body := range [][]byte{unitBody(f, u.collect), unitBody(f, u.jittered), u.validate, unitBody(f, u.hugeBaseline),
+		unitBody(f, u.sparc), unitBody(f, u.emptyMachine), unitBody(f, u.noVector)} {
 		f.Add(body)
 	}
 	w, err := NewWorker(WorkerConfig{MaxInflight: 4, CacheSize: 64, Log: obs.NewLogger(io.Discard, obs.LevelError, 16)})
