@@ -113,30 +113,14 @@ func traceKey(fp string, cfg core.CollectConfig) (resultcache.Key, error) {
 	return resultcache.NewKey("memtrace", fp, fmt.Sprintf("%+v", hier)), nil
 }
 
-// StudyKey returns the content-addressed key under which Run caches the
-// whole study's result: the program content for both collection variants
-// (workloads like HPGMG-FV build different programs per ISA) plus the
-// normalised configuration. Anything that can change the StudyResult —
-// including the simulated program itself — is folded in, so entries in a
+// studyKeyFrom returns the content-addressed key under which the sweep
+// compiler caches a whole study's result, for Run and batch submission
+// alike: the program content for both collection variants (workloads
+// like HPGMG-FV build different programs per ISA) plus the normalised
+// configuration. Anything that can change the StudyResult — including
+// the simulated program itself — is folded in, so entries in a
 // persistent store go stale (and recompute) when the workload or
 // configuration changes instead of silently serving old results.
-func StudyKey(req StudyRequest) (resultcache.Key, error) {
-	cfg := req.Config.WithDefaults()
-	colCfgs := cfg.Collections()
-	fpX86, err := fingerprint(req.App, req.Build, cfg.Threads, colCfgs[0].Variant)
-	if err != nil {
-		return "", err
-	}
-	fpARM, err := fingerprint(req.App, req.Build, cfg.Threads, colCfgs[1].Variant)
-	if err != nil {
-		return "", err
-	}
-	return studyKeyFrom(fpX86, fpARM, cfg), nil
-}
-
-// studyKeyFrom builds the whole-study cache key from precomputed
-// fingerprints; StudyKey and the sweep compiler share it so batch and
-// serial submission address identical cache entries.
 func studyKeyFrom(fpX86, fpARM string, cfg core.StudyConfig) resultcache.Key {
 	return resultcache.NewKey("study", fpX86, fpARM, fmt.Sprintf("%#v", cfg))
 }

@@ -442,11 +442,7 @@ func TestSweepScoringFailureStaysWithMember(t *testing.T) {
 	if outs[0].Err.Error() != serialErr.Error() {
 		t.Errorf("batch error %q differs from serial error %q", outs[0].Err, serialErr)
 	}
-	key, err := StudyKey(bad)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, hit := cache.Get(key); hit {
+	if _, hit := cache.Get(plan.studies[0].key); hit {
 		t.Error("a study that failed to score was cached")
 	}
 	if outs[1].Err != nil {
