@@ -15,6 +15,7 @@ import (
 	"flag"
 	"fmt"
 	"hash"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -89,75 +90,88 @@ func Read(t testing.TB, name string) []byte {
 // value depend on what the process encoded before. v must be acyclic and
 // hold no funcs, channels or unsafe pointers.
 func Digest(v any) string {
-	h := sha256.New()
-	digest(h, reflect.ValueOf(v))
-	return hex.EncodeToString(h.Sum(nil))
+	d := digester{h: sha256.New()}
+	d.value(reflect.ValueOf(v))
+	return hex.EncodeToString(d.h.Sum(nil))
 }
 
-func digest(h hash.Hash, v reflect.Value) {
-	word := func(x uint64) { h.Write(binary.LittleEndian.AppendUint64(nil, x)) }
-	str := func(s string) { word(uint64(len(s))); h.Write([]byte(s)) }
+type digester struct {
+	h   hash.Hash
+	buf [8]byte
+}
+
+func (d *digester) word(x uint64) {
+	binary.LittleEndian.PutUint64(d.buf[:], x)
+	d.h.Write(d.buf[:])
+}
+
+func (d *digester) str(s string) {
+	d.word(uint64(len(s)))
+	io.WriteString(d.h, s)
+}
+
+func (d *digester) value(v reflect.Value) {
 	switch v.Kind() {
 	case reflect.Invalid:
-		word(0)
+		d.word(0)
 	case reflect.Bool:
 		if v.Bool() {
-			word(1)
+			d.word(1)
 		} else {
-			word(0)
+			d.word(0)
 		}
 	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
-		word(uint64(v.Int()))
+		d.word(uint64(v.Int()))
 	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr:
-		word(v.Uint())
+		d.word(v.Uint())
 	case reflect.Float32, reflect.Float64:
-		word(math.Float64bits(v.Float()))
+		d.word(math.Float64bits(v.Float()))
 	case reflect.Complex64, reflect.Complex128:
-		word(math.Float64bits(real(v.Complex())))
-		word(math.Float64bits(imag(v.Complex())))
+		d.word(math.Float64bits(real(v.Complex())))
+		d.word(math.Float64bits(imag(v.Complex())))
 	case reflect.String:
-		str(v.String())
+		d.str(v.String())
 	case reflect.Pointer, reflect.Interface:
 		if v.IsNil() {
-			word(0)
+			d.word(0)
 			return
 		}
-		word(1)
+		d.word(1)
 		if v.Kind() == reflect.Interface {
-			str(v.Elem().Type().String())
+			d.str(v.Elem().Type().String())
 		}
-		digest(h, v.Elem())
+		d.value(v.Elem())
 	case reflect.Slice, reflect.Array:
 		if v.Kind() == reflect.Slice && v.IsNil() {
-			word(0)
+			d.word(0)
 			return
 		}
-		word(1 + uint64(v.Len()))
+		d.word(1 + uint64(v.Len()))
 		for i := 0; i < v.Len(); i++ {
-			digest(h, v.Index(i))
+			d.value(v.Index(i))
 		}
 	case reflect.Struct:
 		for i := 0; i < v.NumField(); i++ {
-			digest(h, v.Field(i))
+			d.value(v.Field(i))
 		}
 	case reflect.Map:
 		if v.IsNil() {
-			word(0)
+			d.word(0)
 			return
 		}
-		word(1 + uint64(v.Len()))
+		d.word(1 + uint64(v.Len()))
 		type entry struct{ k, v []byte }
 		entries := make([]entry, 0, v.Len())
 		for it := v.MapRange(); it.Next(); {
-			k, e := sha256.New(), sha256.New()
-			digest(k, it.Key())
-			digest(e, it.Value())
-			entries = append(entries, entry{k.Sum(nil), e.Sum(nil)})
+			k, e := digester{h: sha256.New()}, digester{h: sha256.New()}
+			k.value(it.Key())
+			e.value(it.Value())
+			entries = append(entries, entry{k.h.Sum(nil), e.h.Sum(nil)})
 		}
 		sort.Slice(entries, func(i, j int) bool { return bytes.Compare(entries[i].k, entries[j].k) < 0 })
 		for _, e := range entries {
-			h.Write(e.k)
-			h.Write(e.v)
+			d.h.Write(e.k)
+			d.h.Write(e.v)
 		}
 	default:
 		panic(fmt.Sprintf("golden: cannot digest a %s", v.Type()))
