@@ -138,19 +138,28 @@ func TestDispatchedKernelMatchesScalar(t *testing.T) {
 	}
 }
 
-// TestProjectionUnalignedLengths: ProjectSparseInto against the oracle
-// project across dimensions that land on every lane-tail combination of
-// the 4-wide kernels, including dims the paper pipeline never uses.
+// TestProjectionUnalignedLengths: ProjectSparseInto and BuildSparseInto
+// against the oracles project and build across dimensions that land on
+// every lane-tail combination of the 4-wide kernels, including dims the
+// paper pipeline never uses.
 func TestProjectionUnalignedLengths(t *testing.T) {
 	for _, dim := range []int{1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 30, 31, 33} {
 		p := NewProjector(dim, uint64(dim)*31+7)
 		out := make([]float64, dim)
+		opts := Options{Dim: dim, UseBBV: true, UseLDV: true, Seed: uint64(dim) * 31}
+		b := NewBuilder(opts)
+		sv := make([]float64, b.Dims())
 		for _, zeroPct := range []uint64{0, 50, 95} {
 			dense, idx, val := randVecs(uint64(dim)*100+zeroPct, 160, zeroPct)
 			want := project(normalizeL1(dense), dim, uint64(dim)*31+7)
 			p.ProjectSparseInto(out, idx, val)
 			if j, ok := sameBits(out, want); !ok {
 				t.Errorf("dim=%d zero=%d%%: ProjectSparseInto diverges from project at %d", dim, zeroPct, j)
+			}
+			ldv, lIdx, lVal := randVecs(uint64(dim)*200+zeroPct, 80, zeroPct)
+			b.BuildSparseInto(sv, idx, val, lIdx, lVal)
+			if j, ok := sameBits(sv, build(dense, ldv, opts)); !ok {
+				t.Errorf("dim=%d zero=%d%%: BuildSparseInto diverges from build at %d", dim, zeroPct, j)
 			}
 		}
 	}
