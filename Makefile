@@ -234,7 +234,8 @@ bench:
 # bench-json records the signature-pipeline performance trajectory: the
 # mem/pin/sigvec micro-benchmarks, the sweep-planner compile benchmark,
 # end-to-end discovery, SimPoint clustering on synthetic and on real
-# HPCG and LULESH signature vectors, native Step 3 collection of HPCG on
+# signature vectors (HPCG's canonical discovery run, LULESH's canonical
+# run and its jittered run 1), native Step 3 collection of HPCG on
 # both ISAs, and single-study latency at the paper configuration, parsed
 # into BENCH_pipeline.json (fails if any benchmark fails or produces no
 # results). Each invocation APPENDS a run entry to the trajectory, so the
@@ -251,7 +252,7 @@ bench-json:
 	  $(GO) test -run '^$$' -benchmem -benchtime $(BENCHTIME) -count $(BENCH_COUNT) \
 		-bench 'SweepPlanner' ./internal/sched; \
 	  $(GO) test -run '^$$' -benchmem -benchtime $(PIPELINE_BENCHTIME) -count $(BENCH_COUNT) \
-		-bench 'DiscoveryPipeline|KMeansClustering|ClusterHPCG|ClusterLULESH|^BenchmarkCollect$$' .; \
+		-bench 'DiscoveryPipeline|KMeansClustering|ClusterHPCG$$|ClusterLULESH$$|ClusterLULESHJittered$$|^BenchmarkCollect$$' .; \
 	  $(GO) test -run '^$$' -benchmem -benchtime 1x -count $(BENCH_COUNT) \
 		-bench '^BenchmarkStudy$$' .; } \
 		| $(GO) run ./cmd/benchjson -out $(BENCH_OUT)

@@ -12,6 +12,7 @@ package barrierpoint_test
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"strings"
 	"sync"
@@ -225,11 +226,13 @@ func BenchmarkKMeansClustering(b *testing.B) {
 	}
 }
 
-// discoveryPoints builds the signature vectors of an app's canonical
-// 8-thread discovery run, composed as core's canonical discovery run
-// composes them: full BBV+LDV instrumentation, projected by one reusable
-// Builder.
-func discoveryPoints(name string) ([]simpoint.Point, error) {
+// discoveryPoints builds the signature vectors of an app's 8-thread
+// discovery run, composed as core's discoverRun composes them and
+// projected by one reusable Builder. Run 0, the canonical run, has full
+// BBV+LDV instrumentation. A jittered run streams only BBVs under the
+// run's schedule jitter and copies each point's projected LDV half from
+// the canonical run's point of the same index, given as canonical.
+func discoveryPoints(name string, run int, canonical []simpoint.Point) ([]simpoint.Point, error) {
 	app, err := barrierpoint.AppByName(name)
 	if err != nil {
 		return nil, err
@@ -240,32 +243,55 @@ func discoveryPoints(name string) ([]simpoint.Point, error) {
 		return nil, err
 	}
 	cfg := omp.Config{Machine: machine.ForISA(v.ISA), Variant: v, Threads: 8, WarmCaches: true}
+	opts := pin.Options{}
+	if run > 0 {
+		cfg.Jitter = xrand.Derive(42, fmt.Sprintf("discovery-jitter-%d", run))
+		cfg.JitterFrac = 0.005
+		cfg.SkipMemory = true
+		opts.SkipLDV = true
+	}
 	builder := sigvec.NewBuilder(sigvec.Options{Dim: sigvec.DefaultDim, UseBBV: true, UseLDV: true, Seed: 42})
+	ldv := sigvec.DefaultDim // the LDV half follows the BBV half
 	var points []simpoint.Point
-	err = pin.Stream(prog, cfg, pin.Options{}, func(s pin.Signature) {
+	err = pin.Stream(prog, cfg, opts, func(s pin.Signature) {
 		vec := make([]float64, builder.Dims())
-		builder.BuildSparseInto(vec, s.BBVSparse.Idx, s.BBVSparse.Val, s.LDVSparse.Idx, s.LDVSparse.Val)
+		if run == 0 {
+			builder.BuildSparseInto(vec, s.BBVSparse.Idx, s.BBVSparse.Val, s.LDVSparse.Idx, s.LDVSparse.Val)
+		} else {
+			builder.BuildSparseInto(vec, s.BBVSparse.Idx, s.BBVSparse.Val, nil, nil)
+			if s.Index < len(canonical) {
+				copy(vec[ldv:], canonical[s.Index].Vec[ldv:])
+			}
+		}
 		points = append(points, simpoint.Point{Vec: vec, Weight: s.Instructions})
 	})
 	return points, err
 }
 
 // hpcgPoints and luleshPoints hold the canonical discovery runs' vectors,
-// built once for the clustering benchmarks.
+// and luleshJitteredPoints LULESH's run 1, built once for the clustering
+// benchmarks.
 var (
-	hpcgPoints   = sync.OnceValues(func() ([]simpoint.Point, error) { return discoveryPoints("HPCG") })
-	luleshPoints = sync.OnceValues(func() ([]simpoint.Point, error) { return discoveryPoints("LULESH") })
+	hpcgPoints           = sync.OnceValues(func() ([]simpoint.Point, error) { return discoveryPoints("HPCG", 0, nil) })
+	luleshPoints         = sync.OnceValues(func() ([]simpoint.Point, error) { return discoveryPoints("LULESH", 0, nil) })
+	luleshJitteredPoints = sync.OnceValues(func() ([]simpoint.Point, error) {
+		canonical, err := luleshPoints()
+		if err != nil {
+			return nil, err
+		}
+		return discoveryPoints("LULESH", 1, canonical)
+	})
 )
 
 // benchCluster clusters points at the paper's SimPoint settings (MaxK 20,
-// 5 restarts per k) with the canonical run's k-means seed. Building the
-// vectors is not timed.
-func benchCluster(b *testing.B, build func() ([]simpoint.Point, error)) {
+// 5 restarts per k) with the k-means seed discovery gives run `run`.
+// Building the vectors is not timed.
+func benchCluster(b *testing.B, build func() ([]simpoint.Point, error), run int) {
 	points, err := build()
 	if err != nil {
 		b.Fatal(err)
 	}
-	cfg := simpoint.DefaultConfig(xrand.Derive(42, "kmeans-0").Uint64())
+	cfg := simpoint.DefaultConfig(xrand.Derive(42, fmt.Sprintf("kmeans-%d", run)).Uint64())
 	cfg.MaxK = 20
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -278,10 +304,18 @@ func benchCluster(b *testing.B, build func() ([]simpoint.Point, error)) {
 }
 
 // BenchmarkClusterHPCG measures clustering on real signature vectors: the
-// canonical HPCG 8-thread discovery run.
-func BenchmarkClusterHPCG(b *testing.B) { benchCluster(b, hpcgPoints) }
+// canonical HPCG 8-thread discovery run (803 points, 166 of them
+// distinct).
+func BenchmarkClusterHPCG(b *testing.B) { benchCluster(b, hpcgPoints, 0) }
 
 // BenchmarkClusterLULESH clusters the canonical LULESH 8-thread discovery
 // run: 9,840 points of 30 dimensions (2.4 MB, more than a typical L2),
-// the largest point set of the paper suite and most of its clustering.
-func BenchmarkClusterLULESH(b *testing.B) { benchCluster(b, luleshPoints) }
+// the largest point set of the paper suite. Only 200 of its points are
+// distinct; a study's nine jittered runs, which make most of its
+// clustering, are not (see BenchmarkClusterLULESHJittered).
+func BenchmarkClusterLULESH(b *testing.B) { benchCluster(b, luleshPoints, 0) }
+
+// BenchmarkClusterLULESHJittered clusters LULESH's jittered discovery run
+// 1: 9,840 distinct points in a few dozen tight clumps, the shape of the
+// nine jittered runs per study that make most of the suite's clustering.
+func BenchmarkClusterLULESHJittered(b *testing.B) { benchCluster(b, luleshJitteredPoints, 1) }

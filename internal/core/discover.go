@@ -1,7 +1,11 @@
 package core
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"fmt"
+	"math"
 	"sync"
 
 	"barrierpoint/internal/isa"
@@ -91,6 +95,27 @@ func (b *LDVBaseline) addPoint(projRow []float64) {
 
 // projRow returns point i's projected LDV half.
 func (b *LDVBaseline) projRow(i int) []float64 { return b.proj[i*b.dim : (i+1)*b.dim] }
+
+// Digest returns a hex SHA-256 of the baseline's content: the point
+// count, the row width and the bits of every projected float, as
+// little-endian words. Two baselines digest alike exactly when they hold
+// the same rows, whatever encoding carried them; their gob bytes, by
+// contrast, depend on which types the encoding process met first.
+func (b *LDVBaseline) Digest() string {
+	h := sha256.New()
+	var buf [512]byte
+	w := binary.LittleEndian.AppendUint64(buf[:0], uint64(b.n))
+	w = binary.LittleEndian.AppendUint64(w, uint64(b.dim))
+	for _, v := range b.proj {
+		if len(w) == len(buf) {
+			h.Write(w)
+			w = buf[:0]
+		}
+		w = binary.LittleEndian.AppendUint64(w, math.Float64bits(v))
+	}
+	h.Write(w)
+	return hex.EncodeToString(h.Sum(nil))
+}
 
 // discoverySetup validates the configuration and resolves the shared
 // per-run parameters. Every discovery entry point goes through it so the

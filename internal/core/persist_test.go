@@ -5,6 +5,7 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 )
@@ -52,6 +53,44 @@ func TestLDVBaselineGobRoundTrip(t *testing.T) {
 		if err := new(LDVBaseline).GobDecode(bad); err == nil {
 			t.Errorf("decoding inconsistent %d×%d baseline with %d floats succeeded", b.n, b.dim, len(b.proj))
 		}
+	}
+}
+
+// TestLDVBaselineDigest: the digest is a function of the rows alone — a
+// gob round trip keeps it — and tells apart baselines that differ in one
+// bit of one float, or in shape over the same floats. A long baseline
+// crosses the digest's write buffer.
+func TestLDVBaselineDigest(t *testing.T) {
+	long := make([]float64, 1000)
+	for i := range long {
+		long[i] = float64(i) / 7
+	}
+	base := []LDVBaseline{
+		{n: 3, dim: 2, proj: []float64{1, 2, 3, 4.5, 0, 6}},
+		{n: 3, dim: 2, proj: []float64{1, 2, 3, 4.5, math.Float64frombits(1), 6}},
+		{n: 2, dim: 3, proj: []float64{1, 2, 3, 4.5, 0, 6}},
+		{n: 0, dim: 2},
+		{n: 0, dim: 3},
+		{n: 500, dim: 2, proj: long},
+	}
+	seen := map[string]int{}
+	for i := range base {
+		in := &base[i]
+		var out LDVBaseline
+		gobRoundTrip(t, in, &out)
+		d := in.Digest()
+		if got := out.Digest(); got != d {
+			t.Errorf("baseline %d: digest %s after a gob round trip, %s before", i, got, d)
+		}
+		if j, dup := seen[d]; dup {
+			t.Errorf("baselines %d and %d digest alike", j, i)
+		}
+		seen[d] = i
+	}
+	long2 := append([]float64(nil), long...)
+	long2[999] = math.Nextafter(long2[999], 1)
+	if (&LDVBaseline{n: 500, dim: 2, proj: long2}).Digest() == base[5].Digest() {
+		t.Error("a change in the last float of a long baseline leaves the digest")
 	}
 }
 

@@ -1,9 +1,15 @@
 package sched
 
 import (
+	"bytes"
 	"context"
+	"encoding/gob"
 	"encoding/json"
 	"errors"
+	"math"
+	"os"
+	"os/exec"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -164,4 +170,113 @@ func TestUnitRequestDepsRoundTrip(t *testing.T) {
 			}
 		}
 	})
+}
+
+// encodeHistoryEnv turns the test binary into the helper of
+// TestWireJitteredKeyIgnoresEncodeHistory: "<history>:<path>" writes to
+// path the LDV baseline of testRequest's study as a coordinator ships it
+// in a jittered unit, encoded first in the process (history "fresh") or
+// after a core.Collection ("after-collection").
+const encodeHistoryEnv = "BP_SCHED_ENCODE_HISTORY"
+
+// TestWireJitteredKeyIgnoresEncodeHistory: a worker keys a shipped
+// jittered unit by its baseline's content. gob numbers types in the order
+// a process first encodes them, so one baseline ships as different bytes
+// from a coordinator that encoded it first and from one that encoded a
+// collection before; the test takes both encodings from fresh helper
+// processes, and the worker must compute the run once for the two. A
+// baseline one bit off is another run.
+func TestWireJitteredKeyIgnoresEncodeHistory(t *testing.T) {
+	req := testRequest(t)
+	discCfg := req.Config.WithDefaults().Discovery()
+	if spec := os.Getenv(encodeHistoryEnv); spec != "" {
+		history, path, _ := strings.Cut(spec, ":")
+		_, base, err := core.DiscoverBaseline(req.Build, discCfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if history == "after-collection" {
+			if _, _, err := cachestore.Encode(&core.Collection{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var dep InlineArtifact
+		if dep.Codec, dep.Data, err = cachestore.Encode(base); err != nil {
+			t.Fatal(err)
+		}
+		out, err := json.Marshal(dep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, out, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+
+	var shipped []InlineArtifact
+	for _, history := range []string{"fresh", "after-collection"} {
+		path := filepath.Join(t.TempDir(), history)
+		cmd := exec.Command(os.Args[0], "-test.run=^TestWireJitteredKeyIgnoresEncodeHistory$")
+		cmd.Env = append(os.Environ(), encodeHistoryEnv+"="+history+":"+path)
+		if out, err := cmd.CombinedOutput(); err != nil {
+			t.Fatalf("%s helper: %v\n%s", history, err, out)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var dep InlineArtifact
+		if err := json.Unmarshal(data, &dep); err != nil {
+			t.Fatal(err)
+		}
+		shipped = append(shipped, dep)
+	}
+	if bytes.Equal(shipped[0].Data, shipped[1].Data) {
+		t.Fatal("both encode histories gave the same bytes: the test no longer shows the difference it guards")
+	}
+
+	// The same rows with one bit of one float flipped, through a mirror of
+	// the baseline's wire shape.
+	v, err := cachestore.Decode(shipped[0].Codec, shipped[0].Data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := v.(*core.LDVBaseline).GobEncode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rows struct {
+		N, Dim int
+		Proj   []float64
+	}
+	if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&rows); err != nil || len(rows.Proj) == 0 {
+		t.Fatalf("decoding the baseline's rows: %v (%d floats)", err, len(rows.Proj))
+	}
+	rows.Proj[0] = math.Float64frombits(math.Float64bits(rows.Proj[0]) ^ 1)
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(rows); err != nil {
+		t.Fatal(err)
+	}
+	flipped := new(core.LDVBaseline)
+	if err := flipped.GobDecode(buf.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	var dep InlineArtifact
+	if dep.Codec, dep.Data, err = cachestore.Encode(flipped); err != nil {
+		t.Fatal(err)
+	}
+	shipped = append(shipped, dep)
+
+	worker := &LocalExecutor{Cache: resultcache.New(64)}
+	for i, dep := range shipped {
+		unit := UnitRequest{Kind: UnitDiscoverJittered, App: req.App, Discovery: &discCfg, Run: 1, Deps: []InlineArtifact{dep}}
+		if _, err := worker.ExecuteUnit(context.Background(), unit); err != nil {
+			t.Fatal(err)
+		}
+		if want := []uint64{1, 1, 2}[i]; worker.Cache.Stats().Misses != want {
+			t.Fatalf("after %d shipped baselines the worker computed %d runs, want %d",
+				i+1, worker.Cache.Stats().Misses, want)
+		}
+	}
 }

@@ -314,7 +314,9 @@ func (e *LocalExecutor) ExecuteUnit(ctx context.Context, req UnitRequest) (any, 
 			// The set depends on the shipped baseline as well as on the
 			// coordinates, so the worker keys it by both: no request can
 			// plant an artifact under a key its coordinates alone name.
-			key = resultcache.NewKey(string(key), req.Deps[0].Codec, string(req.Deps[0].Data))
+			// The baseline enters by its content digest: its gob bytes
+			// vary with what the coordinator encoded before it.
+			key = resultcache.NewKey(string(key), req.Base.Digest())
 		}
 	}
 	if _, err := req.deps(); err != nil {

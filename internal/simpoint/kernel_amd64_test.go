@@ -8,8 +8,8 @@ import "testing"
 // ClusterWith and requires bit-identical results: the end-to-end
 // equivalence the golden gates in internal/core rely on when CI machines
 // differ in AVX2 support. The shapes cover a partial last block, dims on
-// both sides of the 4-wide row kernels' tails, and a study large enough
-// that seeding prunes part of each pass.
+// both sides of the 4-wide row kernels' tails, a study large enough that
+// seeding prunes part of each pass, and one the ball partition takes.
 func TestClusterAVX2MatchesScalar(t *testing.T) {
 	requireKernel(t)
 	saved := useSIMD
@@ -25,6 +25,7 @@ func TestClusterAVX2MatchesScalar(t *testing.T) {
 		{"pruning", gaussPoints(4, 900, 15, 12, 1, 0.05), 20},
 		{"duplicates", repeated(5, 4, 9, 3), 10},
 		{"non-finite", withNonFinite(gaussPoints(6, 80, 4, 4, 1, 0.3)), 8},
+		{"ball-partition", gaussPoints(7, 650, 30, 14, 1, 1e-3), 6},
 	}
 	for _, tc := range cases {
 		cfg := DefaultConfig(17)

@@ -125,9 +125,11 @@ func sameFloat(a, b float64) bool {
 	return math.Float64bits(a) == math.Float64bits(b) || (a != a && b != b)
 }
 
-// kmeansPaths counts the oracle paths a set of calls exercised.
+// kmeansPaths counts the oracle paths a set of calls exercised, and the
+// balls the partition made (0 when it did not engage).
 type kmeansPaths struct {
 	calls, capped, reseeded, fallback int
+	balls                             int
 }
 
 // matchLloyd runs kmeansOnce and the oracle side by side for every k in
@@ -139,11 +141,9 @@ func matchLloyd(t *testing.T, points []Point, maxK, restarts, maxIter int, seed 
 	n, dim := len(points), len(points[0].Vec)
 	maxK = min(maxK, n)
 	s := NewScratch()
-	s.grow(n, dim, maxK)
-	s.pack(points, dim)
-	tau := boundMargin(points)
+	tau := s.prepare(points, dim, maxK)
 	fast, plain := xrand.New(seed), xrand.New(seed)
-	var p kmeansPaths
+	p := kmeansPaths{balls: s.balls}
 	for k := 1; k <= maxK; k++ {
 		for r := 0; r < restarts; r++ {
 			got := s.kmeansOnce(points, k, dim, fast, maxIter, tau)
@@ -233,6 +233,34 @@ func nearTied(seed uint64, side, dim int) []Point {
 	return pts
 }
 
+// line draws n points spread evenly over [0, 1] on the first axis of the
+// plane, each off its slot by up to a tenth of the spacing, in an order
+// that strides across the line (n must not be a multiple of 7919).
+func line(seed uint64, n int) []Point {
+	rng := xrand.New(seed)
+	pts := make([]Point, n)
+	for i := range pts {
+		slot := float64(i * 7919 % n)
+		pts[i] = Point{Vec: []float64{(slot + 0.2*rng.Float64() - 0.1) / float64(n), 0}, Weight: 1}
+	}
+	return pts
+}
+
+// atRadius returns pts with point 0's first coordinate zeroed and a point
+// at exactly r₀ from it along that axis inserted after it, r₀ being the
+// ball radius the partition derives from the result's τ.
+func atRadius(pts []Point) []Point {
+	out := scaled(pts, 1, 0)
+	x0 := out[0].Vec[0]
+	for _, p := range out {
+		p.Vec[0] -= x0
+	}
+	r0 := ballRadius * boundMargin(out)
+	v := append([]float64(nil), out[0].Vec...)
+	v[0] = r0
+	return append(out[:1], append([]Point{{Vec: v, Weight: 1}}, out[1:]...)...)
+}
+
 // scaled returns pts with every coordinate multiplied by f and shifted by off.
 func scaled(pts []Point, f, off float64) []Point {
 	out := make([]Point, len(pts))
@@ -283,6 +311,16 @@ func TestKMeansMatchesLloyd(t *testing.T) {
 		{"subnormal-scale", scaled(gaussPoints(11, 60, 4, 3, 1, 0.1), 1e-160, 0), 8, 100, nil},
 		{"huge-scale", scaled(gaussPoints(12, 60, 4, 3, 1, 0.1), 1e150, 0), 8, 100, nil},
 		{"non-finite", withNonFinite(gaussPoints(13, 80, 4, 4, 1, 0.3)), 8, 100, nil},
+		{"clumpy", gaussPoints(14, 600, 12, 12, 1, 1e-3), 8, 100, engaged},
+		{"clumpy-radius-boundary", atRadius(gaussPoints(17, 600, 12, 12, 1, 1e-3)), 8, 100, engaged},
+		// n = 4·maxK² with exactly maxK = n/(4·maxK) clumps: the smallest
+		// set the partition takes.
+		{"clumpy-smallest", gaussPoints(15, 100, 6, 5, 1, 1e-3), 5, 100, engaged},
+		{"clumpy-capped", gaussPoints(16, 400, 3, 10, 1, 1e-3), 10, 2,
+			func(p kmeansPaths) bool { return p.balls > 0 && p.capped > 0 }},
+		// Balls of radius r₀ tile a line, so cluster boundaries cut through
+		// them and the ball tests decide by the radius.
+		{"balls-straddle-boundaries", line(18, 2400), 5, 100, engaged},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -291,6 +329,73 @@ func TestKMeansMatchesLloyd(t *testing.T) {
 				t.Errorf("case did not exercise its path: %+v", p)
 			}
 		})
+	}
+}
+
+// engaged is the check of a case the ball partition must take.
+func engaged(p kmeansPaths) bool { return p.balls > 0 }
+
+// TestPartition: the partition takes exactly the sets the engagement rule
+// admits, a member at exactly r₀ from a leader joins its ball, and the
+// view is ball-major, stable, with each ball's leader first.
+func TestPartition(t *testing.T) {
+	partition := func(points []Point, maxK int) *Scratch {
+		s := NewScratch()
+		s.prepare(points, len(points[0].Vec), maxK)
+		return s
+	}
+	for _, tc := range []struct {
+		name   string
+		points []Point
+		maxK   int
+		balls  int
+	}{
+		{"smallest", gaussPoints(1, 100, 6, 5, 1, 1e-3), 5, 5},
+		{"one-point-short", gaussPoints(1, 99, 6, 5, 1, 1e-3), 5, 0},
+		{"fewer-balls-than-maxK", gaussPoints(2, 400, 6, 4, 1, 1e-3), 5, 0},
+		{"most-balls", gaussPoints(3, 400, 6, 20, 1, 1e-3), 5, 20},
+		{"too-many-balls", gaussPoints(3, 400, 6, 21, 1, 1e-3), 5, 0},
+		{"spread", gaussPoints(4, 400, 6, 400, 1, 0), 5, 0},
+		{"non-finite", withNonFinite(gaussPoints(5, 400, 6, 10, 1, 1e-3)), 5, 0},
+	} {
+		if s := partition(tc.points, tc.maxK); s.balls != tc.balls {
+			t.Errorf("%s: %d balls, want %d", tc.name, s.balls, tc.balls)
+		}
+	}
+
+	points := atRadius(gaussPoints(6, 600, 12, 12, 1, 1e-3))
+	r0 := ballRadius * boundMargin(points)
+	s := partition(points, 8)
+	if s.balls != 12 {
+		t.Fatalf("%d balls, want 12", s.balls)
+	}
+	if d := sqDist(points[1].Vec, points[0].Vec); d != r0*r0 {
+		t.Fatalf("boundary member at squared distance %v, want r₀² = %v", d, r0*r0)
+	}
+	if s.pos[1] != 1 || s.rho[0] != r0 {
+		t.Errorf("member at r₀ is at view %d (want 1) and ball 0 has radius %v (want r₀ = %v)", s.pos[1], s.rho[0], r0)
+	}
+	for b := range s.balls {
+		members := s.order[s.start[b]:s.start[b+1]]
+		leader := points[members[0]].Vec
+		for j, i := range members {
+			if j > 0 && i <= members[j-1] {
+				t.Fatalf("ball %d is not in input order: %v", b, members)
+			}
+			if d := math.Sqrt(sqDist(points[i].Vec, leader)); d > s.rho[b] {
+				t.Fatalf("ball %d: member %d at %v beyond the radius %v", b, i, d, s.rho[b])
+			}
+		}
+		for q := 0; q < b; q++ { // a leader joins no earlier ball
+			if sqDist(leader, points[s.order[s.start[q]]].Vec) <= r0*r0 {
+				t.Fatalf("leader of ball %d lies within r₀ of ball %d's", b, q)
+			}
+		}
+	}
+	for i, j := range s.pos[:len(points)] {
+		if s.order[j] != i || &s.view[j].Vec[0] != &points[i].Vec[0] {
+			t.Fatalf("view position %d does not hold input point %d", j, i)
+		}
 	}
 }
 
@@ -342,6 +447,33 @@ func TestReassignTrustsBounds(t *testing.T) {
 	}
 }
 
+// TestReassignTrustsBallBound: the ball test really skips. The point sits
+// on centroid 1 in a ball whose leader sits on centroid 0, and its own
+// bounds cannot exclude centroid 1; a radius that (falsely) keeps the ball
+// tight keeps the point on centroid 0 without measuring it, while the
+// honest radius lets it move, in both assignments.
+func TestReassignTrustsBallBound(t *testing.T) {
+	view := []Point{{Vec: []float64{0, 0}, Weight: 1}, {Vec: []float64{1, 1}, Weight: 1}}
+	for _, tc := range []struct {
+		rho  float64
+		want int
+	}{{0.1, 0}, {math.Sqrt2, 1}} {
+		s := NewScratch()
+		s.grow(2, 2, 2)
+		copy(s.cent, []float64{0, 0, 1, 1})
+		s.gapRow(1, 2, 2)
+		s.nearest(2)
+		s.balls, s.start, s.order, s.rho = 1, []int{0, 2}, []int{0, 1}, []float64{tc.rho}
+		s.bound, s.vassign = make([]ballBound, 1), make([]int, 2)
+		s.upper[0], s.upper[1] = 0, math.Sqrt2
+		clear(s.lower[:4])
+		if moved := s.reassign(view, 2, 2, 1e-9); moved != (tc.want == 1) || s.vassign[1] != tc.want || s.assign[1] != tc.want {
+			t.Errorf("ρ = %v: point assigned %d in view order and %d in input order, want %d",
+				tc.rho, s.vassign[1], s.assign[1], tc.want)
+		}
+	}
+}
+
 // FuzzKMeansExact: on arbitrary float64 bit patterns — NaN payloads,
 // infinities, subnormals, wild scale mixes — the bounded loop matches the
 // plain loop exactly.
@@ -350,6 +482,12 @@ func FuzzKMeansExact(f *testing.F) {
 	f.Add(uint64(2), uint8(1), uint8(4), uint8(5), floatBytes(1, 1, 1, 2, 2, 2, 1e-310, 3))
 	f.Add(uint64(3), uint8(3), uint8(2), uint8(50), floatBytes(math.NaN(), 0, 1, math.Inf(1), 2, 3, 4, 5, 6))
 	f.Add(uint64(4), uint8(2), uint8(5), uint8(100), floatBytes(1e300, -1e300, 1e-300, 3, 1e154, 2, 1, 1, 0, 0))
+	// 64 one-dimensional points in 4 clumps at maxK 4: the partition takes it.
+	clumped := make([]float64, 64)
+	for i := range clumped {
+		clumped[i] = 100*float64(i%4) + 0.01*float64(i/4)
+	}
+	f.Add(uint64(5), uint8(0), uint8(3), uint8(100), floatBytes(clumped...))
 	f.Fuzz(func(t *testing.T, seed uint64, dimB, kB, iterB uint8, raw []byte) {
 		dim := 1 + int(dimB)%6
 		n := min(len(raw)/8/dim, 64)

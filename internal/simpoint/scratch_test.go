@@ -3,7 +3,9 @@ package simpoint
 import (
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
+	"weak"
 
 	"barrierpoint/internal/xrand"
 )
@@ -69,29 +71,44 @@ func TestScratchReuseBitIdentical(t *testing.T) {
 		seed         uint64
 		n, dim       int
 		phases, maxK int
+		clumpy       bool // tight clumps the ball partition takes
 	}{
-		{1, 60, 30, 4, 8},  // typical study
-		{2, 9, 6, 3, 20},   // maxK clamped to n
-		{3, 120, 15, 2, 6}, // bigger n after smaller: forces regrow
+		{1, 60, 30, 4, 8, false},  // typical study
+		{2, 9, 6, 3, 20, false},   // maxK clamped to n
+		{3, 120, 15, 2, 6, false}, // bigger n after smaller: forces regrow
 		// 63 points fill 7 of the last block's 8 lanes, in a blocked copy
 		// the 120-point study left holding its own points.
-		{8, 63, 15, 4, 8},
-		{4, 25, 30, 5, 8}, // smaller again: stale tail cells present
-		{5, 25, 30, 5, 8}, // same shape, different data
+		{8, 63, 15, 4, 8, false},
+		{4, 25, 30, 5, 8, false}, // smaller again: stale tail cells present
+		{5, 25, 30, 5, 8, false}, // same shape, different data
 		// A large study fills n*maxK lower bounds; the smaller one after it
 		// reads its bounds at stride k out of that stale array.
-		{6, 300, 12, 7, 20},
-		{7, 45, 12, 6, 9},
+		{6, 300, 12, 7, 20, false},
+		{7, 45, 12, 6, 9, false},
+		// A partitioned study after an unpartitioned one, a smaller
+		// partitioned one reading the first one's ball state, and an
+		// unpartitioned one after them reading their view-order leftovers.
+		{9, 640, 12, 14, 6, true},
+		{10, 300, 8, 9, 4, true},
+		{11, 300, 8, 5, 9, false},
+		{12, 700, 30, 20, 6, true},
 	}
 	reused := NewScratch()
 	for _, st := range studies {
 		pts := studyPoints(st.seed, st.n, st.dim, st.phases)
+		if st.clumpy {
+			pts = gaussPoints(st.seed, st.n, st.dim, st.phases, 1, 1e-3)
+		}
 		cfg := DefaultConfig(st.seed * 31)
 		cfg.MaxK = st.maxK
 
-		fresh, err := ClusterWith(pts, cfg, NewScratch())
+		s := NewScratch()
+		fresh, err := ClusterWith(pts, cfg, s)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if (s.balls > 0) != st.clumpy {
+			t.Fatalf("study %d: partition engaged %v, want %v", st.seed, s.balls > 0, st.clumpy)
 		}
 		got, err := ClusterWith(pts, cfg, reused)
 		if err != nil {
@@ -125,6 +142,34 @@ func TestScratchResultDoesNotAliasScratch(t *testing.T) {
 	if !reflect.DeepEqual(res.Assign, want) {
 		t.Fatal("Result.Assign changed when the scratch was reused")
 	}
+}
+
+// TestScratchKeepsNoVectors: once ClusterWith returns, a Scratch — which
+// Cluster keeps pooled — holds no reference to the caller's vectors, not
+// even through the ball-major view a partitioned study builds.
+func TestScratchKeepsNoVectors(t *testing.T) {
+	s := NewScratch()
+	cfg := DefaultConfig(3)
+	cfg.MaxK = 6
+	pts := gaussPoints(13, 640, 12, 14, 1, 1e-3)
+	vecs := make([]weak.Pointer[float64], len(pts))
+	for i, p := range pts {
+		vecs[i] = weak.Make(&p.Vec[0])
+	}
+	if _, err := ClusterWith(pts, cfg, s); err != nil {
+		t.Fatal(err)
+	}
+	if s.balls == 0 {
+		t.Fatal("the partition did not engage")
+	}
+	pts = nil
+	runtime.GC()
+	for i, v := range vecs {
+		if v.Value() != nil {
+			t.Fatalf("the scratch still reaches point %d's vector", i)
+		}
+	}
+	runtime.KeepAlive(s)
 }
 
 // TestClusterConcurrentPool: the internal pool must keep concurrent

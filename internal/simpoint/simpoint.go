@@ -78,26 +78,35 @@ func sqDist(a, b []float64) float64 {
 }
 
 // Scratch is the reusable working set for Cluster: Lloyd-iteration state,
-// the distance bounds of the accelerated assignment step, the blocked
-// point copy the distance kernel reads, and the per-k best-restart record,
-// all in flat one-slice backings (centroid c lives at [c*dim:(c+1)*dim],
-// point i's bounds at [i*k:(i+1)*k]). A Scratch may be
-// reused across studies of any size — grow reslices when capacity
-// suffices and every cell is overwritten before it is read, so a reused
-// Scratch produces bit-identical results to a fresh one (the property
-// test in scratch_test.go holds this). A Scratch is not safe for
-// concurrent use; Cluster draws from an internal pool, ClusterWith takes
-// an explicit one.
+// the distance bounds of the accelerated assignment step, the ball
+// partition, the blocked point copy the distance kernel reads, and the
+// per-k best-restart record, all in flat one-slice backings (centroid c
+// lives at [c*dim:(c+1)*dim], point i's bounds at [i*k:(i+1)*k]).
+//
+// The per-point state — minDist, vassign and the bounds — and the blocked
+// copy follow view order: the points ball-major when the partition
+// engages (see partition), input order otherwise. assign, the centroid
+// sums, the seeding draw and the distortion stay in input order, so the
+// result does not depend on the partition.
+//
+// A Scratch may be reused across studies of any size — grow reslices
+// when capacity suffices and every cell is overwritten before it is
+// read, so a reused Scratch produces bit-identical results to a fresh one
+// (the property test in scratch_test.go holds this) — and it keeps no
+// reference to a caller's vectors once ClusterWith returns. A Scratch is
+// not safe for concurrent use; Cluster draws from an internal pool,
+// ClusterWith takes an explicit one.
 type Scratch struct {
 	cent    []float64 // working centroids, k*dim, for the current k-means run
-	assign  []int     // working assignment, n
+	assign  []int     // working assignment in input order, n
+	vassign []int     // the same assignment in view order; aliases assign without a partition
 	counts  []int     // per-cluster member counts, k
 	moved   []bool    // per cluster: the last reassign changed its members, k
 	minDist []float64 // k-means++ seeding state, n padded to whole blocks
 
-	// blk is the points' blocked copy (see lanes), built once per
-	// ClusterWith when the AVX2 kernels are on; lane holds one block's
-	// distances.
+	// blk is the points' blocked copy (see lanes) in view order, built
+	// once per ClusterWith when the AVX2 kernels are on; lane holds one
+	// block's distances.
 	blk  []float64
 	lane [lanes]float64
 
@@ -113,6 +122,23 @@ type Scratch struct {
 	near  []float64 // k
 	prev  []float64 // k*dim
 	drift []float64 // k
+
+	// The ball partition of the current study (see partition); balls is 0
+	// when it is off. view holds the points ball-major — ball b is
+	// view[start[b]:start[b+1]], its leader first — with view[j] input
+	// point order[j] and input point i at view[pos[i]]. rho[b] is the
+	// largest distance of a member of ball b from its leader.
+	// seedBound[t] and bound[t] hold, for block t of the view, what the
+	// ball tests of seedPass and reassign read.
+	balls     int
+	view      []Point     // n
+	order     []int       // n
+	pos       []int       // n
+	vbuf      []int       // n, vassign's own backing
+	start     []int       // balls+1
+	rho       []float64   // balls
+	seedBound []float64   // blocks of n
+	bound     []ballBound // blocks of n
 
 	// Best restart per k: candBIC[k-1] is its score and candRng[k-1] the
 	// rng state it started from, enough to replay it exactly.
@@ -133,6 +159,8 @@ func resize[T any](s []T, n int) []T {
 func (s *Scratch) grow(n, dim, maxK int) {
 	s.cent = resize(s.cent, maxK*dim)
 	s.assign = resize(s.assign, n)
+	s.vassign = s.assign
+	s.balls = 0
 	s.counts = resize(s.counts, maxK)
 	s.moved = resize(s.moved, maxK)
 	s.minDist = resize(s.minDist, blocks(n)*lanes)
@@ -172,6 +200,115 @@ func (s *Scratch) pack(points []Point, dim int) {
 			s.blk[base+j*lanes] = v
 		}
 	}
+}
+
+// prepare sizes s for the points at up to maxK clusters, partitions them
+// into balls where that pays, packs the blocked copy in view order, and
+// returns τ (see boundMargin).
+func (s *Scratch) prepare(points []Point, dim, maxK int) float64 {
+	n := len(points)
+	s.grow(n, dim, maxK)
+	tau := boundMargin(points)
+	if !math.IsInf(tau, 1) && n >= 4*maxK*maxK {
+		most := n / (4 * maxK)
+		s.view = resize(s.view, n)
+		s.order = resize(s.order, n)
+		s.pos = resize(s.pos, n)
+		s.vbuf = resize(s.vbuf, n)
+		s.start = resize(s.start, most+1)
+		s.rho = resize(s.rho, most)
+		s.seedBound = resize(s.seedBound, blocks(n))
+		s.bound = resize(s.bound, blocks(n))
+		s.partition(points, maxK, tau)
+	}
+	s.pack(s.viewOf(points), dim)
+	return tau
+}
+
+// ballRadius is r₀/τ: a ball reaches 0.01 of the spread R from its leader
+// (τ = 1e-9·R).
+const ballRadius = 1e7
+
+// partition groups the points into balls for the ball tests of seedPass
+// and reassign (Pelleg & Moore's blacklisting, KDD 1999, on a flat
+// partition). Each point, in input order, joins the first ball whose
+// leader lies within r₀ = ballRadius·τ of it, or leads a new ball; a
+// ball's radius ρ is its farthest member's distance. The partition
+// engages only with at least maxK and at most n/(4·maxK) balls: fewer
+// clumps than clusters prune little, and the balls×k leader distances
+// reassign measures per Lloyd iteration must stay below a quarter of a
+// distance per point. prepare calls it only when n ≥ 4·maxK², below
+// which no ball count passes both tests, and with τ finite; it stops
+// scanning as soon as the balls outnumber n/(4·maxK). When it engages,
+// view, order, pos and start hold the ball-major order, stable within a
+// ball so that each ball's leader comes first, and vassign its own
+// backing.
+//
+//bp:noalloc
+func (s *Scratch) partition(points []Point, maxK int, tau float64) {
+	n := len(points)
+	r2 := (ballRadius * tau) * (ballRadius * tau)
+	most := len(s.rho)
+	ball := s.pos[:n]     // each point's ball, until pos is placed
+	leader := s.order[:n] // each ball's leader, until order is placed
+	rho2 := s.rho[:most]  // squared radii, until the square root below
+	balls := 0
+	for i := range points {
+		x := points[i].Vec
+		b, d := 0, 0.0
+		for ; b < balls; b++ {
+			if d = sqDist(x, points[leader[b]].Vec); d <= r2 {
+				break
+			}
+		}
+		if b == balls {
+			if balls == most {
+				return
+			}
+			leader[b], rho2[b], d = i, 0, 0
+			balls++
+		}
+		ball[i] = b
+		rho2[b] = max(rho2[b], d)
+	}
+	if balls < maxK {
+		return
+	}
+	// A stable counting sort: count each ball's members into start[b+1],
+	// turn the counts into first slots, hand the slots out in input order,
+	// then shift the ends the hand-out left back into starts.
+	start := s.start[:balls+1]
+	clear(start)
+	for _, b := range ball {
+		start[b+1]++
+	}
+	for b := 1; b < balls; b++ {
+		start[b] += start[b-1]
+	}
+	for i, b := range ball {
+		s.pos[i] = start[b]
+		start[b]++
+	}
+	copy(start[1:], start[:balls])
+	start[0] = 0
+	for i, j := range s.pos[:n] {
+		s.order[j] = i
+		s.view[j] = points[i]
+	}
+	for b := range rho2[:balls] {
+		s.rho[b] = math.Sqrt(rho2[b])
+	}
+	s.balls = balls
+	s.vassign = s.vbuf[:n]
+}
+
+// viewOf returns the points in view order: ball-major when the partition
+// engaged, else points itself.
+func (s *Scratch) viewOf(points []Point) []Point {
+	if s.balls == 0 {
+		return points
+	}
+	return s.view[:len(points)]
 }
 
 var scratchPool = sync.Pool{New: func() any { return &Scratch{} }}
@@ -223,28 +360,31 @@ func boundMargin(points []Point) float64 {
 // it either. Iteration 0 starts from the seeding's nearest-seed argmin and
 // its exact distances, so it re-measures near-ties only. The centroid
 // update, the empty-cluster reseed and the distortion are the plain
-// loop's own code, except that an update after iteration 0 with no empty
-// cluster re-sums only the clusters whose members changed (see resum).
+// loop's own code, in input order, except that an update after iteration
+// 0 with no empty cluster re-sums only the clusters whose members changed
+// (see resum). Seeding and the assignment step walk view order, which
+// decides only which distances they measure.
 // Stale scratch contents never leak into the result: seeding overwrites
-// cent, minDist, assign and every bound, moveBounds overwrites drift and
-// the gaps before they are read, and iteration 0's full update recounts
-// counts and clears moved before any decision reads them.
+// cent, minDist, both assignments and every bound, moveBounds overwrites
+// drift and the gaps before they are read, seedPass and reassign rewrite
+// the ball bounds before they read them, and iteration 0's full update
+// recounts counts and clears moved before any decision reads them.
 //
-// With the AVX2 kernels on, s.blk must hold points' blocked copy (see
-// pack).
+// s must have been prepared for points (see prepare).
 //
 //bp:noalloc
 func (s *Scratch) kmeansOnce(points []Point, k, dim int, rng *xrand.Rand, maxIter int, tau float64) float64 {
 	n := len(points)
+	view := s.viewOf(points)
 	cent := s.cent[:k*dim]
-	s.seed(points, k, dim, rng, tau)
+	s.seed(points, view, k, dim, rng, tau)
 
 	assign := s.assign[:n]
 	for iter := 0; iter < maxIter; iter++ {
 		if iter > 0 {
 			s.moveBounds(n, k, dim)
 		}
-		changed := s.reassign(points, k, dim, tau)
+		changed := s.reassign(view, k, dim, tau)
 		if iter > 0 && !changed {
 			break
 		}
@@ -333,21 +473,21 @@ func (s *Scratch) resum(points []Point, k, dim int) {
 }
 
 // seed places the k-means++ seeds in s.cent and leaves each point's
-// nearest seed (strict <, lowest index) in s.assign, its exact distance
-// to it in s.upper, and a lower bound on its distance to every seed in
-// s.lower — the state Lloyd iteration 0 starts from. A new seed c is not
-// measured against a point x whose nearest seed so far, c_a at distance
-// u, proves it farther: d(x, c) ≥ d(c, c_a) − u > u + τ, so c could not
+// nearest seed (strict <, lowest index) in both assignments, its exact
+// distance to it in s.upper, and a lower bound on its distance to every
+// seed in s.lower — the state Lloyd iteration 0 starts from. A new seed c
+// is not measured against a point x whose nearest seed so far, at
+// distance u, proves it farther than u + τ (see seedPass), so c could not
 // have lowered minDist. minDist therefore holds exactly the plain
-// seeding's values, and the weighted draws pick the same seeds. Each pass
-// sums the next draw's total as it goes, in the plain loop's index order.
+// seeding's values, and the weighted draws, which sum minDist in input
+// order as the plain loop does, pick the same seeds.
 //
 //bp:noalloc
-func (s *Scratch) seed(points []Point, k, dim int, rng *xrand.Rand, tau float64) {
+func (s *Scratch) seed(points, view []Point, k, dim int, rng *xrand.Rand, tau float64) {
 	n := len(points)
 	cent := s.cent[:k*dim]
 	minDist := s.minDist[:n]
-	assign := s.assign[:n]
+	assign := s.vassign[:n]
 	upper := s.upper[:n]
 	lower := s.lower[:n*k]
 
@@ -357,7 +497,7 @@ func (s *Scratch) seed(points []Point, k, dim int, rng *xrand.Rand, tau float64)
 		sqDistBlocks(s.minDist[:blocks(n)*lanes], s.blk, cent[:dim])
 	} else {
 		for i := range minDist {
-			minDist[i] = sqDist(points[i].Vec, cent[:dim])
+			minDist[i] = sqDist(view[i].Vec, cent[:dim])
 		}
 	}
 	var total float64
@@ -367,44 +507,85 @@ func (s *Scratch) seed(points []Point, k, dim int, rng *xrand.Rand, tau float64)
 		lower[i*k] = upper[i]
 		total += d
 	}
+	if s.balls > 0 {
+		total = s.inputTotal(n)
+	}
 	for nc := 1; nc < k; nc++ {
 		var next int
 		if total <= 0 {
 			next = rng.Intn(n)
 		} else {
-			r := rng.Float64() * total
-			acc := 0.0
-			next = n - 1
-			for i, d := range minDist {
-				acc += d
-				if acc >= r {
-					next = i
-					break
-				}
-			}
+			next = s.draw(n, rng.Float64()*total)
 		}
 		copy(cent[nc*dim:(nc+1)*dim], points[next].Vec)
 		s.gapRow(nc, k, dim)
-		total = s.seedPass(points, nc, k, dim, tau)
+		total = s.seedPass(view, nc, k, dim, tau)
 	}
 	s.nearest(k)
+	if s.balls > 0 {
+		for j, i := range s.order[:n] {
+			s.assign[i] = assign[j]
+		}
+	}
 }
 
-// seedPass measures the points against the new seed nc block by block and
-// returns the sum of the updated minDist in index order, the next draw's
-// total. A block with at least simdMinOpen points the bound cannot prune
-// goes to the distance kernel whole. Measuring a point the bound would
-// have skipped only replaces its lower bound with the exact distance: its
-// nearest seed still beats the new one, so minDist, assign and upper come
-// out as the scalar loop leaves them.
+// inputTotal returns the sum of minDist over the partitioned view in
+// input order, the plain seeding's order.
 //
 //bp:noalloc
-func (s *Scratch) seedPass(points []Point, nc, k, dim int, tau float64) float64 {
-	n := len(points)
+func (s *Scratch) inputTotal(n int) float64 {
+	var total float64
+	for _, j := range s.pos[:n] {
+		total += s.minDist[j]
+	}
+	return total
+}
+
+// draw returns the input index of the point a k-means++ draw of r picks:
+// the first whose running sum of minDist, in input order, reaches r.
+//
+//bp:noalloc
+func (s *Scratch) draw(n int, r float64) int {
+	minDist := s.minDist[:n]
+	acc := 0.0
+	if s.balls == 0 {
+		for i, d := range minDist {
+			if acc += d; acc >= r {
+				return i
+			}
+		}
+		return n - 1
+	}
+	for i, j := range s.pos[:n] {
+		if acc += minDist[j]; acc >= r {
+			return i
+		}
+	}
+	return n - 1
+}
+
+// seedPass measures the points against the new seed nc block by block
+// and returns the sum of the updated minDist in input order, the next
+// draw's total. A point x whose nearest seed so far, c_a at distance u,
+// is skipped when d(x, c) ≥ d(c, c_a) − u exceeds u + τ. A block with at
+// least simdMinOpen points the bound cannot prune goes to the distance
+// kernel whole. Measuring a point the bound would have skipped only
+// replaces its lower bound with the exact distance: its nearest seed
+// still beats the new one, so minDist, assign and upper come out as the
+// scalar loop leaves them. Without a partition, view order is input
+// order and the total is summed as the pass goes; with one, seedBalls
+// makes the pass.
+//
+//bp:noalloc
+func (s *Scratch) seedPass(view []Point, nc, k, dim int, tau float64) float64 {
+	if s.balls > 0 {
+		return s.seedBalls(view, nc, k, dim, tau)
+	}
+	n := len(view)
 	c := s.cent[nc*dim : (nc+1)*dim]
 	g := s.gap[nc*k : (nc+1)*k]
 	minDist := s.minDist[:n]
-	assign := s.assign[:n]
+	assign := s.vassign[:n]
 	upper := s.upper[:n]
 	lower := s.lower[:n*k]
 	var total float64
@@ -429,7 +610,7 @@ func (s *Scratch) seedPass(points []Point, nc, k, dim int, tau float64) float64 
 			} else {
 				d := s.lane[i-b]
 				if !vec {
-					d = sqDist(points[i].Vec, c)
+					d = sqDist(view[i].Vec, c)
 				}
 				lower[i*k+nc] = math.Sqrt(d)
 				if d < minDist[i] {
@@ -444,32 +625,150 @@ func (s *Scratch) seedPass(points []Point, nc, k, dim int, tau float64) float64 
 	return total
 }
 
-// reassign is one Lloyd assignment step over the bounds and reports
-// whether any assignment changed. A point keeps its centroid a without a
-// single distance when its upper bound u plus τ stays below every other
-// centroid's lower bound or half-gap to a: d(x, c) ≥ 2·gap(a, c) − u. Any
-// other point gets its bound on a tightened to the exact distance and
-// scans the centroids in index order with strict <, as the plain loop
-// does, measuring only those the tightened bounds cannot exclude. Each
-// move updates s.counts and marks both clusters in s.moved, for resum.
+// seedBalls is seedPass over a partitioned view. Each block also takes
+// the weakest ball bound d(leader, c) − ρ ≤ d(x, c) of the balls it holds
+// points of (see seedBounds); a block that bound rules out for every
+// point is done without the per-point tests (see ballSkips), and the
+// others run seedPass's per-point loop. The total is summed afterwards,
+// in input order. The loop repeats seedPass's rather than sharing it: in
+// paired runs, one loop serving both cases cost either LULESH 4% or
+// BenchmarkKMeansClustering's points, which never partition, 3–6%.
 //
 //bp:noalloc
-func (s *Scratch) reassign(points []Point, k, dim int, tau float64) bool {
-	n := len(points)
+func (s *Scratch) seedBalls(view []Point, nc, k, dim int, tau float64) float64 {
+	n := len(view)
+	c := s.cent[nc*dim : (nc+1)*dim]
+	g := s.gap[nc*k : (nc+1)*k]
+	minDist := s.minDist[:n]
+	assign := s.vassign[:n]
+	upper := s.upper[:n]
+	lower := s.lower[:n*k]
+	s.seedBounds(view, c)
+	for b := 0; b < n; b += lanes {
+		e := min(b+lanes, n)
+		if s.ballSkips(b, e, nc, k, s.seedBound[b/lanes], tau) {
+			continue
+		}
+		vec := false
+		if useSIMD {
+			open := 0
+			for i := b; i < e; i++ {
+				if u := upper[i]; !(2*g[assign[i]]-u > u+tau) {
+					open++
+				}
+			}
+			if vec = open >= simdMinOpen; vec {
+				sqDistBlocks(s.lane[:], s.blk[b*dim:], c)
+			}
+		}
+		for i := b; i < e; i++ {
+			u := upper[i]
+			if lb := 2*g[assign[i]] - u; !vec && lb > u+tau {
+				lower[i*k+nc] = lb
+			} else {
+				d := s.lane[i-b]
+				if !vec {
+					d = sqDist(view[i].Vec, c)
+				}
+				lower[i*k+nc] = math.Sqrt(d)
+				if d < minDist[i] {
+					minDist[i] = d
+					assign[i] = nc
+					upper[i] = lower[i*k+nc]
+				}
+			}
+		}
+	}
+	return s.inputTotal(n)
+}
+
+// ballSkips reports whether the ball bound bb rules the new seed nc out
+// for every point of the block [b, e), and if so records it as their
+// lower bound.
+//
+//bp:noalloc
+func (s *Scratch) ballSkips(b, e, nc, k int, bb, tau float64) bool {
+	for _, u := range s.upper[b:e] {
+		if !(bb > u+tau) {
+			return false
+		}
+	}
+	for i := b; i < e; i++ {
+		s.lower[i*k+nc] = bb
+	}
+	return true
+}
+
+// seedBounds sets s.seedBound[t], for each block t of the view, to a
+// lower bound on the distance from any of its points to the new seed c:
+// the least d(leader, c) − ρ over the balls the block holds points of.
+//
+//bp:noalloc
+func (s *Scratch) seedBounds(view []Point, c []float64) {
+	bound := s.seedBound[:blocks(len(view))]
+	for q := range s.balls {
+		lb := math.Sqrt(sqDist(view[s.start[q]].Vec, c)) - s.rho[q]
+		t := s.start[q] / lanes
+		if s.start[q]%lanes != 0 { // a block the balls before q share
+			bound[t] = min(bound[t], lb)
+			t++
+		}
+		for ; t*lanes < s.start[q+1]; t++ {
+			bound[t] = lb
+		}
+	}
+}
+
+// ballBound is what reassign's ball test reads of one ball in one Lloyd
+// iteration, from the distances d₁ ≤ d₂ of its leader to the nearest
+// centroid near and to the next: a member x of near has d(x, near) ≤
+// reach = d₁ + ρ and d(x, c) ≥ d₂ − ρ for every other centroid c, so it
+// keeps near when min(u, reach) < keep = d₂ − ρ − τ. A block of the view
+// that holds points of several balls takes the weakest of their bounds,
+// or none (keep = −Inf) when their nearest centroids differ.
+type ballBound struct {
+	near        int
+	reach, keep float64
+}
+
+// reassign is one Lloyd assignment step over the bounds, in view order,
+// and reports whether any assignment changed. A point keeps its centroid
+// a without a single distance when its upper bound u plus τ stays below
+// every other centroid's lower bound or half-gap to a: d(x, c) ≥
+// 2·gap(a, c) − u. With a partition, a point also keeps a when its
+// ball's bound (see ballBound) proves it; the test can only hold for a
+// member of the centroid nearest its leader, since any member's own
+// centroid is at least d₁ − ρ away. Any other point gets its bound on a
+// tightened to the exact distance and scans the centroids in index order
+// with strict <, as the plain loop does, measuring only those the
+// tightened bounds cannot exclude. Each move updates both assignments and
+// s.counts, and marks both clusters in s.moved, for resum.
+//
+//bp:noalloc
+func (s *Scratch) reassign(view []Point, k, dim int, tau float64) bool {
+	n := len(view)
 	cent := s.cent[:k*dim]
-	assign := s.assign[:n]
+	assign := s.vassign[:n]
 	counts := s.counts[:k]
 	moved := s.moved[:k]
 	upper := s.upper[:n]
 	lower := s.lower[:n*k]
 	gap := s.gap[:k*k]
 	near := s.near[:k]
+	if s.balls > 0 {
+		s.leadBounds(view, k, dim, tau)
+	}
 	changed := false
-	for i := range points {
+	for i := range view {
 		a := assign[i]
 		ut := upper[i] + tau
 		if ut < near[a] {
 			continue
+		}
+		if s.balls > 0 {
+			if bb := &s.bound[i/lanes]; a == bb.near && min(upper[i], bb.reach) < bb.keep {
+				continue
+			}
 		}
 		lo := lower[i*k : (i+1)*k]
 		g := gap[a*k : (a+1)*k]
@@ -483,7 +782,7 @@ func (s *Scratch) reassign(points []Point, k, dim int, tau float64) bool {
 		if !open {
 			continue
 		}
-		x := points[i].Vec
+		x := view[i].Vec
 		da := sqDist(x, cent[a*dim:(a+1)*dim])
 		lo[a] = math.Sqrt(da)
 		ut = lo[a] + tau
@@ -504,6 +803,9 @@ func (s *Scratch) reassign(points []Point, k, dim int, tau float64) bool {
 		upper[i] = math.Sqrt(bestD)
 		if best != a {
 			assign[i] = best
+			if s.balls > 0 {
+				s.assign[s.order[i]] = best
+			}
 			counts[a]--
 			counts[best]++
 			moved[a], moved[best] = true, true
@@ -511,6 +813,41 @@ func (s *Scratch) reassign(points []Point, k, dim int, tau float64) bool {
 		}
 	}
 	return changed
+}
+
+// leadBounds measures every ball's leader against the k centroids and
+// sets s.bound for every block of the view.
+//
+//bp:noalloc
+func (s *Scratch) leadBounds(view []Point, k, dim int, tau float64) {
+	cent := s.cent[:k*dim]
+	bound := s.bound[:blocks(len(view))]
+	for q := range s.balls {
+		x := view[s.start[q]].Vec
+		near, d1, d2 := 0, math.Inf(1), math.Inf(1)
+		for c := range k {
+			d := math.Sqrt(sqDist(x, cent[c*dim:(c+1)*dim]))
+			if d < d1 {
+				near, d1, d2 = c, d, d1
+			} else if d < d2 {
+				d2 = d
+			}
+		}
+		rho := s.rho[q]
+		bb := ballBound{near: near, reach: d1 + rho, keep: d2 - rho - tau}
+		t := s.start[q] / lanes
+		if s.start[q]%lanes != 0 { // a block the balls before q share
+			if prev := &bound[t]; prev.near == near {
+				prev.reach, prev.keep = max(prev.reach, bb.reach), min(prev.keep, bb.keep)
+			} else {
+				prev.keep = math.Inf(-1)
+			}
+			t++
+		}
+		for ; t*lanes < s.start[q+1]; t++ {
+			bound[t] = bb
+		}
+	}
 }
 
 // moveBounds carries the bounds across a centroid update: a centroid's
@@ -526,7 +863,7 @@ func (s *Scratch) moveBounds(n, k, dim int) {
 		drift[c] = math.Sqrt(sqDist(prev[c*dim:(c+1)*dim], cent[c*dim:(c+1)*dim]))
 	}
 	upper := s.upper[:n]
-	for i, a := range s.assign[:n] {
+	for i, a := range s.vassign[:n] {
 		upper[i] += drift[a]
 	}
 	shiftRows(s.lower[:n*k], drift)
@@ -651,10 +988,8 @@ func ClusterWith(points []Point, cfg Config, s *Scratch) (*Result, error) {
 		maxK = n
 	}
 	dim := len(points[0].Vec)
-	s.grow(n, dim, maxK)
-	s.pack(points, dim)
+	tau := s.prepare(points, dim, maxK)
 	rng := xrand.Derive(cfg.Seed, "simpoint-kmeans")
-	tau := boundMargin(points)
 
 	for k := 1; k <= maxK; k++ {
 		for r := 0; r < cfg.Restarts; r++ {
@@ -687,7 +1022,11 @@ func ClusterWith(points []Point, cfg Config, s *Scratch) (*Result, error) {
 	// centroids bit for bit; no k needs its candidate kept meanwhile.
 	replay := s.candRng[chosen-1]
 	s.kmeansOnce(points, chosen, dim, &replay, cfg.MaxIterations, tau)
-	return buildResult(points, chosen, dim, s.assign[:n], s.cent[:chosen*dim], s.candBIC[chosen-1]), nil
+	res := buildResult(points, chosen, dim, s.assign[:n], s.cent[:chosen*dim], s.candBIC[chosen-1])
+	if s.balls > 0 {
+		clear(s.view[:n]) // drop the caller's vectors
+	}
+	return res, nil
 }
 
 // scoreReaches implements SimPoint's "within threshold of the best BIC"
