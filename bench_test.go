@@ -12,7 +12,6 @@ package barrierpoint_test
 
 import (
 	"context"
-	"fmt"
 	"io"
 	"strings"
 	"sync"
@@ -26,7 +25,6 @@ import (
 	"barrierpoint/internal/omp"
 	"barrierpoint/internal/pin"
 	"barrierpoint/internal/sched"
-	"barrierpoint/internal/sigvec"
 	"barrierpoint/internal/simpoint"
 	"barrierpoint/internal/xrand"
 )
@@ -226,96 +224,73 @@ func BenchmarkKMeansClustering(b *testing.B) {
 	}
 }
 
-// discoveryPoints builds the signature vectors of an app's 8-thread
-// discovery run, composed as core's discoverRun composes them and
-// projected by one reusable Builder. Run 0, the canonical run, has full
-// BBV+LDV instrumentation. A jittered run streams only BBVs under the
-// run's schedule jitter and copies each point's projected LDV half from
-// the canonical run's point of the same index, given as canonical.
-func discoveryPoints(name string, run int, canonical []simpoint.Point) ([]simpoint.Point, error) {
-	app, err := barrierpoint.AppByName(name)
-	if err != nil {
-		return nil, err
-	}
-	v := isa.Variant{ISA: isa.X8664()}
-	prog, err := app.Build(8, v)
-	if err != nil {
-		return nil, err
-	}
-	cfg := omp.Config{Machine: machine.ForISA(v.ISA), Variant: v, Threads: 8, WarmCaches: true}
-	opts := pin.Options{}
-	if run > 0 {
-		cfg.Jitter = xrand.Derive(42, fmt.Sprintf("discovery-jitter-%d", run))
-		cfg.JitterFrac = 0.005
-		cfg.SkipMemory = true
-		opts.SkipLDV = true
-	}
-	builder := sigvec.NewBuilder(sigvec.Options{Dim: sigvec.DefaultDim, UseBBV: true, UseLDV: true, Seed: 42})
-	ldv := sigvec.DefaultDim // the LDV half follows the BBV half
-	var points []simpoint.Point
-	err = pin.Stream(prog, cfg, opts, func(s pin.Signature) {
-		vec := make([]float64, builder.Dims())
-		if run == 0 {
-			builder.BuildSparseInto(vec, s.BBVSparse.Idx, s.BBVSparse.Val, s.LDVSparse.Idx, s.LDVSparse.Val)
-		} else {
-			builder.BuildSparseInto(vec, s.BBVSparse.Idx, s.BBVSparse.Val, nil, nil)
-			if s.Index < len(canonical) {
-				copy(vec[ldv:], canonical[s.Index].Vec[ldv:])
-			}
-		}
-		points = append(points, simpoint.Point{Vec: vec, Weight: s.Instructions})
-	})
-	return points, err
+// clusterInput is what a discovery run hands to clustering, with the
+// LDV baseline the canonical run leaves for the jittered ones.
+type clusterInput struct {
+	points []simpoint.Point
+	cfg    simpoint.Config
+	base   *core.LDVBaseline
 }
 
-// hpcgPoints and luleshPoints hold the canonical discovery runs' vectors,
+// discoveryInput builds what an app's 8-thread, seed-42 discovery run
+// `run` clusters through core's own discovery path, stopping short of
+// the clustering. A jittered run (run ≥ 1) takes the canonical run's LDV
+// baseline.
+func discoveryInput(name string, run int, base *core.LDVBaseline) (clusterInput, error) {
+	app, err := barrierpoint.AppByName(name)
+	if err != nil {
+		return clusterInput{}, err
+	}
+	points, cfg, newBase, err := core.DiscoveryPoints(app.Build, core.DefaultDiscovery(8, false, 42), run, base)
+	return clusterInput{points, cfg, newBase}, err
+}
+
+// hpcgPoints and luleshPoints hold the canonical discovery runs' inputs,
 // and luleshJitteredPoints LULESH's run 1, built once for the clustering
 // benchmarks.
 var (
-	hpcgPoints           = sync.OnceValues(func() ([]simpoint.Point, error) { return discoveryPoints("HPCG", 0, nil) })
-	luleshPoints         = sync.OnceValues(func() ([]simpoint.Point, error) { return discoveryPoints("LULESH", 0, nil) })
-	luleshJitteredPoints = sync.OnceValues(func() ([]simpoint.Point, error) {
+	hpcgPoints           = sync.OnceValues(func() (clusterInput, error) { return discoveryInput("HPCG", 0, nil) })
+	luleshPoints         = sync.OnceValues(func() (clusterInput, error) { return discoveryInput("LULESH", 0, nil) })
+	luleshJitteredPoints = sync.OnceValues(func() (clusterInput, error) {
 		canonical, err := luleshPoints()
 		if err != nil {
-			return nil, err
+			return clusterInput{}, err
 		}
-		return discoveryPoints("LULESH", 1, canonical)
+		return discoveryInput("LULESH", 1, canonical.base)
 	})
 )
 
-// benchCluster clusters points at the paper's SimPoint settings (MaxK 20,
-// 5 restarts per k) with the k-means seed discovery gives run `run`.
-// Building the vectors is not timed.
-func benchCluster(b *testing.B, build func() ([]simpoint.Point, error), run int) {
-	points, err := build()
+// benchCluster clusters a discovery run's points as discovery does: at
+// the paper's SimPoint settings (MaxK 20, 5 restarts per k) with the
+// run's own k-means seed. Building the points is not timed.
+func benchCluster(b *testing.B, input func() (clusterInput, error)) {
+	in, err := input()
 	if err != nil {
 		b.Fatal(err)
 	}
-	cfg := simpoint.DefaultConfig(xrand.Derive(42, fmt.Sprintf("kmeans-%d", run)).Uint64())
-	cfg.MaxK = 20
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := simpoint.Cluster(points, cfg); err != nil {
+		if _, err := simpoint.Cluster(in.points, in.cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
 	// After the loop: ResetTimer deletes metrics reported before it.
-	b.ReportMetric(float64(len(points)), "points")
+	b.ReportMetric(float64(len(in.points)), "points")
 }
 
 // BenchmarkClusterHPCG measures clustering on real signature vectors: the
 // canonical HPCG 8-thread discovery run (803 points, 166 of them
 // distinct).
-func BenchmarkClusterHPCG(b *testing.B) { benchCluster(b, hpcgPoints, 0) }
+func BenchmarkClusterHPCG(b *testing.B) { benchCluster(b, hpcgPoints) }
 
 // BenchmarkClusterLULESH clusters the canonical LULESH 8-thread discovery
 // run: 9,840 points of 30 dimensions (2.4 MB, more than a typical L2),
 // the largest point set of the paper suite. Only 200 of its points are
 // distinct; a study's nine jittered runs, which make most of its
 // clustering, are not (see BenchmarkClusterLULESHJittered).
-func BenchmarkClusterLULESH(b *testing.B) { benchCluster(b, luleshPoints, 0) }
+func BenchmarkClusterLULESH(b *testing.B) { benchCluster(b, luleshPoints) }
 
 // BenchmarkClusterLULESHJittered clusters LULESH's jittered discovery run
 // 1: 9,840 distinct points in a few dozen tight clumps, the shape of the
 // nine jittered runs per study that make most of the suite's clustering.
-func BenchmarkClusterLULESHJittered(b *testing.B) { benchCluster(b, luleshJitteredPoints, 1) }
+func BenchmarkClusterLULESHJittered(b *testing.B) { benchCluster(b, luleshJitteredPoints) }

@@ -2,10 +2,12 @@ package core
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
 	"barrierpoint/internal/isa"
 	"barrierpoint/internal/machine"
+	"barrierpoint/internal/simpoint"
 	"barrierpoint/internal/trace"
 )
 
@@ -382,6 +384,51 @@ func TestDiscoverJitteredRejectsBaselineWidth(t *testing.T) {
 	noLDV.DisableLDV = true
 	if _, err := DiscoverJittered(build, noLDV, 1, base); err == nil {
 		t.Error("LDV-less jittered run accepted a baseline with LDV rows")
+	}
+}
+
+// TestDiscoveryPointsAreDiscoverys: the points and clustering
+// configuration DiscoveryPoints hands out, clustered, select what
+// discovery selects, for the canonical run and a jittered one, and the
+// canonical run leaves the same LDV baseline.
+func TestDiscoveryPointsAreDiscoverys(t *testing.T) {
+	build := phasedBuilder(3, 8)
+	cfg := DiscoveryConfig{Threads: 2, Runs: 2, Seed: 7}
+	want0, wantBase, err := DiscoverBaseline(build, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want1, err := DiscoverJittered(build, cfg, 1, wantBase)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var base *LDVBaseline
+	for run, want := range []BarrierPointSet{want0, want1} {
+		points, spCfg, newBase, err := DiscoveryPoints(build, cfg, run, base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if run == 0 {
+			if newBase == nil || newBase.Digest() != wantBase.Digest() {
+				t.Fatal("run 0: DiscoveryPoints' LDV baseline differs from DiscoverBaseline's")
+			}
+			base = newBase
+		}
+		res, err := simpoint.Cluster(points, spCfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []SelectedPoint
+		for c, rep := range res.Representatives {
+			if rep >= 0 {
+				got = append(got, SelectedPoint{Index: rep, Multiplier: res.Multipliers[c], Instructions: points[rep].Weight})
+			}
+		}
+		sortSelected(got)
+		if len(points) != want.TotalPoints || !reflect.DeepEqual(got, want.Selected) {
+			t.Errorf("run %d: DiscoveryPoints clusters to %d points, %v; discovery to %d points, %v",
+				run, len(points), got, want.TotalPoints, want.Selected)
+		}
 	}
 }
 

@@ -204,18 +204,20 @@ func (a *discoverArena) builderFor(opts sigvec.Options) *sigvec.Builder {
 	return a.builder
 }
 
-// discoverRun executes one instrumented discovery run and clusters it.
-// Run 0 is the canonical run: it collects LDVs and returns them as the
-// baseline for the jittered runs. Runs ≥ 1 reuse the supplied baseline.
-// Each run's randomness is derived solely from (cfg.Seed, run), so runs
-// are independent of execution order.
-func discoverRun(build ProgramBuilder, cfg DiscoveryConfig, run int, base *LDVBaseline) (BarrierPointSet, *LDVBaseline, error) {
+// discoverPoints executes one instrumented discovery run into the arena:
+// the signature vectors clustering receives and their weights. It
+// returns the clustering configuration for them and, for run 0, the LDV
+// baseline. Run 0 is the canonical run: it collects LDVs and returns them
+// as the baseline for the jittered runs. Runs ≥ 1 reuse the supplied
+// baseline. Each run's randomness is derived solely from (cfg.Seed, run),
+// so runs are independent of execution order.
+func discoverPoints(arena *discoverArena, build ProgramBuilder, cfg DiscoveryConfig, run int, base *LDVBaseline) (simpoint.Config, *LDVBaseline, error) {
 	variant, mach, opts, maxK, err := discoverySetup(cfg)
 	if err != nil {
-		return BarrierPointSet{}, nil, err
+		return simpoint.Config{}, nil, err
 	}
 	if run > 0 && base == nil {
-		return BarrierPointSet{}, nil, fmt.Errorf("core: jittered discovery run %d needs the canonical run's LDV baseline", run)
+		return simpoint.Config{}, nil, fmt.Errorf("core: jittered discovery run %d needs the canonical run's LDV baseline", run)
 	}
 	// The projected LDV half sits after the BBV half (or is the whole
 	// vector in the LDV-only ablation). opts.Dim is always explicit here:
@@ -228,13 +230,13 @@ func discoverRun(build ProgramBuilder, cfg DiscoveryConfig, run int, base *LDVBa
 		}
 	}
 	if run > 0 && base.dim != ldvDim {
-		return BarrierPointSet{}, nil, fmt.Errorf("core: jittered discovery run %d: LDV baseline rows are %d floats wide, the configuration projects %d",
+		return simpoint.Config{}, nil, fmt.Errorf("core: jittered discovery run %d: LDV baseline rows are %d floats wide, the configuration projects %d",
 			run, base.dim, ldvDim)
 	}
 
 	prog, err := build(cfg.Threads, variant)
 	if err != nil {
-		return BarrierPointSet{}, nil, fmt.Errorf("core: building %d-thread x86_64 program: %w", cfg.Threads, err)
+		return simpoint.Config{}, nil, fmt.Errorf("core: building %d-thread x86_64 program: %w", cfg.Threads, err)
 	}
 	runCfg := omp.Config{Machine: mach, Variant: variant, Threads: cfg.Threads, WarmCaches: true}
 	pinOpts := pin.Options{}
@@ -251,14 +253,12 @@ func discoverRun(build ProgramBuilder, cfg DiscoveryConfig, run int, base *LDVBa
 	}
 
 	// One reusable Builder serves every barrier point of the run, and the
-	// signature vectors themselves come from the pooled arena — both are
-	// dead once clustering returns, so the steady-state per-point cost is
-	// the projection arithmetic alone. Jittered runs (run > 0) copy the
-	// canonical run's already-projected LDV rows under the streamed sparse
-	// BBV instead of re-projecting its LDVs.
-	arena := discoverArenaPool.Get().(*discoverArena)
-	arena.reset()
-	defer discoverArenaPool.Put(arena)
+	// signature vectors themselves come from the arena — in discovery a
+	// pooled one, whose contents are dead once clustering returns, so the
+	// steady-state per-point cost is the projection arithmetic alone.
+	// Jittered runs (run > 0) copy the canonical run's already-projected
+	// LDV rows under the streamed sparse BBV instead of re-projecting its
+	// LDVs.
 	builder := arena.builderFor(opts)
 	dims := builder.Dims()
 	var newBase *LDVBaseline
@@ -292,9 +292,8 @@ func discoverRun(build ProgramBuilder, cfg DiscoveryConfig, run int, base *LDVBa
 		arena.weights = append(arena.weights, s.Instructions)
 	})
 	if err != nil {
-		return BarrierPointSet{}, nil, fmt.Errorf("core: discovery run %d: %w", run, err)
+		return simpoint.Config{}, nil, fmt.Errorf("core: discovery run %d: %w", run, err)
 	}
-	points, weights := arena.points, arena.weights
 
 	spCfg := simpoint.DefaultConfig(xrand.Derive(cfg.Seed, fmt.Sprintf("kmeans-%d", run)).Uint64())
 	spCfg.MaxK = maxK
@@ -302,9 +301,34 @@ func discoverRun(build ProgramBuilder, cfg DiscoveryConfig, run int, base *LDVBa
 	// degenerates into selecting nearly everything; cap the search at
 	// half the points for very short executions like MCB's ten
 	// regions.
-	if half := (len(points) + 1) / 2; spCfg.MaxK > half {
+	if half := (len(arena.points) + 1) / 2; spCfg.MaxK > half {
 		spCfg.MaxK = half
 	}
+	return spCfg, newBase, nil
+}
+
+// DiscoveryPoints returns what discovery run `run` hands to clustering —
+// its signature points and the clustering configuration — and, for run
+// 0, the LDV baseline the jittered runs take as base. The points are the
+// caller's. It is discovery without the clustering, for benchmarks that
+// time the clustering of real point sets alone.
+func DiscoveryPoints(build ProgramBuilder, cfg DiscoveryConfig, run int, base *LDVBaseline) ([]simpoint.Point, simpoint.Config, *LDVBaseline, error) {
+	arena := new(discoverArena)
+	spCfg, newBase, err := discoverPoints(arena, build, cfg, run, base)
+	return arena.points, spCfg, newBase, err
+}
+
+// discoverRun executes one instrumented discovery run (see
+// discoverPoints) and clusters it.
+func discoverRun(build ProgramBuilder, cfg DiscoveryConfig, run int, base *LDVBaseline) (BarrierPointSet, *LDVBaseline, error) {
+	arena := discoverArenaPool.Get().(*discoverArena)
+	arena.reset()
+	defer discoverArenaPool.Put(arena)
+	spCfg, newBase, err := discoverPoints(arena, build, cfg, run, base)
+	if err != nil {
+		return BarrierPointSet{}, nil, err
+	}
+	points, weights := arena.points, arena.weights
 	res, err := simpoint.Cluster(points, spCfg)
 	if err != nil {
 		return BarrierPointSet{}, nil, fmt.Errorf("core: clustering run %d: %w", run, err)

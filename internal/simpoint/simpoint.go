@@ -490,6 +490,7 @@ func (s *Scratch) seed(points, view []Point, k, dim int, rng *xrand.Rand, tau fl
 	assign := s.vassign[:n]
 	upper := s.upper[:n]
 	lower := s.lower[:n*k]
+	partitioned := s.balls > 0
 
 	first := rng.Intn(n)
 	copy(cent[:dim], points[first].Vec)
@@ -507,7 +508,7 @@ func (s *Scratch) seed(points, view []Point, k, dim int, rng *xrand.Rand, tau fl
 		lower[i*k] = upper[i]
 		total += d
 	}
-	if s.balls > 0 {
+	if partitioned {
 		total = s.inputTotal(n)
 	}
 	for nc := 1; nc < k; nc++ {
@@ -522,7 +523,7 @@ func (s *Scratch) seed(points, view []Point, k, dim int, rng *xrand.Rand, tau fl
 		total = s.seedPass(view, nc, k, dim, tau)
 	}
 	s.nearest(k)
-	if s.balls > 0 {
+	if partitioned {
 		for j, i := range s.order[:n] {
 			s.assign[i] = assign[j]
 		}
@@ -564,23 +565,48 @@ func (s *Scratch) draw(n int, r float64) int {
 	return n - 1
 }
 
-// seedPass measures the points against the new seed nc block by block
-// and returns the sum of the updated minDist in input order, the next
-// draw's total. A point x whose nearest seed so far, c_a at distance u,
-// is skipped when d(x, c) ≥ d(c, c_a) − u exceeds u + τ. A block with at
-// least simdMinOpen points the bound cannot prune goes to the distance
-// kernel whole. Measuring a point the bound would have skipped only
-// replaces its lower bound with the exact distance: its nearest seed
-// still beats the new one, so minDist, assign and upper come out as the
-// scalar loop leaves them. Without a partition, view order is input
-// order and the total is summed as the pass goes; with one, seedBalls
-// makes the pass.
+// seedPass measures the points against the new seed nc and returns the
+// sum of the updated minDist in input order, the next draw's total.
+// Without a partition, view order is input order and seedRange measures
+// the whole view. With one, a block of the view that its weakest ball
+// bound d(leader, c) − ρ ≤ d(x, c) (see seedBounds) rules out for every
+// point is done without the per-point tests (see ballSkips), seedRange
+// measures each run of blocks in between, and the total is summed
+// afterwards in input order.
 //
 //bp:noalloc
 func (s *Scratch) seedPass(view []Point, nc, k, dim int, tau float64) float64 {
-	if s.balls > 0 {
-		return s.seedBalls(view, nc, k, dim, tau)
+	n := len(view)
+	if s.balls == 0 {
+		return s.seedRange(view, nc, k, dim, tau, 0, n)
 	}
+	bound := s.seedBound[:blocks(n)]
+	s.seedBounds(view, s.cent[nc*dim:(nc+1)*dim])
+	for b := 0; b < n; {
+		e := b // [b, e) is a run of blocks the ball test leaves open
+		for e < n && !s.ballSkips(e, min(e+lanes, n), nc, k, bound[e/lanes], tau) {
+			e += lanes
+		}
+		if e > b {
+			s.seedRange(view, nc, k, dim, tau, b, min(e, n))
+		}
+		b = e + lanes
+	}
+	return s.inputTotal(n)
+}
+
+// seedRange measures the view points [from, to), from a block start, against
+// the new seed nc block by block and returns the sum of their updated
+// minDist in view order. A point x whose nearest seed so far, c_a at
+// distance u, is skipped when d(x, c) ≥ d(c, c_a) − u exceeds u + τ. A
+// block with at least simdMinOpen points the bound cannot prune goes to
+// the distance kernel whole. Measuring a point the bound would have
+// skipped only replaces its lower bound with the exact distance: its
+// nearest seed still beats the new one, so minDist, assign and upper
+// come out as the scalar loop leaves them.
+//
+//bp:noalloc
+func (s *Scratch) seedRange(view []Point, nc, k, dim int, tau float64, from, to int) float64 {
 	n := len(view)
 	c := s.cent[nc*dim : (nc+1)*dim]
 	g := s.gap[nc*k : (nc+1)*k]
@@ -589,8 +615,8 @@ func (s *Scratch) seedPass(view []Point, nc, k, dim int, tau float64) float64 {
 	upper := s.upper[:n]
 	lower := s.lower[:n*k]
 	var total float64
-	for b := 0; b < n; b += lanes {
-		e := min(b+lanes, n)
+	for b := from; b < to; b += lanes {
+		e := min(b+lanes, to)
 		vec := false
 		if useSIMD {
 			open := 0
@@ -623,63 +649,6 @@ func (s *Scratch) seedPass(view []Point, nc, k, dim int, tau float64) float64 {
 		}
 	}
 	return total
-}
-
-// seedBalls is seedPass over a partitioned view. Each block also takes
-// the weakest ball bound d(leader, c) − ρ ≤ d(x, c) of the balls it holds
-// points of (see seedBounds); a block that bound rules out for every
-// point is done without the per-point tests (see ballSkips), and the
-// others run seedPass's per-point loop. The total is summed afterwards,
-// in input order. The loop repeats seedPass's rather than sharing it: in
-// paired runs, one loop serving both cases cost either LULESH 4% or
-// BenchmarkKMeansClustering's points, which never partition, 3–6%.
-//
-//bp:noalloc
-func (s *Scratch) seedBalls(view []Point, nc, k, dim int, tau float64) float64 {
-	n := len(view)
-	c := s.cent[nc*dim : (nc+1)*dim]
-	g := s.gap[nc*k : (nc+1)*k]
-	minDist := s.minDist[:n]
-	assign := s.vassign[:n]
-	upper := s.upper[:n]
-	lower := s.lower[:n*k]
-	s.seedBounds(view, c)
-	for b := 0; b < n; b += lanes {
-		e := min(b+lanes, n)
-		if s.ballSkips(b, e, nc, k, s.seedBound[b/lanes], tau) {
-			continue
-		}
-		vec := false
-		if useSIMD {
-			open := 0
-			for i := b; i < e; i++ {
-				if u := upper[i]; !(2*g[assign[i]]-u > u+tau) {
-					open++
-				}
-			}
-			if vec = open >= simdMinOpen; vec {
-				sqDistBlocks(s.lane[:], s.blk[b*dim:], c)
-			}
-		}
-		for i := b; i < e; i++ {
-			u := upper[i]
-			if lb := 2*g[assign[i]] - u; !vec && lb > u+tau {
-				lower[i*k+nc] = lb
-			} else {
-				d := s.lane[i-b]
-				if !vec {
-					d = sqDist(view[i].Vec, c)
-				}
-				lower[i*k+nc] = math.Sqrt(d)
-				if d < minDist[i] {
-					minDist[i] = d
-					assign[i] = nc
-					upper[i] = lower[i*k+nc]
-				}
-			}
-		}
-	}
-	return s.inputTotal(n)
 }
 
 // ballSkips reports whether the ball bound bb rules the new seed nc out
@@ -732,20 +701,64 @@ type ballBound struct {
 }
 
 // reassign is one Lloyd assignment step over the bounds, in view order,
-// and reports whether any assignment changed. A point keeps its centroid
-// a without a single distance when its upper bound u plus τ stays below
-// every other centroid's lower bound or half-gap to a: d(x, c) ≥
-// 2·gap(a, c) − u. With a partition, a point also keeps a when its
-// ball's bound (see ballBound) proves it; the test can only hold for a
-// member of the centroid nearest its leader, since any member's own
-// centroid is at least d₁ − ρ away. Any other point gets its bound on a
-// tightened to the exact distance and scans the centroids in index order
-// with strict <, as the plain loop does, measuring only those the
-// tightened bounds cannot exclude. Each move updates both assignments and
-// s.counts, and marks both clusters in s.moved, for resum.
+// and reports whether any assignment changed. Without a partition,
+// reassignRange steps the whole view. With one, a block of the view
+// whose every point its ball bound keeps on its centroid (see ballBound,
+// ballKeeps) is done without a distance, and reassignRange steps each
+// run of blocks in between and mirrors its moves into the input-order
+// assignment.
 //
 //bp:noalloc
 func (s *Scratch) reassign(view []Point, k, dim int, tau float64) bool {
+	n := len(view)
+	if s.balls == 0 {
+		return s.reassignRange(view, k, dim, tau, 0, n)
+	}
+	s.leadBounds(view, k, dim, tau)
+	bound := s.bound[:blocks(n)]
+	changed := false
+	for b := 0; b < n; {
+		e := b // [b, e) is a run of blocks the ball test leaves open
+		for e < n && !s.ballKeeps(e, min(e+lanes, n), &bound[e/lanes]) {
+			e += lanes
+		}
+		if e > b && s.reassignRange(view, k, dim, tau, b, min(e, n)) {
+			changed = true
+			for j := b; j < min(e, n); j++ {
+				s.assign[s.order[j]] = s.vassign[j]
+			}
+		}
+		b = e + lanes
+	}
+	return changed
+}
+
+// ballKeeps reports whether the ball bound bb keeps every point of the
+// block [b, e) on its centroid: each is assigned to bb.near, and
+// min(u, reach) < keep.
+//
+//bp:noalloc
+func (s *Scratch) ballKeeps(b, e int, bb *ballBound) bool {
+	for i := b; i < e; i++ {
+		if !(s.vassign[i] == bb.near && min(s.upper[i], bb.reach) < bb.keep) {
+			return false
+		}
+	}
+	return true
+}
+
+// reassignRange is the assignment step for the view points [from, to). A
+// point keeps its centroid a without a single distance when its upper
+// bound u plus τ stays below every other centroid's lower bound or
+// half-gap to a: d(x, c) ≥ 2·gap(a, c) − u. Any other point gets its
+// bound on a tightened to the exact distance and scans the centroids in
+// index order with strict <, as the plain loop does, measuring only those
+// the tightened bounds cannot exclude. Each move updates the view-order
+// assignment and s.counts, and marks both clusters in s.moved, for
+// resum.
+//
+//bp:noalloc
+func (s *Scratch) reassignRange(view []Point, k, dim int, tau float64, from, to int) bool {
 	n := len(view)
 	cent := s.cent[:k*dim]
 	assign := s.vassign[:n]
@@ -755,20 +768,12 @@ func (s *Scratch) reassign(view []Point, k, dim int, tau float64) bool {
 	lower := s.lower[:n*k]
 	gap := s.gap[:k*k]
 	near := s.near[:k]
-	if s.balls > 0 {
-		s.leadBounds(view, k, dim, tau)
-	}
 	changed := false
-	for i := range view {
+	for i := from; i < to; i++ {
 		a := assign[i]
 		ut := upper[i] + tau
 		if ut < near[a] {
 			continue
-		}
-		if s.balls > 0 {
-			if bb := &s.bound[i/lanes]; a == bb.near && min(upper[i], bb.reach) < bb.keep {
-				continue
-			}
 		}
 		lo := lower[i*k : (i+1)*k]
 		g := gap[a*k : (a+1)*k]
@@ -803,9 +808,6 @@ func (s *Scratch) reassign(view []Point, k, dim int, tau float64) bool {
 		upper[i] = math.Sqrt(bestD)
 		if best != a {
 			assign[i] = best
-			if s.balls > 0 {
-				s.assign[s.order[i]] = best
-			}
 			counts[a]--
 			counts[best]++
 			moved[a], moved[best] = true, true
