@@ -114,19 +114,20 @@ test-obs:
 		./internal/sched/... ./internal/service/...
 
 # test-sweep exercises the batch sweep compiler end to end under the race
-# detector: planner-level dedup/subsumption accounting and the golden
+# detector: planner-level dedup/subsumption accounting, discovery and
+# collection members, the program-keyed fingerprint memo and the golden
 # batch-vs-serial byte-identity invariant (internal/sched), the
 # POST /studies:batch service surface with cancellation cascades and the
 # 2-worker fleet equivalence run (internal/service), and the evaluation
 # suite's path (internal/experiments): planned studies byte-identical to
-# serial Study calls, and the studies six experiments declare, planned and
-# executed as one sweep, then rendered from the cache against their
-# goldens without a cache miss.
+# serial ones, the studies six experiments declare, and the discoveries
+# and collections limits declares, each executed as one plan, then
+# rendered against their goldens without a cache miss.
 # -timeout 30m: the sched leg's golden equivalence runs (batch plus a
 # serial reference per member) exceed go test's default 10m per-package
 # budget under the race detector's ~10x slowdown.
 test-sweep:
-	$(GO) test -race -timeout 30m -run 'Sweep|BatchSweep|BatchStudies|PlanStudies|Table3And4QuickRun' \
+	$(GO) test -race -timeout 30m -run 'Sweep|BatchStudies|PlanStudies|Table3And4QuickRun|LimitsOutput' \
 		./internal/sched/... ./internal/service/... ./internal/experiments/...
 
 # suite-check runs the whole evaluation suite at its quick configuration

@@ -41,7 +41,11 @@ func benchExperiment(b *testing.B, name string) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := exp.Run(sharedRunner, io.Discard); err != nil {
+		render := exp.Run(sharedRunner)
+		if _, err := sharedRunner.Execute(); err != nil {
+			b.Fatal(err)
+		}
+		if err := render(io.Discard); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,11 +1,11 @@
 // Command bpexperiments regenerates the paper's tables and figures.
 //
-// A run has three steps. Each selected experiment declares the studies it
-// reads; the union runs as one deduplicated sweep (the same compiler as
-// POST /studies:batch) across the whole -unit-workers budget; then the
-// experiments render concurrently from the cache, up to -unit-workers at
-// once. Output is printed in experiment order and is byte-identical for
-// any -unit-workers value and any -workers fleet.
+// A run has three steps. Each selected experiment declares every study,
+// discovery and collection it reads; all of them run as one deduplicated
+// plan (the same compiler as POST /studies:batch) on the -unit-workers
+// budget; then the experiments render from the results, one after
+// another in experiment order, which is formatting only. Output is
+// byte-identical for any -unit-workers value and any -workers fleet.
 //
 // Usage:
 //
@@ -19,13 +19,11 @@ package main
 
 import (
 	"bytes"
-	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"runtime"
 	"strings"
-	"sync"
 	"time"
 
 	"barrierpoint/internal/experiments"
@@ -38,7 +36,7 @@ func main() {
 		quick       = flag.Bool("quick", false, "reduced sweep: fewer discovery runs and thread counts")
 		seed        = flag.Uint64("seed", 2017, "experiment seed")
 		runs        = flag.Int("runs", 0, "override discovery runs (0 = preset)")
-		unitWorkers = flag.Int("unit-workers", 0, "worker budget for the study sweep and for rendering experiments (0 = GOMAXPROCS)")
+		unitWorkers = flag.Int("unit-workers", 0, "worker budget for the suite's one plan (0 = GOMAXPROCS)")
 		workers     = flag.String("workers", "", "comma-separated bpworker addresses (host:port,...) to shard units across (empty = in-process)")
 		winflight   = flag.Int("worker-inflight", 0, "concurrent units dispatched per remote worker (0 = default 4)")
 		list        = flag.Bool("list", false, "list experiments and exit")
@@ -73,11 +71,6 @@ func main() {
 		}
 	}
 
-	budget := *unitWorkers
-	if budget <= 0 {
-		budget = runtime.GOMAXPROCS(0)
-	}
-
 	cfg := experiments.Default()
 	if *quick {
 		cfg = experiments.Quick()
@@ -86,7 +79,7 @@ func main() {
 	if *runs > 0 {
 		cfg.Runs = *runs
 	}
-	cfg.Workers = budget
+	cfg.Workers = *unitWorkers
 	// Distributed mode: study units are shipped to the bpworker fleet;
 	// the local budget then only bounds dispatch concurrency.
 	urls, err := sched.ParseWorkerList(*workers)
@@ -114,46 +107,31 @@ func main() {
 		runner = experiments.NewRunner(cfg)
 	}
 
-	// Experiments render into per-experiment buffers so they can run
-	// concurrently without interleaving; each experiment's output is
-	// printed whole once it and every lower-indexed experiment have
-	// finished, so the bytes do not depend on completion order.
-	outs := make([]bytes.Buffer, len(selected))
-	took := make([]time.Duration, len(selected))
-	var (
-		mu   sync.Mutex
-		done = make([]bool, len(selected))
-		next int
-	)
-	flush := func() { // caller holds mu
-		for next < len(selected) && done[next] {
-			os.Stdout.Write(outs[next].Bytes())
-			fmt.Fprintf(os.Stderr, "[%s done in %v]\n",
-				selected[next].Name, took[next].Round(time.Millisecond))
-			next++
-		}
+	// Every selected experiment declares what it reads; the declarations
+	// run as one plan on the whole budget, and rendering reads the
+	// results. Each experiment renders into its own buffer, printed whole,
+	// so one that fails to render prints nothing.
+	renders := make([]func(io.Writer) error, len(selected))
+	for i, e := range selected {
+		renders[i] = e.Run(runner)
 	}
-	// The studies the experiments declare run first, as one sweep on the
-	// whole budget, so rendering reads them from the cache.
 	start := time.Now()
-	plan, err := runner.PlanStudies(selected)
+	plan, err := runner.Execute()
 	if err == nil {
-		fmt.Fprintf(os.Stderr, "[plan: %d studies as %d units (%d naive, %d deduped, %d subsumed, %d cached) in %v]\n",
+		fmt.Fprintf(os.Stderr, "[plan: %d members as %d units (%d naive, %d deduped, %d subsumed, %d cached studies) in %v]\n",
 			plan.Studies, plan.PlannedUnits, plan.NaiveUnits, plan.DedupedUnits,
 			plan.SubsumedUnits, plan.CachedStudies, time.Since(start).Round(time.Millisecond))
-		err = sched.ForEach(context.Background(), len(selected), budget,
-			func(ctx context.Context, i int) error {
-				t0 := time.Now()
-				if err := selected[i].Run(runner, &outs[i]); err != nil {
-					return fmt.Errorf("%s: %w", selected[i].Name, err)
-				}
-				mu.Lock()
-				took[i] = time.Since(t0)
-				done[i] = true
-				flush()
-				mu.Unlock()
-				return nil
-			})
+		for i, render := range renders {
+			t0 := time.Now()
+			var out bytes.Buffer
+			if err = render(&out); err != nil {
+				err = fmt.Errorf("%s: %w", selected[i].Name, err)
+				break
+			}
+			os.Stdout.Write(out.Bytes())
+			fmt.Fprintf(os.Stderr, "[%s done in %v]\n",
+				selected[i].Name, time.Since(t0).Round(time.Millisecond))
+		}
 	}
 	// Close before exiting either way: pending write-behinds must reach
 	// the persistent store even when an experiment failed.

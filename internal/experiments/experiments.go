@@ -2,12 +2,12 @@
 // evaluation (Section VI), plus the Section V-B/V-C limitation and
 // overhead studies, from the simulated platforms.
 //
-// Each experiment has a driver function writing the paper-shaped output to
-// an io.Writer, and declares the studies that function reads, so a suite
-// runs in two steps: Runner.PlanStudies executes every declared study as
-// one sweep, then the experiments render from the cache. cmd/bpexperiments
-// exposes them on the command line and the repository benchmarks exercise
-// each one.
+// Each experiment declares every study, discovery and collection it reads
+// and returns the function that writes the paper-shaped output from them,
+// so a suite runs in two steps: Runner.Execute runs every declaration as
+// one plan, then the experiments render, which is formatting only.
+// cmd/bpexperiments exposes them on the command line and the repository
+// benchmarks exercise each one.
 package experiments
 
 import (
@@ -18,8 +18,10 @@ import (
 	"barrierpoint/internal/apps"
 	"barrierpoint/internal/cachestore"
 	"barrierpoint/internal/core"
+	"barrierpoint/internal/isa"
 	"barrierpoint/internal/resultcache"
 	"barrierpoint/internal/sched"
+	"barrierpoint/internal/trace"
 )
 
 // Config scales the experiments.
@@ -35,10 +37,9 @@ type Config struct {
 	Threads []int
 	// MaxK caps clustering.
 	MaxK int
-	// Workers is the suite's one worker budget (0 = GOMAXPROCS):
-	// PlanStudies runs the whole declared sweep on that many workers, and
-	// so does each Study, Discover or Collect call a renderer makes. The
-	// same seed regenerates identical tables for any worker count.
+	// Workers is the suite's one worker budget (0 = GOMAXPROCS): Execute
+	// runs the whole declared plan on that many workers. The same seed
+	// regenerates identical tables for any worker count.
 	Workers int
 	// WorkerURLs lists remote unit workers (bpworker processes) to shard
 	// study units across; empty runs everything in-process. The same
@@ -73,17 +74,26 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Runner runs and caches the per-configuration studies shared by several
-// experiments (Table III, Table IV, and Figure 2 all consume the same
-// studies). Studies execute on the internal/sched worker pool, with all
-// expensive intermediates, whole studies included, memoised in a shared
-// result cache. It is safe for concurrent use.
+// Runner declares and runs the studies, discoveries and collections the
+// experiments read (Table III, Table IV, and Figure 2 all consume the same
+// studies). Study, Discover and Collect each declare one plan member and
+// return a Handle to it; Execute runs every pending declaration as one
+// plan on the internal/sched worker pool, with all expensive
+// intermediates, whole studies included, memoised in a shared result
+// cache; the handles then read the results. Declarations and Execute are
+// not safe for concurrent use: one goroutine declares, executes and
+// renders, and the plan runs its units concurrently.
 type Runner struct {
 	cfg   Config
 	cache *resultcache.Cache
 	// exec is non-nil when the runner dispatches units to a remote
 	// worker fleet (Config.WorkerURLs).
 	exec sched.Executor
+	// studies holds every study declared so far, so a configuration is
+	// one member however many experiments read it.
+	studies map[StudySpec]*member
+	// pending are the members the next Execute runs.
+	pending []*member
 }
 
 // runnerCacheEntries comfortably covers a full sweep: 11 apps × 4 thread
@@ -92,28 +102,7 @@ const runnerCacheEntries = 4096
 
 // NewRunner returns a Runner for the configuration.
 func NewRunner(cfg Config) *Runner {
-	r := &Runner{cfg: cfg.withDefaults(), cache: resultcache.New(runnerCacheEntries)}
-	r.initExecutor()
-	return r
-}
-
-// initExecutor builds the remote unit executor when the configuration
-// names a worker fleet; the runner's shared cache doubles as the
-// dispatch-side memo and the local fallback's substrate.
-func (r *Runner) initExecutor() {
-	if len(r.cfg.WorkerURLs) == 0 {
-		return
-	}
-	r.exec = sched.NewRemoteExecutor(r.cfg.WorkerURLs, sched.RemoteOptions{
-		PerWorkerInflight: r.cfg.WorkerInflight,
-		Cache:             r.cache,
-	})
-}
-
-// schedOptions returns the scheduler options every runner entry point
-// shares: the worker budget, the shared cache, and the unit executor.
-func (r *Runner) schedOptions() sched.Options {
-	return sched.Options{Workers: r.cfg.Workers, Cache: r.cache, Executor: r.exec}
+	return newRunner(cfg, resultcache.New(runnerCacheEntries))
 }
 
 // NewPersistentRunner returns a Runner whose shared cache is backed by a
@@ -127,12 +116,25 @@ func NewPersistentRunner(cfg Config, dir string, maxBytes int64) (*Runner, error
 	if err != nil {
 		return nil, err
 	}
-	r := &Runner{cfg: cfg.withDefaults(), cache: resultcache.NewWith(resultcache.Config{
+	return newRunner(cfg, resultcache.NewWith(resultcache.Config{
 		MaxEntries: runnerCacheEntries,
 		Store:      store,
-	})}
-	r.initExecutor()
-	return r, nil
+	})), nil
+}
+
+// newRunner returns a Runner on cache. When the configuration names a
+// worker fleet, units go to it through a remote executor, for which the
+// cache doubles as the dispatch-side memo and the local fallback's
+// substrate.
+func newRunner(cfg Config, cache *resultcache.Cache) *Runner {
+	r := &Runner{cfg: cfg.withDefaults(), cache: cache, studies: map[StudySpec]*member{}}
+	if len(r.cfg.WorkerURLs) > 0 {
+		r.exec = sched.NewRemoteExecutor(r.cfg.WorkerURLs, sched.RemoteOptions{
+			PerWorkerInflight: r.cfg.WorkerInflight,
+			Cache:             r.cache,
+		})
+	}
+	return r
 }
 
 // Close flushes pending cache write-behinds and closes the backing store;
@@ -151,19 +153,13 @@ type StudySpec struct {
 	Vectorised bool
 }
 
-// specRequest builds the scheduler request for one spec. Study and
-// PlanStudies share it, so a planned study addresses exactly the cache
-// entry a later Study call reads.
+// specRequest builds the scheduler request for one spec.
 //
 //bp:keyfields StudySpec
-func (r *Runner) specRequest(sp StudySpec) (sched.StudyRequest, error) {
-	a, err := apps.ByName(sp.App)
-	if err != nil {
-		return sched.StudyRequest{}, err
-	}
+func (r *Runner) specRequest(sp StudySpec) sched.StudyRequest {
 	return sched.StudyRequest{
 		App:   sp.App,
-		Build: a.Build,
+		Build: appBuild(sp.App),
 		Config: core.StudyConfig{
 			Threads:    sp.Threads,
 			Vectorised: sp.Vectorised,
@@ -172,90 +168,108 @@ func (r *Runner) specRequest(sp StudySpec) (sched.StudyRequest, error) {
 			Seed:       r.cfg.Seed ^ uint64(sp.Threads)<<32 ^ boolBit(sp.Vectorised)<<48 ^ hashName(sp.App),
 			MaxK:       r.cfg.MaxK,
 		},
-	}, nil
+	}
 }
 
-func studyErr(sp StudySpec, err error) error {
-	return fmt.Errorf("experiments: study %s/%dt/vect=%v: %w", sp.App, sp.Threads, sp.Vectorised, err)
+// member is one declared plan member: its request and, once Execute has
+// run it, its outcome.
+type member struct {
+	// what names the member in errors.
+	what string
+	req  sched.StudyRequest
+	out  *sched.StudyOutcome
 }
 
-// Study returns the cross-architecture study for one configuration. It is
-// a one-member sched.Run on the runner's cache, so a study PlanStudies
-// (or an earlier Study call) already ran is a whole-study cache hit that
-// returns the stored result.
-func (r *Runner) Study(app string, threads int, vectorised bool) (*core.StudyResult, error) {
+// A Handle reads one declared member's result once Runner.Execute has run
+// it.
+type Handle[T any] struct {
+	m   *member
+	get func(*sched.StudyOutcome) T
+}
+
+// Get returns the member's result. Reading a member that Execute has not
+// run is a bug in the experiment, and panics.
+func (h Handle[T]) Get() T {
+	if h.m.out == nil {
+		panic("experiments: " + h.m.what + " read before Runner.Execute ran it")
+	}
+	return h.get(h.m.out)
+}
+
+// declare queues a member for the next Execute.
+func (r *Runner) declare(m *member) *member {
+	r.pending = append(r.pending, m)
+	return m
+}
+
+// Study declares the cross-architecture study for one configuration. A
+// configuration declared before is the same member, already run if an
+// Execute has passed.
+func (r *Runner) Study(app string, threads int, vectorised bool) Handle[*core.StudyResult] {
 	sp := StudySpec{App: app, Threads: threads, Vectorised: vectorised}
-	req, err := r.specRequest(sp)
-	if err != nil {
-		return nil, studyErr(sp, err)
+	m := r.studies[sp]
+	if m == nil {
+		m = r.declare(&member{what: fmt.Sprintf("study %s/%dt/vect=%v", app, threads, vectorised),
+			req: r.specRequest(sp)})
+		r.studies[sp] = m
 	}
-	res, err := sched.Run(context.Background(), req, r.schedOptions())
-	if err != nil {
-		return nil, studyErr(sp, err)
-	}
-	return res, nil
+	return Handle[*core.StudyResult]{m, func(o *sched.StudyOutcome) *core.StudyResult { return o.Result }}
 }
 
-// PlanStudies runs every study the experiments declare (Experiment.Studies)
-// as one sweep: sched.CompileSweep plans their union as one deduplicated
-// unit DAG, which executes on Config.Workers workers. Each result lands in
-// the whole-study cache entry Study reads, so the experiments then
-// render without computing a study. The first failing study, in
-// declaration order, aborts with its error; the PlanStats report the
-// planner's accounting either way.
-func (r *Runner) PlanStudies(exps []Experiment) (sched.PlanStats, error) {
-	var specs []StudySpec
-	var reqs []sched.StudyRequest
-	seen := map[StudySpec]bool{}
-	for _, e := range exps {
-		if e.Studies == nil {
-			continue
-		}
-		for _, sp := range e.Studies(r.cfg) {
-			if seen[sp] {
-				continue
-			}
-			seen[sp] = true
-			req, err := r.specRequest(sp)
-			if err != nil {
-				return sched.PlanStats{}, studyErr(sp, err)
-			}
-			specs, reqs = append(specs, sp), append(reqs, req)
-		}
+// Discover declares Step 2 for one builder; its sets come in
+// discovery-run order.
+func (r *Runner) Discover(app string, build core.ProgramBuilder, cfg core.DiscoveryConfig) Handle[[]core.BarrierPointSet] {
+	m := r.declare(&member{what: "discovery " + app,
+		req: sched.StudyRequest{App: app, Build: build, Discovery: &cfg}})
+	return Handle[[]core.BarrierPointSet]{m, func(o *sched.StudyOutcome) []core.BarrierPointSet { return o.Sets }}
+}
+
+// Collect declares one native collection (Step 3) for one builder.
+func (r *Runner) Collect(app string, build core.ProgramBuilder, cfg core.CollectConfig) Handle[*core.Collection] {
+	m := r.declare(&member{what: "collection " + app,
+		req: sched.StudyRequest{App: app, Build: build, Collect: &cfg}})
+	return Handle[*core.Collection]{m, func(o *sched.StudyOutcome) *core.Collection { return o.Col }}
+}
+
+// Execute runs every pending declaration as one plan: sched.CompileSweep
+// merges their units into one deduplicated DAG, which executes on
+// Config.Workers workers, and whole studies land in the cache. The first
+// failing declaration, in declaration order, aborts with its error; the
+// PlanStats report the planner's accounting either way.
+func (r *Runner) Execute() (sched.PlanStats, error) {
+	pending := r.pending
+	r.pending = nil
+	reqs := make([]sched.StudyRequest, len(pending))
+	for i, m := range pending {
+		reqs[i] = m.req
 	}
-	plan, err := sched.CompileSweep(context.Background(), reqs, r.schedOptions())
+	plan, err := sched.CompileSweep(context.Background(), reqs,
+		sched.Options{Workers: r.cfg.Workers, Cache: r.cache, Executor: r.exec})
 	if err != nil {
-		return sched.PlanStats{}, fmt.Errorf("experiments: compiling %d-study sweep: %w", len(reqs), err)
+		return sched.PlanStats{}, fmt.Errorf("experiments: compiling %d-member plan: %w", len(reqs), err)
 	}
 	outcomes, err := plan.Execute(context.Background(), sched.SweepOptions{})
 	if err != nil {
-		return plan.Stats(), fmt.Errorf("experiments: executing %d-study sweep: %w", len(reqs), err)
+		return plan.Stats(), fmt.Errorf("experiments: executing %d-member plan: %w", len(reqs), err)
 	}
-	for i, out := range outcomes {
-		if out.Err != nil {
-			return plan.Stats(), studyErr(specs[i], out.Err)
+	for i := range outcomes {
+		if err := outcomes[i].Err; err != nil {
+			return plan.Stats(), fmt.Errorf("experiments: %s: %w", pending[i].what, err)
 		}
+		pending[i].out = &outcomes[i]
 	}
 	return plan.Stats(), nil
 }
 
-// Discover runs Step 2 for one builder on the scheduler, memoising the
-// per-run barrier point sets in the runner's shared cache. Experiments
-// that re-discover overlapping configurations (the ablations sweep run
-// counts and the future-work studies reuse full-run discoveries) share
-// the underlying work.
-func (r *Runner) Discover(app string, build core.ProgramBuilder, cfg core.DiscoveryConfig) ([]core.BarrierPointSet, error) {
-	return sched.Discover(context.Background(), sched.DiscoverRequest{
-		App: app, Build: build, Config: cfg,
-	}, r.schedOptions())
-}
-
-// Collect runs Step 3 for one builder on the scheduler, memoising the
-// collection in the runner's shared cache.
-func (r *Runner) Collect(app string, build core.ProgramBuilder, cfg core.CollectConfig) (*core.Collection, error) {
-	return sched.Collect(context.Background(), sched.CollectRequest{
-		App: app, Build: build, Config: cfg,
-	}, r.schedOptions())
+// appBuild returns the registry builder of the named application. An
+// unknown name yields a builder that fails with the lookup error, so a
+// declaration cannot fail: Execute reports it.
+func appBuild(name string) core.ProgramBuilder {
+	a, err := apps.ByName(name)
+	if err != nil {
+		return func(int, isa.Variant) (*trace.Program, error) { return nil, err }
+	}
+	return a.Build
 }
 
 func boolBit(b bool) uint64 {
@@ -274,30 +288,34 @@ func hashName(s string) uint64 {
 	return h
 }
 
-// An Experiment pairs a name with its Run function and the studies Run
-// reads.
+// An Experiment pairs a name with its Run function.
 type Experiment struct {
 	Name        string
 	Description string
-	Run         func(r *Runner, w io.Writer) error
-	// Studies declares every study Run reads through Runner.Study at a
-	// runner's configuration, so PlanStudies can run them all as one
-	// sweep before Run. Nil when Run reads none; a Run that calls
-	// Discover or Collect with its own configurations makes those calls
-	// itself.
-	Studies func(Config) []StudySpec
+	// Run declares on r every study, discovery and collection the
+	// experiment reads, and returns the function that renders the
+	// experiment from them once r.Execute has run them.
+	Run func(r *Runner) func(w io.Writer) error
 }
 
-// studyGrid crosses apps with thread counts, scalar then vectorised, in
-// the order the experiments read them.
-func studyGrid(names []string, threads []int) []StudySpec {
-	var specs []StudySpec
+// A gridStudy is a declared study beside the spec that names it.
+type gridStudy struct {
+	StudySpec
+	Handle[*core.StudyResult]
+}
+
+// studyGrid declares apps crossed with thread counts, scalar then
+// vectorised, in the order the experiments read them.
+func (r *Runner) studyGrid(names []string, threads []int) []gridStudy {
+	var grid []gridStudy
 	for _, name := range names {
 		for _, t := range threads {
-			specs = append(specs, StudySpec{name, t, false}, StudySpec{name, t, true})
+			for _, vect := range []bool{false, true} {
+				grid = append(grid, gridStudy{StudySpec{name, t, vect}, r.Study(name, t, vect)})
+			}
 		}
 	}
-	return specs
+	return grid
 }
 
 // evaluatedApps names the applications the paper evaluates (Table I).
@@ -316,30 +334,24 @@ func (c Config) maxThreads() int { return c.Threads[len(c.Threads)-1] }
 // All returns every experiment in the DESIGN.md index order.
 func All() []Experiment {
 	return []Experiment{
-		{"table1", "Table I: applications deployed and their descriptions", Table1, nil},
-		{"table2", "Table II: micro-architectural parameters of the two platforms", Table2, nil},
-		{"table3", "Table III: total and selected barrier points per application", Table3,
-			func(c Config) []StudySpec { return studyGrid(evaluatedApps(), c.Threads) }},
-		{"table4", "Table IV: selection, error and speed-up for the 8-thread configurations", Table4,
-			func(Config) []StudySpec { return studyGrid(evaluatedApps(), []int{table4Threads}) }},
-		{"fig1", "Figure 1: MCB per-barrier-point CPI and L2D MPKI with two barrier point sets", Fig1,
-			func(Config) []StudySpec { return []StudySpec{fig1Study} }},
-		{"fig2", "Figure 2: estimation error per application, thread count and prediction target", Fig2,
-			func(c Config) []StudySpec { return studyGrid(fig2Apps, c.Threads) }},
-		{"limits", "Section V-B: applicability limitations", Limits, nil},
-		{"overhead", "Section V-C: measurement variability and instrumentation overhead", OverheadVariability, nil},
-		{"headline", "Section VI headline: accuracy and simulation-time reduction summary", Headline,
-			func(c Config) []StudySpec { return studyGrid(headlineApps, []int{c.maxThreads()}) }},
-		{"ablation-signature", "Ablation: BBV+LDV vs BBV-only vs LDV-only signatures", AblationSignature, nil},
-		{"ablation-drop", "Ablation: dropping insignificant barrier points", AblationDropInsignificant,
-			func(c Config) []StudySpec { return []StudySpec{{App: ablationApp, Threads: c.maxThreads()}} }},
-		{"ablation-runs", "Ablation: number of discovery runs", AblationDiscoveryRuns, nil},
-		{"ablation-dim", "Ablation: signature projection dimension", AblationProjectionDim, nil},
-		{"fw-coretypes", "Future work: in-order vs out-of-order target cores", FutureWorkCoreTypes, nil},
-		{"fw-coarsen", "Future work: coarsening LULESH's short barrier points", FutureWorkCoarsen, nil},
-		{"fw-multiplex", "Future work: counter multiplexing cost", FutureWorkMultiplex, nil},
-		{"fw-refine", "Future work: interval-splitting single-region applications", FutureWorkRefine, nil},
-		{"fw-isadiff", "Future work: quantifying cross-ISA differences", FutureWorkISADiff, nil},
+		{"table1", "Table I: applications deployed and their descriptions", Table1},
+		{"table2", "Table II: micro-architectural parameters of the two platforms", Table2},
+		{"table3", "Table III: total and selected barrier points per application", Table3},
+		{"table4", "Table IV: selection, error and speed-up for the 8-thread configurations", Table4},
+		{"fig1", "Figure 1: MCB per-barrier-point CPI and L2D MPKI with two barrier point sets", Fig1},
+		{"fig2", "Figure 2: estimation error per application, thread count and prediction target", Fig2},
+		{"limits", "Section V-B: applicability limitations", Limits},
+		{"overhead", "Section V-C: measurement variability and instrumentation overhead", OverheadVariability},
+		{"headline", "Section VI headline: accuracy and simulation-time reduction summary", Headline},
+		{"ablation-signature", "Ablation: BBV+LDV vs BBV-only vs LDV-only signatures", AblationSignature},
+		{"ablation-drop", "Ablation: dropping insignificant barrier points", AblationDropInsignificant},
+		{"ablation-runs", "Ablation: number of discovery runs", AblationDiscoveryRuns},
+		{"ablation-dim", "Ablation: signature projection dimension", AblationProjectionDim},
+		{"fw-coretypes", "Future work: in-order vs out-of-order target cores", FutureWorkCoreTypes},
+		{"fw-coarsen", "Future work: coarsening LULESH's short barrier points", FutureWorkCoarsen},
+		{"fw-multiplex", "Future work: counter multiplexing cost", FutureWorkMultiplex},
+		{"fw-refine", "Future work: interval-splitting single-region applications", FutureWorkRefine},
+		{"fw-isadiff", "Future work: quantifying cross-ISA differences", FutureWorkISADiff},
 	}
 }
 

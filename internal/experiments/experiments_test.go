@@ -6,12 +6,24 @@ import (
 	"strings"
 	"testing"
 
+	"barrierpoint/internal/core"
+	"barrierpoint/internal/isa"
 	"barrierpoint/internal/machine"
 )
 
 // tinyRunner keeps experiment tests fast: one thread count, few runs.
 func tinyRunner() *Runner {
 	return NewRunner(Config{Seed: 7, Runs: 2, Reps: 5, Threads: []int{2}})
+}
+
+// study declares one study on r, executes it, and returns its result.
+func study(t *testing.T, r *Runner, app string, threads int, vectorised bool) *core.StudyResult {
+	t.Helper()
+	h := r.Study(app, threads, vectorised)
+	if _, err := r.Execute(); err != nil {
+		t.Fatal(err)
+	}
+	return h.Get()
 }
 
 func TestAllExperimentsRegistered(t *testing.T) {
@@ -52,22 +64,31 @@ func TestTable2Output(t *testing.T) {
 
 func TestRunnerCachesStudies(t *testing.T) {
 	r := tinyRunner()
-	a, err := r.Study("MCB", 2, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := r.Study("MCB", 2, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a != b {
+	a := study(t, r, "MCB", 2, false)
+	misses := r.CacheStats().Misses
+	if b := study(t, r, "MCB", 2, false); a != b {
 		t.Error("repeated Study calls should return the cached result")
+	}
+	if n := r.CacheStats().Misses - misses; n != 0 {
+		t.Errorf("repeating a study missed the cache %d times", n)
 	}
 }
 
+// TestRunnerUnknownApp: a study, discovery or collection of an unknown
+// application fails the Execute that runs it.
 func TestRunnerUnknownApp(t *testing.T) {
-	if _, err := tinyRunner().Study("nope", 2, false); err == nil {
-		t.Error("unknown app should error")
+	for name, declare := range map[string]func(r *Runner){
+		"study":     func(r *Runner) { r.Study("nope", 2, false) },
+		"discovery": func(r *Runner) { r.Discover("nope", appBuild("nope"), core.DiscoveryConfig{Threads: 2}) },
+		"collection": func(r *Runner) {
+			r.Collect("nope", appBuild("nope"), core.CollectConfig{Variant: isa.Variant{ISA: isa.X8664()}, Threads: 2})
+		},
+	} {
+		r := tinyRunner()
+		declare(r)
+		if _, err := r.Execute(); err == nil || !strings.Contains(err.Error(), `unknown application "nope"`) {
+			t.Errorf("%s of an unknown app: Execute = %v, want the lookup error", name, err)
+		}
 	}
 }
 
@@ -76,12 +97,7 @@ func TestFig1Output(t *testing.T) {
 }
 
 func TestFig1MPKIRises(t *testing.T) {
-	r := tinyRunner()
-	res, err := r.Study("MCB", 1, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	col := res.X86Col
+	col := study(t, tinyRunner(), "MCB", 1, false).X86Col
 	first := col.PerBP[0][0][machine.L2DMisses] / col.PerBP[0][0][machine.Instructions]
 	last := col.PerBP[9][0][machine.L2DMisses] / col.PerBP[9][0][machine.Instructions]
 	if last < 4*first {
@@ -106,10 +122,12 @@ func TestHeadlinePaperBands(t *testing.T) {
 	if testing.Short() {
 		t.Skip("paper-configuration sweep")
 	}
-	h, err := HeadlineResults(NewRunner(Default()))
-	if err != nil {
+	r := NewRunner(Default())
+	numbers := HeadlineResults(r)
+	if _, err := r.Execute(); err != nil {
 		t.Fatal(err)
 	}
+	h := numbers()
 	if h.Threads != 8 || len(h.Rows) != 12 {
 		t.Fatalf("headline covers %d rows at %d threads, want 12 at 8", len(h.Rows), h.Threads)
 	}
@@ -166,7 +184,11 @@ func TestExperimentsDeterministic(t *testing.T) {
 	render := func() string {
 		var b strings.Builder
 		r := NewRunner(Config{Seed: 7, Runs: 2, Reps: 5, Threads: []int{2}})
-		if err := Fig1(r, &b); err != nil {
+		fig1 := Fig1(r)
+		if _, err := r.Execute(); err != nil {
+			t.Fatal(err)
+		}
+		if err := fig1(&b); err != nil {
 			t.Fatal(err)
 		}
 		return b.String()
@@ -176,37 +198,21 @@ func TestExperimentsDeterministic(t *testing.T) {
 	}
 }
 
-// TestTable3And4QuickRun is the suite path: PlanStudies runs the union of
-// the studies the six declaring experiments read as one sweep, and
+// TestTable3And4QuickRun is the suite path for the study-reading
+// experiments: the union of the studies the six declare runs as one
+// plan, with each study one member however many experiments read it, and
 // rendering them afterwards matches the goldens without a single cache
-// miss, so no experiment reads a study it does not declare.
+// miss.
 func TestTable3And4QuickRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow sweep")
 	}
 	r := NewRunner(Config{Seed: 7, Runs: 1, Reps: 5, Threads: []int{2}})
-	names := []string{"table3", "table4", "fig1", "fig2", "headline", "ablation-drop"}
-	var exps []Experiment
-	for _, name := range names {
-		e, err := ByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		exps = append(exps, e)
-	}
-	stats, err := r.PlanStudies(exps)
-	if err != nil {
-		t.Fatal(err)
-	}
+	stats := renderGolden(t, r, "table3", "table4", "fig1", "fig2", "headline", "ablation-drop")
 	// 7 apps x {2, 8} threads x {scalar, vectorised}, plus fig1's MCB at
 	// 1 thread; the other declarations fall inside that union.
 	if stats.Studies != 29 || stats.NaiveUnits != stats.PlannedUnits+stats.DedupedUnits+stats.SubsumedUnits {
 		t.Errorf("plan stats %+v, want 29 studies and units that add up", stats)
-	}
-	misses := r.CacheStats().Misses
-	renderGolden(t, r, names...)
-	if n := r.CacheStats().Misses - misses; n != 0 {
-		t.Errorf("rendering after the plan missed the cache %d times", n)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 
-	"barrierpoint/internal/apps"
 	"barrierpoint/internal/core"
 	"barrierpoint/internal/isa"
 	"barrierpoint/internal/machine"
@@ -16,101 +15,96 @@ import (
 // embarrassingly parallel applications whose single barrier point offers
 // no simulation-time gain, and HPGMG-FV's architecture-dependent region
 // count that breaks cross-architecture mapping.
-func Limits(r *Runner, w io.Writer) error {
-	t := report.Table{
-		Title:  "Section V-B: methodology applicability limitations",
-		Header: []string{"Application", "Barrier points (x86/ARM)", "Applicable", "Reason"},
-	}
+func Limits(r *Runner) func(io.Writer) error {
 	threads := r.cfg.maxThreads()
-
-	for _, name := range []string{"RSBench", "XSBench", "PathFinder", "HPGMG-FV", "LULESH"} {
-		a, err := apps.ByName(name)
-		if err != nil {
-			return err
-		}
-		sets, err := r.Discover(name, a.Build, core.DiscoveryConfig{
+	names := []string{"RSBench", "XSBench", "PathFinder", "HPGMG-FV", "LULESH"}
+	discs := make([]Handle[[]core.BarrierPointSet], len(names))
+	arms := make([]Handle[*core.Collection], len(names))
+	for i, name := range names {
+		build := appBuild(name)
+		discs[i] = r.Discover(name, build, core.DiscoveryConfig{
 			Threads: threads, Runs: 1, Seed: r.cfg.Seed,
 		})
-		if err != nil {
-			return err
-		}
-		set := &sets[0]
-
-		armCol, err := r.Collect(name, a.Build, core.CollectConfig{
+		arms[i] = r.Collect(name, build, core.CollectConfig{
 			Variant: isa.Variant{ISA: isa.ARMv8()},
 			Threads: threads, Reps: 2, Seed: r.cfg.Seed,
 		})
-		if err != nil {
-			return err
-		}
-		app := core.CheckApplicability(set, armCol)
-		counts := fmt.Sprintf("%d / %d", set.TotalPoints, armCol.NumBarrierPoints())
-		status := "yes"
-		reason := ""
-		switch {
-		case !app.OK:
-			status = "no"
-			reason = app.Reason
-		case name == "LULESH":
-			reason = "applies, but very short regions make estimates inaccurate (Fig. 2g)"
-		}
-		_, rerr := core.Reconstruct(set, armCol)
-		if errors.Is(rerr, core.ErrRegionCountMismatch) && app.OK {
-			status = "no"
-			reason = rerr.Error()
-		}
-		t.AddRow(name, counts, status, reason)
 	}
-	t.Render(w)
-	return nil
+	return func(w io.Writer) error {
+		t := report.Table{
+			Title:  "Section V-B: methodology applicability limitations",
+			Header: []string{"Application", "Barrier points (x86/ARM)", "Applicable", "Reason"},
+		}
+		for i, name := range names {
+			set, armCol := &discs[i].Get()[0], arms[i].Get()
+			app := core.CheckApplicability(set, armCol)
+			counts := fmt.Sprintf("%d / %d", set.TotalPoints, armCol.NumBarrierPoints())
+			status := "yes"
+			reason := ""
+			switch {
+			case !app.OK:
+				status = "no"
+				reason = app.Reason
+			case name == "LULESH":
+				reason = "applies, but very short regions make estimates inaccurate (Fig. 2g)"
+			}
+			_, rerr := core.Reconstruct(set, armCol)
+			if errors.Is(rerr, core.ErrRegionCountMismatch) && app.OK {
+				status = "no"
+				reason = rerr.Error()
+			}
+			t.AddRow(name, counts, status, reason)
+		}
+		t.Render(w)
+		return nil
+	}
 }
 
 // OverheadVariability reproduces the Section V-C study: run-to-run
 // measurement variability (coefficient of variation) and per-barrier-point
 // instrumentation overhead, per application and platform.
-func OverheadVariability(r *Runner, w io.Writer) error {
-	t := report.Table{
-		Title: "Section V-C: statistic collection overhead and variability (8 threads, non-vectorised)",
-		Header: []string{"Application", "Platform",
-			"CV cyc (%)", "CV ins (%)", "CV L1D (%)", "CV L2D (%)",
-			"Ovh cyc (%)", "Ovh ins (%)", "Ovh L1D (%)", "Ovh L2D (%)"},
-		Notes: []string{
-			"CV: count-weighted per-barrier-point coefficient of variation over repeated measurements.",
-			"Ovh: inflation of summed per-barrier-point measurements vs. the uninstrumented run.",
-		},
-	}
-	names := make([]string, 0, 8)
-	for _, a := range apps.Evaluated() {
-		names = append(names, a.Name)
-	}
-	names = append(names, "HPGMG-FV")
+func OverheadVariability(r *Runner) func(io.Writer) error {
 	threads := r.cfg.maxThreads()
-
-	for _, name := range names {
-		a, err := apps.ByName(name)
-		if err != nil {
-			return err
-		}
-		for _, arch := range []*isa.ISA{isa.X8664(), isa.ARMv8()} {
-			col, err := r.Collect(name, a.Build, core.CollectConfig{
+	archs := []*isa.ISA{isa.X8664(), isa.ARMv8()}
+	type row struct {
+		name string
+		arch *isa.ISA
+		col  Handle[*core.Collection]
+	}
+	var rows []row
+	for _, name := range append(evaluatedApps(), "HPGMG-FV") {
+		for _, arch := range archs {
+			rows = append(rows, row{name, arch, r.Collect(name, appBuild(name), core.CollectConfig{
 				Variant: isa.Variant{ISA: arch},
 				Threads: threads, Reps: r.cfg.Reps, Seed: r.cfg.Seed,
-			})
-			if err != nil {
-				return err
-			}
-			row := []string{name, arch.Name}
-			for m := machine.Metric(0); m < machine.NumMetrics; m++ {
-				row = append(row, report.Pct(weightedPerBPCV(col, m)*100))
-			}
-			for m := machine.Metric(0); m < machine.NumMetrics; m++ {
-				row = append(row, report.Pct(instrumentationOverheadPct(col, m)))
-			}
-			t.AddRow(row...)
+			})})
 		}
 	}
-	t.Render(w)
-	return nil
+	return func(w io.Writer) error {
+		t := report.Table{
+			Title: "Section V-C: statistic collection overhead and variability (8 threads, non-vectorised)",
+			Header: []string{"Application", "Platform",
+				"CV cyc (%)", "CV ins (%)", "CV L1D (%)", "CV L2D (%)",
+				"Ovh cyc (%)", "Ovh ins (%)", "Ovh L1D (%)", "Ovh L2D (%)"},
+			Notes: []string{
+				"CV: count-weighted per-barrier-point coefficient of variation over repeated measurements.",
+				"Ovh: inflation of summed per-barrier-point measurements vs. the uninstrumented run.",
+			},
+		}
+		for _, rw := range rows {
+			col := rw.col.Get()
+			cells := []string{rw.name, rw.arch.Name}
+			for m := machine.Metric(0); m < machine.NumMetrics; m++ {
+				cells = append(cells, report.Pct(weightedPerBPCV(col, m)*100))
+			}
+			for m := machine.Metric(0); m < machine.NumMetrics; m++ {
+				cells = append(cells, report.Pct(instrumentationOverheadPct(col, m)))
+			}
+			t.AddRow(cells...)
+		}
+		t.Render(w)
+		return nil
+	}
 }
 
 // weightedPerBPCV returns the count-weighted mean coefficient of variation
@@ -186,40 +180,41 @@ type HeadlineNumbers struct {
 	BestSpeedup float64
 }
 
-// HeadlineResults computes the Section VI / abstract headline numbers:
-// each accurate application's best set at the largest configured thread
-// count, scalar and vectorised, and the maximum cycle and instruction
-// estimation error, the range of instructions selected and the best
-// simulation-time reduction over them.
-func HeadlineResults(r *Runner) (HeadlineNumbers, error) {
-	h := HeadlineNumbers{Threads: r.cfg.maxThreads(), MinSelectedPct: 100}
-	for _, sp := range studyGrid(headlineApps, []int{h.Threads}) {
-		res, err := r.Study(sp.App, sp.Threads, sp.Vectorised)
-		if err != nil {
-			return HeadlineNumbers{}, err
-		}
-		best := res.BestEval()
-		row := HeadlineRow{App: sp.App, Vectorised: sp.Vectorised,
-			Selected: len(best.Set.Selected), Total: best.Set.TotalPoints,
-			SelectedPct: best.Set.InstructionsSelectedPct(), Speedup: best.Set.Speedup()}
-		for _, v := range []*core.Validation{best.X86, best.ARM} {
-			if v != nil {
-				raise(&row.CycErrPct, v.AvgAbsErrPct[machine.Cycles])
-				raise(&row.InsErrPct, v.AvgAbsErrPct[machine.Instructions])
+// HeadlineResults declares the Section VI / abstract headline's studies
+// and returns the function that computes its numbers once r.Execute has
+// run them: each accurate application's best set at the largest
+// configured thread count, scalar and vectorised, and the maximum cycle
+// and instruction estimation error, the range of instructions selected
+// and the best simulation-time reduction over them.
+func HeadlineResults(r *Runner) func() HeadlineNumbers {
+	threads := r.cfg.maxThreads()
+	grid := r.studyGrid(headlineApps, []int{threads})
+	return func() HeadlineNumbers {
+		h := HeadlineNumbers{Threads: threads, MinSelectedPct: 100}
+		for _, sp := range grid {
+			best := sp.Get().BestEval()
+			row := HeadlineRow{App: sp.App, Vectorised: sp.Vectorised,
+				Selected: len(best.Set.Selected), Total: best.Set.TotalPoints,
+				SelectedPct: best.Set.InstructionsSelectedPct(), Speedup: best.Set.Speedup()}
+			for _, v := range []*core.Validation{best.X86, best.ARM} {
+				if v != nil {
+					raise(&row.CycErrPct, v.AvgAbsErrPct[machine.Cycles])
+					raise(&row.InsErrPct, v.AvgAbsErrPct[machine.Instructions])
+				}
 			}
-		}
-		h.Rows = append(h.Rows, row)
-		raise(&h.WorstCycErrPct, row.CycErrPct)
-		raise(&h.WorstInsErrPct, row.InsErrPct)
-		if row.SelectedPct > 0 {
-			if row.SelectedPct < h.MinSelectedPct {
-				h.MinSelectedPct = row.SelectedPct
+			h.Rows = append(h.Rows, row)
+			raise(&h.WorstCycErrPct, row.CycErrPct)
+			raise(&h.WorstInsErrPct, row.InsErrPct)
+			if row.SelectedPct > 0 {
+				if row.SelectedPct < h.MinSelectedPct {
+					h.MinSelectedPct = row.SelectedPct
+				}
+				raise(&h.MaxSelectedPct, row.SelectedPct)
 			}
-			raise(&h.MaxSelectedPct, row.SelectedPct)
+			raise(&h.BestSpeedup, row.Speedup)
 		}
-		raise(&h.BestSpeedup, row.Speedup)
+		return h
 	}
-	return h, nil
 }
 
 // raise sets *m to v when v is larger. Unlike the max builtin, a NaN
@@ -242,11 +237,10 @@ func (h HeadlineNumbers) Render(w io.Writer) {
 
 // Headline reproduces the Section VI / abstract headline numbers (see
 // HeadlineResults).
-func Headline(r *Runner, w io.Writer) error {
-	h, err := HeadlineResults(r)
-	if err != nil {
-		return err
+func Headline(r *Runner) func(io.Writer) error {
+	numbers := HeadlineResults(r)
+	return func(w io.Writer) error {
+		numbers().Render(w)
+		return nil
 	}
-	h.Render(w)
-	return nil
 }

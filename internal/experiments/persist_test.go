@@ -20,10 +20,7 @@ func TestPersistentRunnerSharesStudiesAcrossInstances(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := r1.Study("MCB", 2, false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := study(t, r1, "MCB", 2, false)
 	if err := r1.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -33,10 +30,7 @@ func TestPersistentRunnerSharesStudiesAcrossInstances(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r2.Close()
-	got, err := r2.Study("MCB", 2, false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := study(t, r2, "MCB", 2, false)
 	st := r2.CacheStats()
 	if st.Puts != 0 {
 		t.Errorf("second runner recomputed %d units", st.Puts)
@@ -60,10 +54,7 @@ func TestPersistentRunnerKeysOnFullConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := r1.Study("MCB", 2, false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	first := study(t, r1, "MCB", 2, false)
 	if err := r1.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -75,10 +66,7 @@ func TestPersistentRunnerKeysOnFullConfig(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r2.Close()
-	second, err := r2.Study("MCB", 2, false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	second := study(t, r2, "MCB", 2, false)
 	if r2.CacheStats().Puts == 0 {
 		t.Error("different config was served the persisted study")
 	}

@@ -2,13 +2,16 @@ package experiments
 
 import (
 	"bytes"
+	"io"
 	"testing"
+
+	"barrierpoint/internal/core"
 )
 
-// TestBatchStudiesMatchesSerial: the studies PlanStudies runs as one
-// batch-compiled sweep are byte-identical to serial Study calls on a fresh
-// runner, and the sweep pre-warms the planning runner's cache, so later
-// Study calls there are cache hits that return one stored result.
+// TestBatchStudiesMatchesSerial: studies declared together run as one
+// plan and are byte-identical to the same studies executed one at a time
+// on a fresh runner, and the plan pre-warms the planning runner's cache,
+// so re-declaring them there runs nothing and returns one stored result.
 func TestBatchStudiesMatchesSerial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("executes full studies; covered by make test-sweep")
@@ -18,10 +21,12 @@ func TestBatchStudiesMatchesSerial(t *testing.T) {
 		{App: "MCB", Threads: 2, Vectorised: true},
 		{App: "LULESH", Threads: 2, Vectorised: false},
 	}
-	declared := Experiment{Name: "declared", Studies: func(Config) []StudySpec { return specs }}
-
 	batch := tinyRunner()
-	stats, err := batch.PlanStudies([]Experiment{declared})
+	var handles []Handle[*core.StudyResult]
+	for _, sp := range specs {
+		handles = append(handles, batch.Study(sp.App, sp.Threads, sp.Vectorised))
+	}
+	stats, err := batch.Execute()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,27 +38,17 @@ func TestBatchStudiesMatchesSerial(t *testing.T) {
 	}
 
 	serial := tinyRunner()
-	for _, sp := range specs {
+	for i, sp := range specs {
+		got := handles[i].Get()
 		misses := batch.CacheStats().Misses
-		got, err := batch.Study(sp.App, sp.Threads, sp.Vectorised)
-		if err != nil {
-			t.Fatal(err)
+		if again := study(t, batch, sp.App, sp.Threads, sp.Vectorised); again != got {
+			t.Errorf("%+v: re-declared Study returned a different object", sp)
 		}
 		if n := batch.CacheStats().Misses - misses; n != 0 {
 			t.Errorf("%+v: Study after the plan missed the pre-warmed cache %d times", sp, n)
 		}
-		again, err := batch.Study(sp.App, sp.Threads, sp.Vectorised)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if again != got {
-			t.Errorf("%+v: repeated Study returned a different object", sp)
-		}
 
-		want, err := serial.Study(sp.App, sp.Threads, sp.Vectorised)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := study(t, serial, sp.App, sp.Threads, sp.Vectorised)
 		var gotJSON, wantJSON bytes.Buffer
 		if err := got.WriteJSON(&gotJSON); err != nil {
 			t.Fatal(err)
@@ -67,11 +62,16 @@ func TestBatchStudiesMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestPlanStudiesUnknownApp: an experiment that declares a study of an
+// unknown application fails the plan that runs its declarations.
 func TestPlanStudiesUnknownApp(t *testing.T) {
-	bad := Experiment{Name: "bad", Studies: func(Config) []StudySpec {
-		return []StudySpec{{App: "nope", Threads: 2}}
+	bad := Experiment{Name: "bad", Run: func(r *Runner) func(io.Writer) error {
+		r.Study("nope", 2, false)
+		return func(io.Writer) error { return nil }
 	}}
-	if _, err := tinyRunner().PlanStudies([]Experiment{bad}); err == nil {
+	r := tinyRunner()
+	bad.Run(r)
+	if _, err := r.Execute(); err == nil {
 		t.Error("unknown app in a declared study should error")
 	}
 }

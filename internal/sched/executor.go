@@ -218,9 +218,10 @@ var ErrFingerprintMismatch = errors.New("sched: unit program fingerprint does no
 // LocalExecutor computes exactly the unit it is given, memoising
 // discovery and collection artifacts through an optional result cache.
 // It is the default executor: the bounded worker pool around it is
-// SweepPlan's, which Run and Discover execute through. A request without
-// a Build is the wire path: the builder is resolved by app name through
-// the apps registry and the dependency artifacts are decoded from Deps.
+// SweepPlan's, which Run and every sweep execute through. A request
+// without a Build is the wire path: the builder is resolved by app name
+// through the apps registry and the dependency artifacts are decoded from
+// Deps.
 // The zero value is valid (no cache).
 type LocalExecutor struct {
 	// Cache memoises discovery baselines, jittered sets and collections;

@@ -10,7 +10,7 @@ import (
 )
 
 // countingExecutor wraps an Executor, recording every unit kind it
-// resolves. It proves Run/Discover/Collect decompose entirely onto the
+// resolves. It proves Run, sweeps and Collect decompose entirely onto the
 // Executor interface: if any compute path bypassed it, the counts would
 // come up short.
 type countingExecutor struct {

@@ -72,25 +72,24 @@ func TestWarmRestartSharesDiscoveryUnits(t *testing.T) {
 	dir := t.TempDir()
 	ctx := context.Background()
 
-	small := DiscoverRequest{App: base.App, Build: base.Build, Config: base.Config.Discovery()}
-	small.Config.Runs = 3
-	cold := openBackedCache(t, dir)
-	coldSets, err := Discover(ctx, small, Options{Workers: 4, Cache: cold})
-	if err != nil {
-		t.Fatal(err)
+	discover := func(runs int, cache *resultcache.Cache) []core.BarrierPointSet {
+		req := discoveryRequest(base)
+		req.Discovery.Runs = runs
+		out := executeOne(t, ctx, req, Options{Workers: 4, Cache: cache}, nil)
+		if out.Err != nil {
+			t.Fatal(out.Err)
+		}
+		return out.Sets
 	}
+	cold := openBackedCache(t, dir)
+	coldSets := discover(3, cold)
 	if err := cold.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	large := small
-	large.Config.Runs = 5
 	warm := openBackedCache(t, dir)
 	defer warm.Close()
-	warmSets, err := Discover(ctx, large, Options{Workers: 4, Cache: warm})
-	if err != nil {
-		t.Fatal(err)
-	}
+	warmSets := discover(5, warm)
 
 	st := warm.Stats()
 	if st.DiskHits != 3 {

@@ -2,17 +2,18 @@
 //
 // A study decomposes into typed units — the canonical discovery run, the
 // jittered re-runs behind it, and the per-variant native collections.
-// CompileSweep plans one or many studies as a single dependency DAG of
+// CompileSweep plans one or many members as a single dependency DAG of
 // those units, deduplicated by content-addressed key, and
 // SweepPlan.Execute releases each unit onto a bounded worker pool the
-// moment its dependencies land. Run is a one-member plan and Discover a
-// one-member plan of discovery units only, so there is one executor for a
-// study and for a sweep. Expensive intermediates are memoised through
-// internal/resultcache. Validation is not a unit: when a member's last
-// unit lands, it scores every discovered set against both collections in
-// run order and assembles, so the same request produces a byte-identical
-// core.StudyResult whether it runs on one worker or many, alone or in a
-// sweep. A failing member reports its lowest-ranked failing unit in
+// moment its dependencies land. A member is a whole study, or a discovery
+// or one collection alone, and Run is a one-member plan, so there is one
+// executor for a study, for a sweep and for the experiment suite's one
+// plan; only Collect, a single unit, runs without one. Expensive
+// intermediates are memoised through internal/resultcache. Validation is
+// not a unit: when a study member's last unit lands, it scores every
+// discovered set against both collections in run order and assembles, so
+// the same request produces a byte-identical core.StudyResult whether it
+// runs on one worker or many, alone or in a sweep. A failing member reports its lowest-ranked failing unit in
 // planning order, whatever order units finish in, or else the first set
 // that fails to score.
 package sched

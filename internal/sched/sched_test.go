@@ -141,23 +141,28 @@ func TestRunKeepsRegionCountMismatch(t *testing.T) {
 	checkStudyGolden(t, got)
 }
 
-// TestDiscoverMatchesCoreDiscover pins sched.Discover to the serial
+// discoveryRequest is a discovery member asking for base's Step 2 alone.
+func discoveryRequest(base StudyRequest) StudyRequest {
+	cfg := base.Config.Discovery()
+	return StudyRequest{App: base.App, Build: base.Build, Discovery: &cfg}
+}
+
+// TestDiscoverMatchesCoreDiscover pins a discovery member to the serial
 // core.Discover at several worker counts, with and without a cache.
 func TestDiscoverMatchesCoreDiscover(t *testing.T) {
-	base := testRequest(t)
-	req := DiscoverRequest{App: base.App, Build: base.Build, Config: base.Config.Discovery()}
-	want, err := core.Discover(req.Build, req.Config)
+	req := discoveryRequest(testRequest(t))
+	want, err := core.Discover(req.Build, *req.Discovery)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 2, 8} {
 		for _, cache := range []*resultcache.Cache{nil, resultcache.New(64)} {
-			got, err := Discover(context.Background(), req, Options{Workers: workers, Cache: cache})
-			if err != nil {
-				t.Fatal(err)
+			out := executeOne(t, context.Background(), req, Options{Workers: workers, Cache: cache}, nil)
+			if out.Err != nil {
+				t.Fatal(out.Err)
 			}
-			if !reflect.DeepEqual(want, got) {
-				t.Errorf("Workers:%d cache:%v: sched.Discover diverges from core.Discover", workers, cache != nil)
+			if !reflect.DeepEqual(want, out.Sets) {
+				t.Errorf("Workers:%d cache:%v: discovery member diverges from core.Discover", workers, cache != nil)
 			}
 		}
 	}
@@ -266,6 +271,21 @@ func TestRunErrorPrecedence(t *testing.T) {
 	}
 }
 
+// TestCollectionMemberErrorNamesISA: a failing collection member is
+// named by its ISA, not by the slot it fills, so an ARMv8 collection
+// member reads as one.
+func TestCollectionMemberErrorNamesISA(t *testing.T) {
+	req := testRequest(t)
+	cfg := req.Config.Collections()[1]
+	member := StudyRequest{App: req.App, Build: req.Build, Collect: &cfg}
+	pe := &precedenceExecutor{inner: &LocalExecutor{}, app: req.App}
+	out := executeOne(t, context.Background(), member, Options{Workers: 2, Executor: pe}, nil)
+	if !errors.Is(out.Err, errARMCollect) ||
+		!strings.HasPrefix(out.Err.Error(), "sched: study MCB ARMv8 collection: ") {
+		t.Errorf("err = %v, want the ARMv8 collection's error", out.Err)
+	}
+}
+
 func TestRunCachesIntermediatesAndStudies(t *testing.T) {
 	req := testRequest(t)
 	cache := resultcache.New(128)
@@ -347,6 +367,17 @@ func TestCollectNilVariantErrors(t *testing.T) {
 	}
 }
 
+// TestRunRejectsStepMembers: Run returns a study, so a request for a
+// discovery or a collection alone is an error, not a nil result.
+func TestRunRejectsStepMembers(t *testing.T) {
+	for _, req := range []StudyRequest{discoveryRequest(testRequest(t)),
+		{App: "MCB", Build: testRequest(t).Build, Collect: &core.CollectConfig{Threads: 2}}} {
+		if res, err := Run(context.Background(), req, Options{}); err == nil {
+			t.Errorf("Run of a step member = %v, nil; want an error", res)
+		}
+	}
+}
+
 func TestRunNilBuilder(t *testing.T) {
 	if _, err := Run(context.Background(), StudyRequest{App: "x"}, Options{}); err == nil {
 		t.Error("nil builder must error")
@@ -388,7 +419,8 @@ func TestFanOutRealErrorBeatsCollateralCancellation(t *testing.T) {
 }
 
 // executeOne compiles req as a one-member plan and executes it with the
-// member's progress reported to progress, returning the member's outcome.
+// member's progress reported to progress, if non-nil, returning the
+// member's outcome.
 func executeOne(t *testing.T, ctx context.Context, req StudyRequest, opts Options,
 	progress func(done, total int)) StudyOutcome {
 	t.Helper()
@@ -396,9 +428,11 @@ func executeOne(t *testing.T, ctx context.Context, req StudyRequest, opts Option
 	if err != nil {
 		t.Fatal(err)
 	}
-	outs, _ := plan.Execute(ctx, SweepOptions{
-		Progress: func(_, done, total int) { progress(done, total) },
-	})
+	var sopts SweepOptions
+	if progress != nil {
+		sopts.Progress = func(_, done, total int) { progress(done, total) }
+	}
+	outs, _ := plan.Execute(ctx, sopts)
 	return outs[0]
 }
 

@@ -8,21 +8,22 @@ import (
 	"barrierpoint/internal/isa"
 	"barrierpoint/internal/machine"
 	"barrierpoint/internal/resultcache"
+	"barrierpoint/internal/trace"
 )
 
-// StudyRequest names one study execution: a workload, its builder, and
-// the study configuration.
+// StudyRequest names one sweep member: a workload, its builder, and what
+// to run on it. That is the whole study Config describes, unless one of
+// Discovery and Collect names a single step instead.
 type StudyRequest struct {
 	App    string
 	Build  core.ProgramBuilder
 	Config core.StudyConfig
-}
-
-// DiscoverRequest names one discovery execution (Step 2 only).
-type DiscoverRequest struct {
-	App    string
-	Build  core.ProgramBuilder
-	Config core.DiscoveryConfig
+	// Discovery, when set, makes the member Step 2 alone: the discovery
+	// runs, whose sets the member's outcome carries.
+	Discovery *core.DiscoveryConfig
+	// Collect, when set, makes the member one native collection (Step 3),
+	// which the member's outcome carries.
+	Collect *core.CollectConfig
 }
 
 // CollectRequest names one native collection execution (Step 3 only).
@@ -46,11 +47,34 @@ type baselineArtifact struct {
 // architecture (HPGMG-FV). Building a program is cheap relative to
 // simulating it.
 func fingerprint(app string, build core.ProgramBuilder, threads int, v isa.Variant) (string, error) {
+	return programFPs{}.of(app, build, threads, v)
+}
+
+// programFPs memoises fingerprints by the built program, not by app name.
+// Registry builders return one cached program per (threads, variant), so
+// their fingerprints are hashed once, while a wrapped builder such as
+// core.CoarsenBuilder's builds a program of its own and is hashed as
+// itself: two builders under one app name never alias.
+type programFPs map[programFP]string
+
+type programFP struct {
+	app  string
+	prog *trace.Program
+}
+
+// of builds app's program for one variant and returns its fingerprint.
+func (m programFPs) of(app string, build core.ProgramBuilder, threads int, v isa.Variant) (string, error) {
 	prog, err := build(threads, v)
 	if err != nil {
 		return "", fmt.Errorf("sched: fingerprinting %s (%s): %w", app, v, err)
 	}
-	return string(resultcache.NewKey(app, prog.Fingerprint())), nil
+	k := programFP{app, prog}
+	fp, ok := m[k]
+	if !ok {
+		fp = string(resultcache.NewKey(app, prog.Fingerprint()))
+		m[k] = fp
+	}
+	return fp, nil
 }
 
 // discKey addresses one discovery run. cfg.Runs is deliberately zeroed:
@@ -150,49 +174,17 @@ func StudyUnits(cfg core.StudyConfig) int {
 // failing study reports its lowest-ranked failing unit, or else its first
 // set that fails to score.
 func Run(ctx context.Context, req StudyRequest, opts Options) (*core.StudyResult, error) {
+	if req.Discovery != nil || req.Collect != nil {
+		return nil, fmt.Errorf("sched: Run runs a whole study, not one step of %s", req.App)
+	}
 	plan, err := CompileSweep(ctx, []StudyRequest{req}, opts)
 	if err != nil {
 		return nil, err
 	}
-	out := plan.executeMember(ctx)
-	return out.Result, out.Err
-}
-
-// Discover runs (or recalls) Step 2 as a one-member plan of discovery
-// units: the canonical baseline run, then the jittered runs released
-// behind it with bounded concurrency. Results are in discovery-run order
-// and byte-identical to core.Discover's for any worker count or executor
-// backend.
-func Discover(ctx context.Context, req DiscoverRequest, opts Options) ([]core.BarrierPointSet, error) {
-	if req.Build == nil {
-		return nil, fmt.Errorf("sched: discovery for %s has no program builder", req.App)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	cfg := req.Config.WithDefaults()
-	fp, err := fingerprint(req.App, req.Build, cfg.Threads,
-		isa.Variant{ISA: isa.X8664(), Vectorised: cfg.Vectorised})
-	if err != nil {
-		return nil, err
-	}
-	st := &sweepStudy{app: req.App, build: req.Build, discCfg: cfg, discover: true,
-		total: cfg.Runs, sets: make([]core.BarrierPointSet, cfg.Runs)}
-	p := &SweepPlan{opts: opts, studies: []*sweepStudy{st}, byKey: map[resultcache.Key]*plannedUnit{}}
-	baseline, err := p.addUnit(st, 0, UnitRequest{
-		Kind: UnitDiscoverBaseline, App: req.App, FP: fp,
-		Discovery: &st.discCfg, Build: req.Build,
-	}, nil)
-	if err == nil {
-		err = p.planJittered(st, fp, baseline)
-	}
-	if err != nil {
-		return nil, err
-	}
-	if out := p.executeMember(ctx); out.Err != nil {
-		return nil, out.Err
-	}
-	return st.sets, nil
+	// A fresh plan executes once, and the member's outcome carries any
+	// cancellation, so Execute's own error adds nothing.
+	outs, _ := plan.Execute(ctx, SweepOptions{})
+	return outs[0].Result, outs[0].Err
 }
 
 // Collect runs (or recalls) one native counter collection (Step 3): a

@@ -13,12 +13,13 @@ import (
 )
 
 // PlanStats is the sweep compiler's accounting: how many units the sweep
-// would have requested study-by-study (naive) versus how many the merged
-// DAG actually executes. NaiveUnits = PlannedUnits + DedupedUnits +
+// would have requested member by member (naive) versus how many the
+// merged DAG actually executes. NaiveUnits = PlannedUnits + DedupedUnits +
 // SubsumedUnits; whole-study cache hits request no units and count only
 // in CachedStudies.
 type PlanStats struct {
-	// Studies is the number of member studies in the sweep.
+	// Studies is the number of members in the sweep: studies, and
+	// discoveries and collections alone.
 	Studies int `json:"studies"`
 	// CachedStudies are members answered entirely from the whole-study
 	// cache: no units were planned for them.
@@ -39,9 +40,14 @@ type PlanStats struct {
 	SubsumedUnits int `json:"subsumed_units,omitempty"`
 }
 
-// StudyOutcome is one member study's result or failure.
+// StudyOutcome is one member's result or failure. A study member
+// carries its Result, a discovery member (StudyRequest.Discovery) its
+// Sets in run order, and a collection member (StudyRequest.Collect) its
+// Col.
 type StudyOutcome struct {
 	Result *core.StudyResult
+	Sets   []core.BarrierPointSet
+	Col    *core.Collection
 	Err    error
 }
 
@@ -49,8 +55,9 @@ type StudyOutcome struct {
 type SweepOptions struct {
 	// OnStudy, when non-nil, streams member completions: it is called
 	// exactly once per member, from whichever worker finished (or
-	// cancelled) it, as soon as the member's outcome is known. Calls for
-	// different members may arrive concurrently; OnStudy must not block.
+	// cancelled) it, as soon as the member's outcome is known; res is nil
+	// for a discovery or collection member. Calls for different members
+	// may arrive concurrently; OnStudy must not block.
 	OnStudy func(study int, res *core.StudyResult, err error)
 	// Progress, when non-nil, is called after each unit that advances a
 	// member study (a discovery run or a collection) with that member's
@@ -92,22 +99,21 @@ type plannedUnit struct {
 	result any
 }
 
-// sweepStudy is one member study's assembly state: artifact slots filled
-// by completing units, in unit order, and the member's lowest-ranked
-// failure. Once every slot is filled, settle scores the sets against the
-// collections and assembles the study.
+// sweepStudy is one member's assembly state: artifact slots filled by
+// completing units, in unit order, and the member's lowest-ranked
+// failure. Once every slot is filled, assemble finishes the member.
 type sweepStudy struct {
 	idx     int
 	app     string
 	build   core.ProgramBuilder
+	kind    memberKind
 	cfg     core.StudyConfig
 	discCfg core.DiscoveryConfig
-	colCfgs [2]core.CollectConfig
+	// colCfgs holds a study's two collections (x86_64 first), or a
+	// collection member's one.
+	colCfgs []core.CollectConfig
 	key     resultcache.Key
 	cached  *core.StudyResult
-	// discover marks a Discover member: it plans discovery units only and
-	// finishes with its sets, never assembled into a study.
-	discover bool
 	// total is the member's progress denominator.
 	total int
 
@@ -125,6 +131,15 @@ type sweepStudy struct {
 	outcome   StudyOutcome
 }
 
+// memberKind is what a sweep member runs (see StudyRequest).
+type memberKind int
+
+const (
+	memberStudy memberKind = iota
+	memberDiscovery
+	memberCollection
+)
+
 // SweepPlan is a whole experiment sweep compiled into one deduplicated
 // unit DAG. Build one with CompileSweep, then Execute it once.
 type SweepPlan struct {
@@ -141,18 +156,17 @@ type SweepPlan struct {
 	ready       chan *plannedUnit
 }
 
-// CompileSweep plans a whole sweep of studies as one global unit DAG
-// before any execution: every member decomposes into typed UnitRequests
-// (Run is a sweep of one), units are deduplicated across members by their
+// CompileSweep plans a whole sweep as one global unit DAG before any
+// execution: every member decomposes into typed UnitRequests (Run is a
+// sweep of one), units are deduplicated across members by their
 // content-addressed keys, discovery runs shared between different run
-// counts are subsumed into the superset, and members already answered by
-// opts.Cache are marked cached and plan nothing. The DAG preserves each
-// member's assembly order, so Execute renders every member byte-identical
-// to core.RunStudy's serial composition of the same request.
-//
-// Program fingerprints are memoised per (app, threads, variant) across
-// the sweep, mirroring LocalExecutor's wire-path memo — builders must be
-// stable per app name within one sweep.
+// counts are subsumed into the superset, and study members already
+// answered by opts.Cache are marked cached and plan nothing. A member is
+// a whole study, or a discovery or one collection alone (see
+// StudyRequest). The DAG preserves each member's assembly order, so
+// Execute renders every study member byte-identical to core.RunStudy's
+// serial composition of the same request, and every discovery member to
+// core.Discover's.
 func CompileSweep(ctx context.Context, reqs []StudyRequest, opts Options) (*SweepPlan, error) {
 	p := &SweepPlan{opts: opts, byKey: map[resultcache.Key]*plannedUnit{}}
 	p.stats.Studies = len(reqs)
@@ -169,20 +183,7 @@ func CompileSweep(ctx context.Context, reqs []StudyRequest, opts Options) (*Swee
 		}
 	}()
 
-	fpMemo := map[string]string{}
-	memoFP := func(app string, build core.ProgramBuilder, threads int, v isa.Variant) (string, error) {
-		memoKey := fmt.Sprintf("%s\x00%d\x00%s", app, threads, v)
-		if fp, ok := fpMemo[memoKey]; ok {
-			return fp, nil
-		}
-		fp, err := fingerprint(app, build, threads, v)
-		if err != nil {
-			return "", err
-		}
-		fpMemo[memoKey] = fp
-		return fp, nil
-	}
-
+	fps := programFPs{}
 	for i, req := range reqs {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -190,65 +191,86 @@ func CompileSweep(ctx context.Context, reqs []StudyRequest, opts Options) (*Swee
 		if req.Build == nil {
 			return nil, fmt.Errorf("sched: study %s has no program builder", req.App)
 		}
-		st := &sweepStudy{idx: i, app: req.App, build: req.Build, cfg: req.Config.WithDefaults()}
-		st.discCfg = st.cfg.Discovery()
-		st.colCfgs = st.cfg.Collections()
-		fpX86, err := memoFP(req.App, req.Build, st.cfg.Threads, st.colCfgs[0].Variant)
-		if err != nil {
-			return nil, err
-		}
-		fpARM, err := memoFP(req.App, req.Build, st.cfg.Threads, st.colCfgs[1].Variant)
-		if err != nil {
-			return nil, err
-		}
-		st.key = studyKeyFrom(fpX86, fpARM, st.cfg)
-		st.total = StudyUnits(st.cfg)
+		st := &sweepStudy{idx: i, app: req.App, build: req.Build}
 		p.studies = append(p.studies, st)
-		if opts.Cache != nil {
-			if v, ok := opts.Cache.Get(st.key); ok {
-				st.cached = v.(*core.StudyResult)
-				p.stats.CachedStudies++
-				continue
+		switch {
+		case req.Discovery != nil && req.Collect != nil:
+			return nil, fmt.Errorf("sched: member %s asks for a discovery and a collection at once", req.App)
+		case req.Discovery != nil:
+			st.kind, st.discCfg = memberDiscovery, req.Discovery.WithDefaults()
+			st.total = st.discCfg.Runs
+		case req.Collect != nil:
+			if req.Collect.Variant.ISA == nil {
+				// Matches core.Collect's validation; checked here first
+				// because the unit key renders the variant.
+				return nil, fmt.Errorf("core: collection needs a binary variant")
 			}
+			st.kind, st.colCfgs, st.total = memberCollection, []core.CollectConfig{*req.Collect}, 1
+		default:
+			st.cfg = req.Config.WithDefaults()
+			cols := st.cfg.Collections()
+			st.discCfg, st.colCfgs, st.total = st.cfg.Discovery(), cols[:], StudyUnits(st.cfg)
 		}
-		st.sets = make([]core.BarrierPointSet, st.cfg.Runs)
-		if err := p.planStudy(st, fpX86, fpARM); err != nil {
+		if err := p.planMember(st, fps); err != nil {
 			return nil, err
 		}
 	}
 	return p, nil
 }
 
-// planStudy appends one member's units to the DAG, in the order that
-// ranks them: the canonical baseline run, both native collections, and
-// the jittered runs behind the baseline — core.RunStudy's discovery and
-// collection steps as a dependency graph. Its validation step is the
-// member's assembly (see settle).
-func (p *SweepPlan) planStudy(st *sweepStudy, fpX86, fpARM string) error {
-	baseline, err := p.addUnit(st, 0, UnitRequest{
-		Kind: UnitDiscoverBaseline, App: st.app, FP: fpX86,
-		Discovery: &st.discCfg, Build: st.build,
-	}, nil)
-	if err != nil {
-		return err
+// planMember appends one member's units to the DAG in the order that
+// ranks them: the canonical baseline run, the native collections, and
+// the jittered runs behind the baseline. That is core.RunStudy's
+// discovery and collection steps as a dependency graph, or the part of
+// them a discovery or collection member runs. A study member already in
+// opts.Cache plans nothing; a study's validation step is its assembly
+// (see assemble).
+func (p *SweepPlan) planMember(st *sweepStudy, fps programFPs) error {
+	colFPs := make([]string, len(st.colCfgs))
+	for i, cfg := range st.colCfgs {
+		var err error
+		if colFPs[i], err = fps.of(st.app, st.build, cfg.Threads, cfg.Variant); err != nil {
+			return err
+		}
 	}
-	for i, fp := range []string{fpX86, fpARM} {
+	if st.kind == memberStudy {
+		st.key = studyKeyFrom(colFPs[0], colFPs[1], st.cfg)
+		if p.opts.Cache != nil {
+			if v, ok := p.opts.Cache.Get(st.key); ok {
+				st.cached = v.(*core.StudyResult)
+				p.stats.CachedStudies++
+				return nil
+			}
+		}
+	}
+	var baseline *plannedUnit
+	var discFP string
+	if st.kind != memberCollection {
+		var err error
+		discFP, err = fps.of(st.app, st.build, st.discCfg.Threads,
+			isa.Variant{ISA: isa.X8664(), Vectorised: st.discCfg.Vectorised})
+		if err != nil {
+			return err
+		}
+		st.sets = make([]core.BarrierPointSet, st.discCfg.Runs)
+		if baseline, err = p.addUnit(st, 0, UnitRequest{
+			Kind: UnitDiscoverBaseline, App: st.app, FP: discFP,
+			Discovery: &st.discCfg, Build: st.build,
+		}, nil); err != nil {
+			return err
+		}
+	}
+	for i := range st.colCfgs {
 		if _, err := p.addUnit(st, i, UnitRequest{
-			Kind: UnitCollect, App: st.app, FP: fp,
+			Kind: UnitCollect, App: st.app, FP: colFPs[i],
 			Collect: &st.colCfgs[i], Build: st.build,
 		}, nil); err != nil {
 			return err
 		}
 	}
-	return p.planJittered(st, fpX86, baseline)
-}
-
-// planJittered appends the member's jittered discovery runs behind its
-// baseline.
-func (p *SweepPlan) planJittered(st *sweepStudy, fp string, baseline *plannedUnit) error {
-	for run := 1; run < st.discCfg.Runs; run++ {
+	for run := 1; run < len(st.sets); run++ {
 		if _, err := p.addUnit(st, run, UnitRequest{
-			Kind: UnitDiscoverJittered, App: st.app, FP: fp,
+			Kind: UnitDiscoverJittered, App: st.app, FP: discFP,
 			Discovery: &st.discCfg, Run: run, Build: st.build,
 		}, []*plannedUnit{baseline}); err != nil {
 			return err
@@ -322,7 +344,7 @@ func (p *SweepPlan) CancelStudy(i int) {
 	finalized := st.finalized
 	st.mu.Unlock()
 	if executing && !finalized {
-		p.finalizeStudy(st, nil, context.Canceled)
+		p.finalizeStudy(st, StudyOutcome{Err: context.Canceled})
 	}
 }
 
@@ -359,9 +381,9 @@ func (p *SweepPlan) Execute(ctx context.Context, sopts SweepOptions) ([]StudyOut
 		st.mu.Unlock()
 		switch {
 		case cached != nil:
-			p.finalizeStudy(st, cached, nil)
+			p.finalizeStudy(st, StudyOutcome{Result: cached})
 		case cancelled:
-			p.finalizeStudy(st, nil, context.Canceled)
+			p.finalizeStudy(st, StudyOutcome{Err: context.Canceled})
 		}
 	}
 
@@ -402,7 +424,7 @@ func (p *SweepPlan) Execute(ctx context.Context, sopts SweepOptions) ([]StudyOut
 		if err == nil {
 			err = fmt.Errorf("sched: sweep execution ended with study %s unresolved", st.app)
 		}
-		p.finalizeStudy(st, nil, err)
+		p.finalizeStudy(st, StudyOutcome{Err: err})
 	}
 	outs := make([]StudyOutcome, len(p.studies))
 	for i, st := range p.studies {
@@ -411,15 +433,6 @@ func (p *SweepPlan) Execute(ctx context.Context, sopts SweepOptions) ([]StudyOut
 		st.mu.Unlock()
 	}
 	return outs, ctxErr
-}
-
-// executeMember executes a one-member plan and returns the member's
-// outcome.
-func (p *SweepPlan) executeMember(ctx context.Context) StudyOutcome {
-	// A fresh plan executes once, and the member's outcome carries any
-	// cancellation, so Execute's own error adds nothing.
-	outs, _ := p.Execute(ctx, SweepOptions{})
-	return outs[0]
 }
 
 // runUnit executes one ready unit, unless no member needs it or one of its
@@ -508,8 +521,7 @@ func (p *SweepPlan) unitNeeded(u *plannedUnit) bool {
 // the member's slot (v non-nil), its failure is ranked against the
 // member's others (err non-nil), or, skipped, it only counts. A member
 // finalises once its last unit has surfaced: with its lowest-ranked
-// failure if it recorded one, otherwise assembled (a Discover member
-// keeps just its sets). Only a study that assembles is cached.
+// failure if it recorded one, otherwise assembled.
 func (p *SweepPlan) settle(u *plannedUnit, v any, err error) {
 	for _, c := range u.consumers {
 		st := c.st
@@ -542,53 +554,57 @@ func (p *SweepPlan) settle(u *plannedUnit, v any, err error) {
 		if !last {
 			continue
 		}
-		switch {
-		case failed != nil:
-			p.finalizeStudy(st, nil, failed.err)
-		case st.discover:
-			p.finalizeStudy(st, nil, nil)
-		default:
-			res, err := assemble(st)
-			if err == nil && p.opts.Cache != nil {
-				p.opts.Cache.Put(st.key, res)
-			}
-			p.finalizeStudy(st, res, err)
+		if failed != nil {
+			p.finalizeStudy(st, StudyOutcome{Err: failed.err})
+		} else {
+			p.finalizeStudy(st, p.assemble(st))
 		}
 	}
 }
 
-// assemble is a member's validation step, once all its units have landed:
-// it scores every set against both collections in run order, as
-// core.RunStudy does, and builds the study. The first set that fails to
-// score fails the member.
-func assemble(st *sweepStudy) (*core.StudyResult, error) {
+// assemble finishes a member once all its units have landed. A discovery
+// member keeps its sets and a collection member its collection. A study
+// member is validated: it scores every set against both collections in
+// run order, as core.RunStudy does, and builds the study, which is
+// cached; the first set that fails to score fails the member.
+func (p *SweepPlan) assemble(st *sweepStudy) StudyOutcome {
+	switch st.kind {
+	case memberDiscovery:
+		return StudyOutcome{Sets: st.sets}
+	case memberCollection:
+		return StudyOutcome{Col: st.cols[0]}
+	}
 	evals := make([]core.SetEvaluation, len(st.sets))
 	for i := range st.sets {
 		var err error
 		if evals[i], err = core.EvaluateSet(st.app, i, &st.sets[i], st.cols[0], st.cols[1]); err != nil {
-			return nil, err
+			return StudyOutcome{Err: err}
 		}
 	}
-	return core.AssembleStudy(st.app, st.cfg, evals, st.cols[0], st.cols[1]), nil
+	res := core.AssembleStudy(st.app, st.cfg, evals, st.cols[0], st.cols[1])
+	if p.opts.Cache != nil {
+		p.opts.Cache.Put(st.key, res)
+	}
+	return StudyOutcome{Result: res}
 }
 
 // finalizeStudy records one member's outcome exactly once and streams it
 // through OnStudy. A cached member reports full progress first.
-func (p *SweepPlan) finalizeStudy(st *sweepStudy, res *core.StudyResult, err error) {
+func (p *SweepPlan) finalizeStudy(st *sweepStudy, out StudyOutcome) {
 	st.mu.Lock()
 	if st.finalized {
 		st.mu.Unlock()
 		return
 	}
 	st.finalized = true
-	st.outcome = StudyOutcome{Result: res, Err: err}
+	st.outcome = out
 	done, total := st.done, st.total
 	st.mu.Unlock()
-	if err == nil && p.sopts.Progress != nil && done < total {
+	if out.Err == nil && p.sopts.Progress != nil && done < total {
 		p.sopts.Progress(st.idx, total, total)
 	}
 	if p.sopts.OnStudy != nil {
-		p.sopts.OnStudy(st.idx, res, err)
+		p.sopts.OnStudy(st.idx, out.Result, out.Err)
 	}
 }
 
@@ -613,16 +629,14 @@ func artifactError(kind UnitKind, v any) error {
 }
 
 // wrapUnitError names the failing unit's step in the member's error, so
-// member errors read the same under batch and serial submission.
+// member errors read the same under batch and serial submission. A
+// collection is named by its ISA.
 func wrapUnitError(u *plannedUnit, err error) error {
 	switch u.req.Kind {
 	case UnitDiscoverBaseline, UnitDiscoverJittered:
 		return fmt.Errorf("sched: study %s: %w", u.req.App, err)
 	case UnitCollect:
-		if len(u.consumers) > 0 && u.consumers[0].slot == 1 {
-			return fmt.Errorf("sched: study %s ARMv8 collection: %w", u.req.App, err)
-		}
-		return fmt.Errorf("sched: study %s x86_64 collection: %w", u.req.App, err)
+		return fmt.Errorf("sched: study %s %s collection: %w", u.req.App, u.req.Collect.Variant.ISA.Name, err)
 	}
 	return err
 }

@@ -500,6 +500,79 @@ func TestSweepProgressAndStreaming(t *testing.T) {
 	}
 }
 
+// TestSweepDiscoveryAndCollectionMembers: discovery and collection
+// members share units with a study in one plan, a smaller discovery
+// subsumed into the study's and a collection deduped against its ARMv8
+// one, and each member's outcome equals the serial core step it stands
+// for.
+func TestSweepDiscoveryAndCollectionMembers(t *testing.T) {
+	if testing.Short() {
+		t.Skip("executes full studies; covered by make test-sweep")
+	}
+	study := sweepRequest(t, "MCB", 2, 3, 5)
+	disc := discoveryRequest(study)
+	disc.Discovery.Runs = 2
+	cols := study.Config.Collections()
+	arm := StudyRequest{App: study.App, Build: study.Build, Collect: &cols[1]}
+	fewer := cols[0]
+	fewer.Reps = 2
+	x86 := StudyRequest{App: study.App, Build: study.Build, Collect: &fewer}
+	outs, stats := executeSweep(t, []StudyRequest{study, disc, arm, x86}, Options{Workers: 4})
+
+	want := PlanStats{Studies: 4, NaiveUnits: 5 + 2 + 1 + 1, PlannedUnits: 5 + 1,
+		DedupedUnits: 1, SubsumedUnits: 2}
+	if stats != want {
+		t.Errorf("PlanStats = %+v, want %+v", stats, want)
+	}
+	if !reflect.DeepEqual(serialStudy(t, study), outs[0].Result) {
+		t.Error("study member diverges from core.RunStudy")
+	}
+	wantSets, err := core.Discover(disc.Build, *disc.Discovery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if outs[1].Result != nil || !reflect.DeepEqual(wantSets, outs[1].Sets) {
+		t.Error("discovery member diverges from core.Discover")
+	}
+	for i, cfg := range []core.CollectConfig{cols[1], fewer} {
+		wantCol, err := core.Collect(study.Build, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out := outs[2+i]; out.Result != nil || !reflect.DeepEqual(wantCol, out.Col) {
+			t.Errorf("collection member %d diverges from core.Collect", 2+i)
+		}
+	}
+}
+
+// TestSweepWrappedBuilderDoesNotAlias: a coarsened builder registered
+// under the plain builder's app name builds a different program, so its
+// member shares no unit with the plain study and reports its own
+// coarsened study. Fingerprints memoised by app name would hand the
+// coarsened member the plain study's units.
+func TestSweepWrappedBuilderDoesNotAlias(t *testing.T) {
+	if testing.Short() {
+		t.Skip("executes full studies; covered by make test-sweep")
+	}
+	plain := sweepRequest(t, "MCB", 2, 2, 3)
+	coarse := plain
+	coarse.Build = core.CoarsenBuilder(plain.Build, 2)
+	outs, stats := executeSweep(t, []StudyRequest{plain, coarse}, Options{Workers: 4})
+
+	if stats.DedupedUnits != 0 || stats.PlannedUnits != 2*StudyUnits(plain.Config) {
+		t.Errorf("PlanStats = %+v, want every unit planned and none deduped", stats)
+	}
+	for i, req := range []StudyRequest{plain, coarse} {
+		if want := serialStudy(t, req); !reflect.DeepEqual(want, outs[i].Result) {
+			t.Errorf("member %d: %d barrier points, core.RunStudy with its own builder finds %d",
+				i, outs[i].Result.TotalBPs, want.TotalBPs)
+		}
+	}
+	if outs[0].Result.TotalBPs == outs[1].Result.TotalBPs {
+		t.Errorf("coarsening by 2 left %d barrier points", outs[1].Result.TotalBPs)
+	}
+}
+
 // TestSweepExecuteTwice: a plan is single-use.
 func TestSweepExecuteTwice(t *testing.T) {
 	if testing.Short() {
