@@ -21,7 +21,7 @@ BENCH_OUT ?= BENCH_pipeline.json
 .PHONY: ci fmt-check vet lint lint-smoke build test-short test test-race \
 	test-persist test-dist test-obs test-sweep suite-check golden-update \
 	test-purego fuzz-kmeans \
-	fuzz-sqdist fuzz-cache fuzz-units fuzz-codecs fuzz-batch fuzz-memtrace bench \
+	fuzz-sqdist fuzz-cache fuzz-polar fuzz-units fuzz-codecs fuzz-batch fuzz-memtrace bench \
 	bench-json bench-json-smoke bench-diff
 
 # ci is the tier-1 gate: formatting, static checks (go vet plus the
@@ -32,10 +32,11 @@ BENCH_OUT ?= BENCH_pipeline.json
 # kernel leg, short fuzzes of the accelerated k-means
 # against its plain-Lloyd oracle, of the k-means distance kernel against
 # sqDist, of the recency-ordered cache against its timestamped-LRU oracle,
+# of the polar transform kernel against the scalar transform,
 # of the worker's POST /units decoder, of the artifact codecs, of the
 # POST /studies:batch decoder and of the memory-trace decoder and replay,
 # and a 1x smoke of the bench-json harness so it cannot bit-rot.
-ci: fmt-check vet lint build test-short test-race test-persist test-dist test-obs test-sweep suite-check test-purego fuzz-kmeans fuzz-sqdist fuzz-cache fuzz-units fuzz-codecs fuzz-batch fuzz-memtrace bench-json-smoke
+ci: fmt-check vet lint build test-short test-race test-persist test-dist test-obs test-sweep suite-check test-purego fuzz-kmeans fuzz-sqdist fuzz-cache fuzz-polar fuzz-units fuzz-codecs fuzz-batch fuzz-memtrace bench-json-smoke
 
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -158,17 +159,20 @@ golden-update:
 	$(SUITE_DIR)/bpexperiments -list > cmd/bpexperiments/testdata/list.golden
 	$(SUITE_DIR)/bpexperiments -exp all -quick > cmd/bpexperiments/testdata/quick.golden
 
-# test-purego proves the scalar fallbacks of the projection and k-means
-# kernels stay healthy on both of their paths: the purego build tag
-# compiles the SIMD kernels out entirely, and BP_PUREGO=1 exercises the
-# runtime override on the normal build (internal/cpu's TestPuregoOverride
-# only bites under it). The scalar k-means is arm64's only path, so its
-# Lloyd-oracle and scratch-reuse tests run on both legs. -count=1 defeats
-# test caching, which would otherwise replay results recorded without the
-# env var.
+# test-purego proves the scalar fallbacks of the projection, k-means,
+# cache-set and polar-transform kernels stay healthy on both of their
+# paths: the purego build tag compiles the SIMD kernels out entirely, and
+# BP_PUREGO=1 exercises the runtime override on the normal build
+# (internal/cpu's TestPuregoOverride only bites under it). The scalar
+# loops are arm64's only path, so the Lloyd-oracle and scratch-reuse
+# tests, the cache's LRU-oracle tests, the batch normal draws' and papi's
+# tests run on both legs. -count=1 defeats test caching, which would
+# otherwise replay results recorded without the env var.
+PUREGO_PKGS = ./internal/cpu/ ./internal/sigvec/ ./internal/simpoint/ \
+	./internal/mem/ ./internal/xrand/ ./internal/papi/
 test-purego:
-	$(GO) test -tags purego -count=1 ./internal/cpu/ ./internal/sigvec/ ./internal/simpoint/ ./internal/core/
-	BP_PUREGO=1 $(GO) test -count=1 ./internal/cpu/ ./internal/sigvec/ ./internal/simpoint/
+	$(GO) test -tags purego -count=1 $(PUREGO_PKGS) ./internal/core/
+	BP_PUREGO=1 $(GO) test -count=1 $(PUREGO_PKGS)
 
 # fuzz-kmeans feeds simpoint's bounded k-means raw float64 bit patterns
 # (NaN, ±Inf, subnormals, wild scale mixes) for 10 s and fails on the
@@ -189,6 +193,14 @@ fuzz-sqdist:
 # differs from the timestamped true-LRU oracle.
 fuzz-cache:
 	$(GO) test -run '^$$' -fuzz '^FuzzCacheExact$$' -fuzztime 10s ./internal/mem
+
+# fuzz-polar maps arbitrary float64 bits into (0, 1), subnormals
+# included, for 10 s and fails on the first lane of the AVX2 polar
+# transform (xrand's sqrt(-2*log(s)/s), four at a time) that differs from
+# the scalar math.Sqrt(-2*math.Log(s)/s) by a single bit. It skips on a
+# host without AVX2.
+fuzz-polar:
+	$(GO) test -run '^$$' -fuzz '^FuzzPolarExact$$' -fuzztime 10s ./internal/xrand
 
 # fuzz-units feeds the worker's POST /units handler arbitrary bodies for
 # 10 s, seeded with real collect and jittered units, a validate body as a
@@ -233,11 +245,13 @@ bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ .
 
 # bench-json records the signature-pipeline performance trajectory: the
-# mem/pin/sigvec micro-benchmarks, the sweep-planner compile benchmark,
+# mem/pin/sigvec micro-benchmarks, papi's 20-rep counter collection
+# (plain and multiplexed), the sweep-planner compile benchmark,
 # end-to-end discovery, SimPoint clustering on synthetic and on real
 # signature vectors (HPCG's canonical discovery run, LULESH's canonical
 # run and its jittered run 1), native Step 3 collection of HPCG on
-# both ISAs, and single-study latency at the paper configuration, parsed
+# both ISAs, the cache model alone replaying HPCG's touch stream on both
+# machines' hierarchies, and single-study latency at the paper configuration, parsed
 # into BENCH_pipeline.json (fails if any benchmark fails or produces no
 # results). Each invocation APPENDS a run entry to the trajectory, so the
 # history across PRs is preserved; see cmd/benchjson. Every invocation
@@ -248,12 +262,12 @@ bench:
 # invocation fails, benchjson sees the FAIL line and refuses to record.
 bench-json:
 	{ $(GO) test -run '^$$' -benchmem -benchtime $(BENCHTIME) -count $(BENCH_COUNT) \
-		-bench 'StackDist|^BenchmarkStream|BuilderSparse' \
-		./internal/mem ./internal/pin ./internal/sigvec; \
+		-bench 'StackDist|^BenchmarkStream|BuilderSparse|CollectMultiplexed' \
+		./internal/mem ./internal/pin ./internal/sigvec ./internal/papi; \
 	  $(GO) test -run '^$$' -benchmem -benchtime $(BENCHTIME) -count $(BENCH_COUNT) \
 		-bench 'SweepPlanner' ./internal/sched; \
 	  $(GO) test -run '^$$' -benchmem -benchtime $(PIPELINE_BENCHTIME) -count $(BENCH_COUNT) \
-		-bench 'DiscoveryPipeline|KMeansClustering|ClusterHPCG$$|ClusterLULESH$$|ClusterLULESHJittered$$|^BenchmarkCollect$$' .; \
+		-bench 'DiscoveryPipeline|KMeansClustering|ClusterHPCG$$|ClusterLULESH$$|ClusterLULESHJittered$$|^BenchmarkCollect$$|HierarchyReplay' .; \
 	  $(GO) test -run '^$$' -benchmem -benchtime 1x -count $(BENCH_COUNT) \
 		-bench '^BenchmarkStudy$$' .; } \
 		| $(GO) run ./cmd/benchjson -out $(BENCH_OUT)

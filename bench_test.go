@@ -22,10 +22,12 @@ import (
 	"barrierpoint/internal/experiments"
 	"barrierpoint/internal/isa"
 	"barrierpoint/internal/machine"
+	"barrierpoint/internal/mem"
 	"barrierpoint/internal/omp"
 	"barrierpoint/internal/pin"
 	"barrierpoint/internal/sched"
 	"barrierpoint/internal/simpoint"
+	"barrierpoint/internal/trace"
 	"barrierpoint/internal/xrand"
 )
 
@@ -136,6 +138,51 @@ func BenchmarkCollect(b *testing.B) {
 				if _, err := barrierpoint.Collect(app.Build, cfg); err != nil {
 					b.Fatal(err)
 				}
+			}
+		})
+	}
+}
+
+// BenchmarkHierarchyReplay measures the Table II cache model alone, as
+// a collection drives it: each iteration warms an 8-thread hierarchy of
+// each machine with HPCG's data arrays, round-robin across threads as
+// omp.Run does, then replays HPCG's touch stream through it (2.25 million
+// accesses, recorded once from an uninstrumented 8-thread run outside the
+// timer). Intel prefetches the next line on an L1 miss; the X-Gene runs
+// its stream prefetcher.
+func BenchmarkHierarchyReplay(b *testing.B) {
+	app, err := barrierpoint.AppByName("HPCG")
+	if err != nil {
+		b.Fatal(err)
+	}
+	const threads = 8
+	v := isa.Variant{ISA: isa.X8664()}
+	prog, err := app.Build(threads, v)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var touches []uint64 // line<<8 | thread, in the order the hierarchy sees them
+	record := omp.Config{Machine: machine.IntelI7(), Variant: v, Threads: threads, SkipCounters: true,
+		Hooks: omp.Hooks{Touch: func(t int, tc trace.Touch) { touches = append(touches, tc.Line<<8|uint64(t)) }}}
+	if _, err := omp.Run(prog, record); err != nil {
+		b.Fatal(err)
+	}
+	for _, m := range []*machine.Machine{machine.IntelI7(), machine.APMXGene()} {
+		b.Run(strings.ToLower(m.ISA.Name), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				h, err := m.AcquireHierarchy(threads)
+				if err != nil {
+					b.Fatal(err)
+				}
+				for _, d := range prog.Data {
+					for l := int64(0); l < d.Lines; l++ {
+						h.Warm(int(l)%threads, d.Base+uint64(l))
+					}
+				}
+				for _, x := range touches {
+					h.Access(int(x&0xff), x>>8)
+				}
+				mem.ReleaseHierarchy(h)
 			}
 		})
 	}

@@ -109,11 +109,35 @@ func (c *Cache) Access(line uint64) bool {
 // Fill makes line the most recently used in its set, without counting a
 // demand access (the prefetcher and warming use it), and reports whether
 // it was already present. An absent line evicts the set's last way.
+// A line that is already most recently used changes nothing; the 8- and
+// 16-way sets of Table II go through the AVX2 kernels where the host has
+// them, and every other set through fillSet.
 //
 //bp:noalloc
 func (c *Cache) Fill(line uint64) bool {
-	set := c.set(line)
+	base := int(line&c.mask) * c.ways
 	enc := line + 1
+	if c.tags[base] == enc {
+		return true
+	}
+	if useSIMD {
+		switch c.ways {
+		case 8:
+			return fill8SIMD((*[8]uint64)(c.tags[base:]), enc)
+		case 16:
+			return fill16SIMD((*[16]uint64)(c.tags[base:]), enc)
+		}
+	}
+	return fillSet(c.tags[base:base+c.ways:base+c.ways], enc)
+}
+
+// fillSet moves enc to way 0 of set, shifting the ways in front of it
+// down one, or, when set does not hold it, shifting the whole set down
+// and dropping its last way, and reports whether set held it. It is the
+// portable path and the reference the vector kernels are tested against.
+//
+//bp:noalloc
+func fillSet(set []uint64, enc uint64) bool {
 	i := 0
 	for i < len(set)-1 && set[i] != enc {
 		i++

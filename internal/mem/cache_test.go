@@ -348,6 +348,14 @@ func FuzzCacheExact(f *testing.F) {
 	f.Add(uint8(0), uint64(0), []byte{0, 1, 0, 1, 1, 2, 2, 1})
 	f.Add(uint8(2), uint64(42), []byte{0, 0, 0, 4, 0, 8, 0, 0, 5, 4, 6, 12})
 	f.Add(uint8(6), uint64(7), []byte("the quick brown fox jumps over the lazy dog"))
+	// Hits at every way position, then an eviction, on the 8-way fully
+	// associative set, Table II's 8-way L1D and 16-way L3, by Access
+	// and by Fill.
+	for _, geom := range []uint8{3, 4, 6} {
+		for _, op := range []byte{byte(opAccess), byte(opFill)} {
+			f.Add(geom, uint64(geom), waySweepOps(exactGeometries[geom].ways, op))
+		}
+	}
 	f.Fuzz(func(t *testing.T, geom uint8, tagSeed uint64, ops []byte) {
 		g := exactGeometries[int(geom)%len(exactGeometries)]
 		c := NewCache(g.name, g.sizeBytes, g.ways)
@@ -364,4 +372,21 @@ func FuzzCacheExact(f *testing.F) {
 			checkCacheOp(t, c, o, i/2, op, line)
 		}
 	})
+}
+
+// waySweepOps is a FuzzCacheExact op sequence on one set of a ways-way
+// cache: op on ways distinct lines fills the set (the last one filled is
+// way 0), op on them again from the last filled to the first hits ways
+// 0, 1, ..., ways-1 in turn (a hit at way p leaves the ways behind p
+// where they were), and op on one more line evicts the last way. Every
+// line byte is a multiple of 4, so all of them map to set 0.
+func waySweepOps(ways int, op byte) []byte {
+	var ops []byte
+	for i := 0; i < ways; i++ {
+		ops = append(ops, op, byte(4*i))
+	}
+	for i := ways - 1; i >= 0; i-- {
+		ops = append(ops, op, byte(4*i))
+	}
+	return append(ops, op, byte(4*ways))
 }

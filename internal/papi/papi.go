@@ -49,15 +49,32 @@ func ApplyOverhead(c machine.Counters, reads float64, ov Overhead) machine.Count
 	return out
 }
 
+// sampleNormals is the number of normal variates one Sample draws: a
+// relative and a floor term per metric.
+const sampleNormals = 2 * int(machine.NumMetrics)
+
 // Sample draws one noisy measurement of the true counters under the
 // machine's noise profile: a relative (CV-scaled) term plus an absolute
 // perturbation floor that dominates when true counts are small.
 func Sample(c machine.Counters, noise machine.NoiseProfile, rng *xrand.Rand) machine.Counters {
+	var z [sampleNormals]float64
+	rng.NormFloat64s(z[:])
+	return sample(c, noise, z[:], 0)
+}
+
+// sample is one repetition's measurement, the formula Sample and
+// CollectMultiplexed share. z holds the repetition's normal variates in
+// draw order: metric m's relative and floor terms at 2m and 2m+1, then,
+// when extraCV > 0, its multiplexing noise factor's at sampleNormals+m.
+func sample(c machine.Counters, noise machine.NoiseProfile, z []float64, extraCV float64) machine.Counters {
 	var out machine.Counters
 	for m := range c {
-		v := c[m]*(1+noise.CV[m]*rng.NormFloat64()) + noise.Floor[m]*rng.NormFloat64()
+		v := c[m]*(1+noise.CV[m]*z[2*m]) + noise.Floor[m]*z[2*m+1]
 		if v < 0 {
 			v = 0
+		}
+		if extraCV > 0 {
+			v *= xrand.NoiseFactor(extraCV, z[sampleNormals+m])
 		}
 		out[m] = v
 	}
@@ -105,24 +122,30 @@ func CollectMultiplexed(c machine.Counters, noise machine.NoiseProfile, rng *xra
 		f := 1 / float64(groups)
 		extraCV = burstiness * math.Sqrt((1-f)/f)
 	}
-	var acc [machine.NumMetrics][]float64
-	for i := range acc {
-		acc[i] = make([]float64, 0, reps)
+	// Every repetition draws Sample's normals, then one noise factor's
+	// per metric when multiplexed; all reps' are drawn in one batch.
+	perRep := sampleNormals
+	if extraCV > 0 {
+		perRep += int(machine.NumMetrics)
 	}
+	// z holds the normals, vals the samples, metric i's at
+	// [i*reps, (i+1)*reps); the paper's 20 repetitions fit on the stack.
+	var stack [20 * (sampleNormals + 2*int(machine.NumMetrics))]float64
+	buf := stack[:]
+	if n := reps * (perRep + int(machine.NumMetrics)); n > len(buf) {
+		buf = make([]float64, n)
+	}
+	z, vals := buf[:reps*perRep], buf[reps*perRep:]
+	rng.NormFloat64s(z)
 	for r := 0; r < reps; r++ {
-		s := Sample(c, noise, rng)
-		if extraCV > 0 {
-			for i := range s {
-				s[i] *= rng.Noise(extraCV)
-			}
-		}
-		for i := range s {
-			acc[i] = append(acc[i], s[i])
+		s := sample(c, noise, z[r*perRep:(r+1)*perRep], extraCV)
+		for i, v := range s {
+			vals[i*reps+r] = v
 		}
 	}
 	var out Measurement
 	for i := range out {
-		out[i] = stats.Summarize(acc[i])
+		out[i] = stats.Summarize(vals[i*reps : (i+1)*reps])
 	}
 	return out
 }

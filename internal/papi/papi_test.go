@@ -1,10 +1,12 @@
 package papi
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
 	"barrierpoint/internal/machine"
+	"barrierpoint/internal/stats"
 	"barrierpoint/internal/xrand"
 )
 
@@ -159,5 +161,91 @@ func TestMultiplexGroupsFloor(t *testing.T) {
 	}
 	if m[0].StdDev != 0 {
 		t.Error("1 group + zero noise must be exact")
+	}
+}
+
+// sequentialCollect is CollectMultiplexed as it drew its normals before
+// they were batched: one rng.NormFloat64 at a time, Sample's two per
+// metric, then one rng.Noise per metric when multiplexed.
+func sequentialCollect(c machine.Counters, noise machine.NoiseProfile, rng *xrand.Rand, reps, groups int) Measurement {
+	extraCV := 0.0
+	if groups > 1 {
+		f := 1 / float64(groups)
+		extraCV = 0.004 * math.Sqrt((1-f)/f)
+	}
+	var acc [machine.NumMetrics][]float64
+	for r := 0; r < reps; r++ {
+		var s machine.Counters
+		for m := range c {
+			v := c[m]*(1+noise.CV[m]*rng.NormFloat64()) + noise.Floor[m]*rng.NormFloat64()
+			if v < 0 {
+				v = 0
+			}
+			s[m] = v
+		}
+		if extraCV > 0 {
+			for i := range s {
+				s[i] *= rng.Noise(extraCV)
+			}
+		}
+		for i := range s {
+			acc[i] = append(acc[i], s[i])
+		}
+	}
+	var out Measurement
+	for i := range out {
+		out[i] = stats.Summarize(acc[i])
+	}
+	return out
+}
+
+// TestCollectMatchesSequentialDraws: batching the normals changes no bit
+// of a measurement and leaves the generator where one-at-a-time draws
+// leave it, plain and multiplexed, with a cached variate pending on
+// entry or not, at rep counts on both sides of the stack buffer's 20.
+func TestCollectMatchesSequentialDraws(t *testing.T) {
+	truth := ApplyOverhead(machine.Counters{2.4e6, 1.9e6, 31, 8.2e3}, ReadsPerBarrierPoint, DefaultOverhead())
+	for _, mach := range []*machine.Machine{machine.IntelI7(), machine.APMXGene()} {
+		for _, groups := range []int{1, 3, 4} {
+			for _, reps := range []int{1, 7, 20, 21, 40} {
+				for _, pending := range []bool{false, true} {
+					batch, seq := xrand.New(uint64(reps*groups)), xrand.New(uint64(reps*groups))
+					if pending {
+						batch.NormFloat64()
+						seq.NormFloat64()
+					}
+					got := CollectMultiplexed(truth, mach.Noise, batch, reps, groups)
+					want := sequentialCollect(truth, mach.Noise, seq, reps, groups)
+					if got != want {
+						t.Fatalf("%s groups=%d reps=%d pending=%v: %v, sequential draws %v",
+							mach.Name, groups, reps, pending, got, want)
+					}
+					if batch.Uint64() != seq.Uint64() {
+						t.Fatalf("%s groups=%d reps=%d pending=%v: generator state differs",
+							mach.Name, groups, reps, pending)
+					}
+				}
+			}
+		}
+	}
+}
+
+// measurementSink keeps BenchmarkCollectMultiplexed's result live.
+var measurementSink Measurement
+
+// BenchmarkCollectMultiplexed measures one thread's measurement of one
+// barrier point at the paper's 20 repetitions: plain (1 group, what every
+// collection runs) and with 4 multiplexed event groups.
+func BenchmarkCollectMultiplexed(b *testing.B) {
+	noise := machine.IntelI7().Noise
+	truth := ApplyOverhead(machine.Counters{2.4e6, 1.9e6, 3.1e4, 8.2e3}, ReadsPerBarrierPoint, DefaultOverhead())
+	for _, groups := range []int{1, 4} {
+		b.Run(fmt.Sprintf("groups=%d", groups), func(b *testing.B) {
+			rng := xrand.New(42)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				measurementSink = CollectMultiplexed(truth, noise, rng, 20, groups)
+			}
+		})
 	}
 }

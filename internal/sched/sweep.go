@@ -2,6 +2,7 @@ package sched
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strconv"
 	"sync"
@@ -188,34 +189,52 @@ func CompileSweep(ctx context.Context, reqs []StudyRequest, opts Options) (*Swee
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		if req.Build == nil {
-			return nil, fmt.Errorf("sched: study %s has no program builder", req.App)
-		}
-		st := &sweepStudy{idx: i, app: req.App, build: req.Build}
-		p.studies = append(p.studies, st)
-		switch {
-		case req.Discovery != nil && req.Collect != nil:
-			return nil, fmt.Errorf("sched: member %s asks for a discovery and a collection at once", req.App)
-		case req.Discovery != nil:
-			st.kind, st.discCfg = memberDiscovery, req.Discovery.WithDefaults()
-			st.total = st.discCfg.Runs
-		case req.Collect != nil:
-			if req.Collect.Variant.ISA == nil {
-				// Matches core.Collect's validation; checked here first
-				// because the unit key renders the variant.
-				return nil, fmt.Errorf("core: collection needs a binary variant")
-			}
-			st.kind, st.colCfgs, st.total = memberCollection, []core.CollectConfig{*req.Collect}, 1
-		default:
-			st.cfg = req.Config.WithDefaults()
-			cols := st.cfg.Collections()
-			st.discCfg, st.colCfgs, st.total = st.cfg.Discovery(), cols[:], StudyUnits(st.cfg)
-		}
-		if err := p.planMember(st, fps); err != nil {
-			return nil, err
+		if err := p.addMember(i, req, fps); err != nil {
+			return nil, fmt.Errorf("sched: member %d (%s %s): %w", i, req.App, requestKind(req), err)
 		}
 	}
 	return p, nil
+}
+
+// requestKind names what a member asks for, in CompileSweep's errors.
+func requestKind(req StudyRequest) string {
+	switch {
+	case req.Discovery != nil && req.Collect != nil:
+		return "discovery and collection"
+	case req.Discovery != nil:
+		return "discovery"
+	case req.Collect != nil:
+		return "collection"
+	}
+	return "study"
+}
+
+// addMember checks member i's request and plans it.
+func (p *SweepPlan) addMember(i int, req StudyRequest, fps programFPs) error {
+	if req.Build == nil {
+		return errors.New("no program builder")
+	}
+	st := &sweepStudy{idx: i, app: req.App, build: req.Build}
+	p.studies = append(p.studies, st)
+	switch {
+	case req.Discovery != nil && req.Collect != nil:
+		return errors.New("asks for a discovery and a collection at once")
+	case req.Discovery != nil:
+		st.kind, st.discCfg = memberDiscovery, req.Discovery.WithDefaults()
+		st.total = st.discCfg.Runs
+	case req.Collect != nil:
+		if req.Collect.Variant.ISA == nil {
+			// Matches core.Collect's validation; checked here first
+			// because the unit key renders the variant.
+			return errors.New("core: collection needs a binary variant")
+		}
+		st.kind, st.colCfgs, st.total = memberCollection, []core.CollectConfig{*req.Collect}, 1
+	default:
+		st.cfg = req.Config.WithDefaults()
+		cols := st.cfg.Collections()
+		st.discCfg, st.colCfgs, st.total = st.cfg.Discovery(), cols[:], StudyUnits(st.cfg)
+	}
+	return p.planMember(st, fps)
 }
 
 // planMember appends one member's units to the DAG in the order that

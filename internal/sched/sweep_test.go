@@ -14,6 +14,7 @@ import (
 	"barrierpoint/internal/core"
 	"barrierpoint/internal/isa"
 	"barrierpoint/internal/resultcache"
+	"barrierpoint/internal/trace"
 )
 
 // sweepRequest builds one member study request for the sweep tests.
@@ -599,6 +600,46 @@ func TestSweepNilBuilder(t *testing.T) {
 		[]StudyRequest{{App: "MCB", Config: core.StudyConfig{Threads: 2}}}, Options{})
 	if err == nil || !strings.Contains(err.Error(), "no program builder") {
 		t.Errorf("CompileSweep with nil builder = %v, want builder error", err)
+	}
+}
+
+// TestCompileSweepNamesFailingMember: a member that fails to compile is
+// named by its index, app and kind, and its cause stays reachable through
+// errors.Is, for each compile-time failure: a builder error, a collection
+// without an ISA and a member asking for both steps. The failing member
+// is the second of three; the first plans normally.
+func TestCompileSweepNamesFailingMember(t *testing.T) {
+	req := testRequest(t)
+	errBuild := errors.New("builder failed")
+	failing := func(int, isa.Variant) (*trace.Program, error) { return nil, errBuild }
+	col := req.Config.Collections()[0]
+	noISA := col
+	noISA.Variant = isa.Variant{}
+	disc := req.Config.Discovery()
+	cases := []struct {
+		name   string
+		member StudyRequest
+		want   string
+		is     error
+	}{
+		{"builder", StudyRequest{App: "RSBench", Build: failing, Config: req.Config},
+			"sched: member 1 (RSBench study): ", errBuild},
+		{"no-isa", StudyRequest{App: "CoMD", Build: req.Build, Collect: &noISA},
+			"sched: member 1 (CoMD collection): core: collection needs a binary variant", nil},
+		{"both", StudyRequest{App: "LULESH", Build: req.Build, Discovery: &disc, Collect: &col},
+			"sched: member 1 (LULESH discovery and collection): asks for a discovery and a collection at once", nil},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			reqs := []StudyRequest{req, tc.member, req}
+			_, err := CompileSweep(context.Background(), reqs, Options{})
+			if err == nil || !strings.HasPrefix(err.Error(), tc.want) {
+				t.Fatalf("CompileSweep = %v, want an error starting %q", err, tc.want)
+			}
+			if tc.is != nil && !errors.Is(err, tc.is) {
+				t.Errorf("errors.Is(%v, %v) = false", err, tc.is)
+			}
+		})
 	}
 }
 

@@ -93,25 +93,91 @@ func (r *Rand) NormFloat64() float64 {
 		r.hasGauss = false
 		return r.gauss
 	}
-	var u, v, s float64
-	for {
-		u = 2*r.Float64() - 1
-		v = 2*r.Float64() - 1
-		s = u*u + v*v
-		if s > 0 && s < 1 {
-			break
-		}
-	}
-	f := math.Sqrt(-2 * math.Log(s) / s)
+	u, v, s := r.polar()
+	f := polarScale(s)
 	r.gauss = v * f
 	r.hasGauss = true
 	return u * f
 }
 
+// NormFloat64s fills dst with the variates len(dst) NormFloat64 calls
+// would return, in order, and leaves the generator exactly as those calls
+// would, including a cached second variate when the last pair is split.
+// The rejection loop draws every pair first; their scale factors are then
+// computed together, four at a time on hosts with the transform kernel.
+//
+//bp:noalloc
+func (r *Rand) NormFloat64s(dst []float64) {
+	if len(dst) > 0 && r.hasGauss {
+		dst[0] = r.gauss
+		r.hasGauss = false
+		dst = dst[1:]
+	}
+	var s [64]float64 // the pairs' accepted s, then their scale factors
+	for len(dst) > 0 {
+		n := min((len(dst)+1)/2, len(s))
+		var last float64 // the last pair's v
+		for i := 0; i < n; i++ {
+			u, v, si := r.polar()
+			dst[2*i], s[i], last = u, si, v
+			if 2*i+1 < len(dst) {
+				dst[2*i+1] = v
+			}
+		}
+		polarScales(s[:n])
+		for i, f := range s[:n] {
+			dst[2*i] *= f
+			if 2*i+1 < len(dst) {
+				dst[2*i+1] *= f
+			}
+		}
+		// Like NormFloat64, keep the last pair's second variate: cached
+		// when dst ends before it, spent otherwise.
+		r.gauss, r.hasGauss = last*s[n-1], len(dst) < 2*n
+		dst = dst[min(2*n, len(dst)):]
+	}
+}
+
+// polar draws uniform points in the square [-1, 1)² until one falls
+// strictly inside the unit circle, and returns it with its squared radius
+// s: the Marsaglia polar method's rejection step.
+func (r *Rand) polar() (u, v, s float64) {
+	for {
+		u = 2*r.Float64() - 1
+		v = 2*r.Float64() - 1
+		s = u*u + v*v
+		if s > 0 && s < 1 {
+			return u, v, s
+		}
+	}
+}
+
+// polarScale is the polar method's transform: the factor that turns an
+// accepted point (u, v) with squared radius s into two normal variates.
+func polarScale(s float64) float64 { return math.Sqrt(-2 * math.Log(s) / s) }
+
+// polarScales replaces every s in (0, 1) with polarScale(s), bit for bit:
+// the vector kernel takes whole blocks of four where the host has it.
+//
+//bp:noalloc
+func polarScales(s []float64) {
+	i := 0
+	if useSIMD {
+		i = len(s) &^ 3
+		polarScalesSIMD(s[:i])
+	}
+	for ; i < len(s); i++ {
+		s[i] = polarScale(s[i])
+	}
+}
+
 // Noise returns a multiplicative noise factor 1 + cv*N(0,1), floored at
 // 0.01 so a pathological draw cannot produce a non-positive measurement.
-func (r *Rand) Noise(cv float64) float64 {
-	f := 1 + cv*r.NormFloat64()
+func (r *Rand) Noise(cv float64) float64 { return NoiseFactor(cv, r.NormFloat64()) }
+
+// NoiseFactor is the factor Noise returns when its normal draw is z.
+func NoiseFactor(cv, z float64) float64 {
+	f := 1 + cv*z
 	if f < 0.01 {
 		f = 0.01
 	}

@@ -180,3 +180,37 @@ func TestMul128KnownValues(t *testing.T) {
 		t.Fatalf("mul128(2^32,2^32) = (%d,%d)", hi, lo)
 	}
 }
+
+// TestNormFloat64sMatchesNormFloat64: a batch of every length from 0 to
+// 1000 returns exactly the variates as many NormFloat64 calls return,
+// with and without a cached variate pending on entry, and leaves the
+// generator where those calls leave it: the same state and cached
+// variate (pending after an odd remainder), so the same next NormFloat64
+// and the same next Uint64.
+func TestNormFloat64sMatchesNormFloat64(t *testing.T) {
+	for _, pending := range []bool{false, true} {
+		for n := 0; n <= 1000; n++ {
+			seq, batch := New(uint64(n)), New(uint64(n))
+			if pending {
+				seq.NormFloat64()
+				batch.NormFloat64()
+			}
+			dst := make([]float64, n)
+			batch.NormFloat64s(dst)
+			for i, got := range dst {
+				if want := seq.NormFloat64(); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("pending=%v n=%d: variate %d = %v, NormFloat64 %v", pending, n, i, got, want)
+				}
+			}
+			if *seq != *batch {
+				t.Fatalf("pending=%v n=%d: generator %+v, after NormFloat64 calls %+v", pending, n, *batch, *seq)
+			}
+			if a, b := seq.NormFloat64(), batch.NormFloat64(); math.Float64bits(a) != math.Float64bits(b) {
+				t.Fatalf("pending=%v n=%d: next NormFloat64 %v, NormFloat64 %v", pending, n, b, a)
+			}
+			if seq.Uint64() != batch.Uint64() {
+				t.Fatalf("pending=%v n=%d: next Uint64 differs", pending, n)
+			}
+		}
+	}
+}
