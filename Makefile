@@ -159,16 +159,17 @@ golden-update:
 	$(SUITE_DIR)/bpexperiments -list > cmd/bpexperiments/testdata/list.golden
 	$(SUITE_DIR)/bpexperiments -exp all -quick > cmd/bpexperiments/testdata/quick.golden
 
-# test-purego proves the scalar fallbacks of the projection, k-means,
-# cache-set and polar-transform kernels stay healthy on both of their
-# paths: the purego build tag compiles the SIMD kernels out entirely, and
-# BP_PUREGO=1 exercises the runtime override on the normal build
-# (internal/cpu's TestPuregoOverride only bites under it). The scalar
-# loops are arm64's only path, so the Lloyd-oracle and scratch-reuse
-# tests, the cache's LRU-oracle tests, the batch normal draws' and papi's
-# tests run on both legs. -count=1 defeats test caching, which would
-# otherwise replay results recorded without the env var.
-PUREGO_PKGS = ./internal/cpu/ ./internal/sigvec/ ./internal/simpoint/ \
+# test-purego proves the scalar fallbacks of the k-means, cache-set and
+# polar-transform kernels stay healthy on both of their paths: the purego
+# build tag compiles the SIMD kernels out entirely, and BP_PUREGO=1
+# exercises the runtime override on the normal build (internal/cpu's
+# TestPuregoOverride only bites under it). The scalar loops are arm64's
+# only path, so the Lloyd-oracle and scratch-reuse tests, the cache's
+# LRU-oracle tests, the batch normal draws' and papi's tests run on both
+# legs. sigvec has no kernel, one Go loop on every build, so test-short
+# already runs the only path it has. -count=1 defeats test caching, which
+# would otherwise replay results recorded without the env var.
+PUREGO_PKGS = ./internal/cpu/ ./internal/simpoint/ \
 	./internal/mem/ ./internal/xrand/ ./internal/papi/
 test-purego:
 	$(GO) test -tags purego -count=1 $(PUREGO_PKGS) ./internal/core/

@@ -2,15 +2,10 @@
 // distilled from this repo's bug history (see the README "Static
 // analysis" section and internal/analysis).
 //
-// Standalone, over package patterns (what `make lint` runs):
+// It runs over package patterns (what `make lint` runs):
 //
 //	go run ./cmd/bpvet ./...
 //	go run ./cmd/bpvet ./internal/service ./internal/sched
-//
-// Or as a vet tool under the build system's modular driver:
-//
-//	go build -o /tmp/bpvet ./cmd/bpvet
-//	go vet -vettool=/tmp/bpvet ./...
 //
 // Exit status is 1 when there are findings (printed one per line as
 // file:line:col: analyzer: message), 2 on operational errors.
@@ -25,12 +20,6 @@ import (
 )
 
 func main() {
-	// The vettool protocol (-V=full / -flags / foo.cfg) takes precedence;
-	// anything else is a standalone run over package patterns.
-	if analysis.VetMain(os.Args[1:], analysis.Analyzers()) {
-		return
-	}
-
 	list := flag.Bool("list", false, "list the analyzers and exit")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: bpvet [packages]\n\nRuns the project analyzers over the packages (default ./...).\n\n")

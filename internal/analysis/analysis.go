@@ -79,9 +79,8 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 
 // ExportFact publishes a string fact to packages that (transitively)
 // import this one. Facts are how registration-style invariants (codecreg)
-// cross package boundaries in both driver modes: the standalone driver
-// unions them along the import graph in-process, the unitchecker mode
-// serialises them through go vet's .vetx fact files.
+// cross package boundaries: the driver unions them along the import
+// graph in-process.
 func (p *Pass) ExportFact(fact string) {
 	if p.exported == nil {
 		p.exported = map[string]bool{}

@@ -14,10 +14,9 @@ import (
 // init time. Today a missing registration surfaces as a runtime
 // ErrNoCodec mid-study, on whichever worker first tries to spill.
 //
-// Registrations are exported as facts and flow along the import graph in
-// both driver modes (in-process for the standalone bpvet, via .vetx fact
-// files under go vet -vettool). Interface-typed arguments are outside
-// the static horizon and are not checked.
+// Registrations are exported as facts and flow along the import graph.
+// Interface-typed arguments are outside the static horizon and are not
+// checked.
 var CodecReg = &Analyzer{
 	Name: "codecreg",
 	Doc:  "types passed to cachestore.Encode must have a registered codec",

@@ -27,6 +27,7 @@ import (
 
 	"barrierpoint/internal/isa"
 	"barrierpoint/internal/machine"
+	"barrierpoint/internal/stats"
 	"barrierpoint/internal/trace"
 )
 
@@ -142,24 +143,7 @@ func avgAbsErr(est, ref []machine.Counters, m machine.Metric) float64 {
 	}
 	var sum float64
 	for t := range est {
-		sum += absPctError(est[t][m], ref[t][m])
+		sum += stats.AbsPctError(est[t][m], ref[t][m])
 	}
 	return sum / float64(len(est))
-}
-
-func absPctError(estimate, actual float64) float64 {
-	if actual == 0 {
-		if estimate == 0 {
-			return 0
-		}
-		return 100
-	}
-	d := estimate - actual
-	if d < 0 {
-		d = -d
-	}
-	if actual < 0 {
-		actual = -actual
-	}
-	return d / actual * 100
 }

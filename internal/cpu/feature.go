@@ -1,9 +1,11 @@
 package cpu
 
-// Feature detection for the runtime-dispatched SIMD kernels (the sigvec
-// projection accumulate). Detection runs once at init; kernels consult the
-// exported flags to pick a vector implementation, keeping the portable
-// scalar loop as the fallback everywhere detection comes back false.
+// Feature detection for the runtime-dispatched SIMD kernels: simpoint's
+// k-means distance, row-add and bound-shift kernels, mem's whole-set
+// cache probes and xrand's polar transform. Detection runs once at init;
+// kernels consult the exported flags to pick a vector implementation,
+// keeping the portable scalar loop as the fallback everywhere detection
+// comes back false.
 //
 // The BP_PUREGO environment variable (any non-empty value) forces every
 // flag false, pinning the process to the portable scalar kernels without a
@@ -15,26 +17,17 @@ type Features struct {
 	// AVX2 is true when the CPU and OS support 256-bit AVX2 vectors
 	// (CPUID AVX2 + AVX + OSXSAVE, with YMM state enabled in XCR0).
 	AVX2 bool
-	// NEON is true on arm64, where the Advanced SIMD unit is part of the
-	// baseline architecture.
-	NEON bool
 }
 
 // Host holds the detected features of this process's CPU. It is written
 // once during init and read-only afterwards.
 var Host Features
 
-// KernelName returns a short label for the best vector unit the host
-// exposes ("avx2", "neon", or "scalar") — for logs and the README
-// dispatch table. Whether a given kernel actually uses it is reported by
-// that kernel's package (sigvec.Kernel): NEON, for instance, is detected
-// here but has no projection kernel (see sigvec/dispatch_generic.go).
+// KernelName returns a short label for the vector unit the kernels
+// dispatch to ("avx2" or "scalar"), for logs and test skip messages.
 func KernelName() string {
-	switch {
-	case Host.AVX2:
+	if Host.AVX2 {
 		return "avx2"
-	case Host.NEON:
-		return "neon"
 	}
 	return "scalar"
 }

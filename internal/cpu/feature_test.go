@@ -14,10 +14,6 @@ func TestKernelNameConsistent(t *testing.T) {
 		if name != "avx2" {
 			t.Errorf("KernelName() = %q with AVX2 detected, want avx2", name)
 		}
-	case Host.NEON:
-		if name != "neon" {
-			t.Errorf("KernelName() = %q with NEON detected, want neon", name)
-		}
 	default:
 		if name != "scalar" {
 			t.Errorf("KernelName() = %q with no vector features, want scalar", name)
@@ -33,7 +29,7 @@ func TestPuregoOverride(t *testing.T) {
 	if os.Getenv("BP_PUREGO") == "" {
 		t.Skip("BP_PUREGO not set; override path exercised by the CI fallback leg")
 	}
-	if Host.AVX2 || Host.NEON {
+	if Host.AVX2 {
 		t.Errorf("BP_PUREGO set but Host = %+v, want all features off", Host)
 	}
 }
@@ -43,8 +39,5 @@ func TestPuregoOverride(t *testing.T) {
 func TestArchSanity(t *testing.T) {
 	if runtime.GOARCH != "amd64" && Host.AVX2 {
 		t.Errorf("AVX2 detected on %s", runtime.GOARCH)
-	}
-	if runtime.GOARCH != "arm64" && Host.NEON {
-		t.Errorf("NEON detected on %s", runtime.GOARCH)
 	}
 }

@@ -6,11 +6,10 @@
 // those units, deduplicated by content-addressed key, and
 // SweepPlan.Execute releases each unit onto a bounded worker pool the
 // moment its dependencies land. A member is a whole study, or a discovery
-// or one collection alone, and Run is a one-member plan, so there is one
-// executor for a study, for a sweep and for the experiment suite's one
-// plan; only Collect, a single unit, runs without one. Expensive
-// intermediates are memoised through internal/resultcache. Validation is
-// not a unit: when a study member's last unit lands, it scores every
+// or one collection alone, and Run and Collect are one-member plans, so
+// there is one executor for a study, a collection, a sweep and the
+// experiment suite's one plan. Expensive intermediates are memoised
+// through internal/resultcache. Validation is not a unit: when a study member's last unit lands, it scores every
 // discovered set against both collections in run order and assembles, so
 // the same request produces a byte-identical core.StudyResult whether it
 // runs on one worker or many, alone or in a sweep. A failing member reports its lowest-ranked failing unit in

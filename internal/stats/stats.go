@@ -25,11 +25,18 @@ func Mean(xs []float64) float64 {
 // StdDev returns the sample standard deviation (n-1 denominator) of xs.
 // It returns 0 when fewer than two samples are available.
 func StdDev(xs []float64) float64 {
+	return stdDevAbout(xs, Mean(xs))
+}
+
+// stdDevAbout returns the sample standard deviation of xs given its mean
+// m: the square root of the sum of squared deviations from m over n-1,
+// or 0 when fewer than two samples are available. Callers that already
+// hold the mean pass it in instead of walking xs again.
+func stdDevAbout(xs []float64, m float64) float64 {
 	n := len(xs)
 	if n < 2 {
 		return 0
 	}
-	m := Mean(xs)
 	var ss float64
 	for _, x := range xs {
 		d := x - m
@@ -45,7 +52,7 @@ func CV(xs []float64) float64 {
 	if m == 0 {
 		return 0
 	}
-	return math.Abs(StdDev(xs) / m)
+	return math.Abs(stdDevAbout(xs, m) / m)
 }
 
 // AbsPctError returns |estimate-actual|/|actual| in percent.
@@ -152,7 +159,8 @@ type Summary struct {
 
 // Summarize reduces repeated measurements to a Summary.
 func Summarize(xs []float64) Summary {
-	return Summary{Mean: Mean(xs), StdDev: StdDev(xs), N: len(xs)}
+	m := Mean(xs)
+	return Summary{Mean: m, StdDev: stdDevAbout(xs, m), N: len(xs)}
 }
 
 // String renders the summary as "mean ± stddev".
